@@ -472,10 +472,6 @@ func BenchmarkMonitorIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -515,10 +511,6 @@ func BenchmarkMonitorIngestSingleStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
@@ -604,10 +596,6 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			// Warm pools and detectors before measuring steady state.
 			for s := 0; s < streams; s++ {
 				for j := 0; j < block; j++ {
@@ -635,10 +623,6 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			for s := 0; s < streams; s++ {
 				if err := m.IngestBatch(ids[s], obs[:block]); err != nil {
 					b.Fatal(err)
@@ -719,10 +703,6 @@ func BenchmarkMonitorCheckpoint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			// Warm the detector, pools, and checkpoint scratch.
 			for i := 0; i < 512; i++ {
 				if err := m.Ingest("only", obs[i%len(obs)]); err != nil {

@@ -730,13 +730,13 @@ type wireSender interface {
 	IngestBatchAsync(string, []rbmim.Observation) (rbmim.ClientPending, error)
 }
 
-// ingestLatency folds the client-observed rtt_ingest* stages (single,
-// batch, and try-batch ingests) into one p50/p95/p99 summary in
-// milliseconds; ok is false when nothing was timed.
+// ingestLatency folds the client-observed rtt_ingest* stages (single and
+// batch ingests) into one p50/p95/p99 summary in milliseconds; ok is false
+// when nothing was timed.
 func ingestLatency(stages []rbmim.TelemetryStage) (p50, p95, p99 float64, ok bool) {
 	var group []rbmim.TelemetryStage
 	for _, st := range stages {
-		if strings.HasPrefix(st.Stage, "rtt_ingest") || strings.HasPrefix(st.Stage, "rtt_try_ingest") {
+		if strings.HasPrefix(st.Stage, "rtt_ingest") {
 			st.Stage = "ingest" // common name so the merge folds them together
 			group = append(group, st)
 		}
@@ -1085,12 +1085,6 @@ func runSweep(workload []workloadStream, features, classes, shards, producers, q
 	if err != nil {
 		return sweepResult{}, err
 	}
-	// Drain events so slow consumers never distort the measurement.
-	go func() {
-		for range m.Events() {
-		}
-	}()
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -60,8 +60,12 @@ func ExampleMonitor() {
 
 	// Subscribe to drift events from every stream (none fire here: the
 	// streams below are stationary).
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	go func() {
-		for ev := range m.Events() {
+		for ev := range sub.Events() {
 			log.Printf("stream %s drifted on classes %v", ev.StreamID, ev.Classes)
 		}
 	}()
@@ -79,7 +83,7 @@ func ExampleMonitor() {
 			}
 		}
 	}
-	m.Close() // drains the shards and closes the event channel
+	m.Close() // drains the shards and closes every subscription
 
 	sn := m.Snapshot()
 	fmt.Printf("streams=%d ingested=%d\n", sn.Streams, sn.Ingested)

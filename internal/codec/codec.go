@@ -64,24 +64,28 @@ const (
 // migration kinds 45–49 joined it as compatible additions); revision 3
 // (current) moved to 64–87 when the Event payload gained the optional
 // drift flight-recorder record and the LastDrift request was added.
+//
+// Kinds 64 (single-observation Ingest, now a one-observation IngestBatch)
+// and 66 (TryIngestBatch, superseded by server-side shedding) are retired
+// and reserved: no surviving payload changed shape, so the block did not
+// move, and an old peer sending either draws the "unknown request kind"
+// Error and a hangup.
 const (
 	// Requests (client -> server). Every request payload starts with a u64
 	// request id echoed by the matching reply.
-	KindWireIngest         uint8 = 64 // one observation for one stream
-	KindWireIngestBatch    uint8 = 65 // a block of observations (blocking backpressure)
-	KindWireTryIngestBatch uint8 = 66 // a block of observations (Busy instead of blocking)
-	KindWireSubscribe      uint8 = 67 // turn the connection into a drift-event stream
-	KindWireSnapshotReq    uint8 = 68 // request an aggregate monitor snapshot
-	KindWireEvict          uint8 = 69 // evict one stream (spills with checkpointing on)
-	KindWireFlush          uint8 = 70 // process everything queued + flush checkpoints
-	KindWireMigrate        uint8 = 71 // export a stream's detector state for handoff
-	KindWireHandoff        uint8 = 72 // install an exported state on the target server
-	KindWireStreams        uint8 = 73 // list resident stream IDs
-	KindWireLastDrift      uint8 = 74 // fetch a stream's last drift flight record
+	KindWireIngestBatch uint8 = 65 // a block of observations for one stream
+	KindWireSubscribe   uint8 = 67 // turn the connection into a drift-event stream
+	KindWireSnapshotReq uint8 = 68 // request an aggregate monitor snapshot
+	KindWireEvict       uint8 = 69 // evict one stream (spills with checkpointing on)
+	KindWireFlush       uint8 = 70 // process everything queued + flush checkpoints
+	KindWireMigrate     uint8 = 71 // export a stream's detector state for handoff
+	KindWireHandoff     uint8 = 72 // install an exported state on the target server
+	KindWireStreams     uint8 = 73 // list resident stream IDs
+	KindWireLastDrift   uint8 = 74 // fetch a stream's last drift flight record
 
 	// Replies (server -> client).
 	KindWireOK        uint8 = 80 // request succeeded, no payload beyond the id
-	KindWireBusy      uint8 = 81 // TryIngestBatch dropped the block (queue full)
+	KindWireBusy      uint8 = 81 // the server shed the request (shard queue over ShedHighWater)
 	KindWireError     uint8 = 82 // request failed; payload carries a message
 	KindWireSnapshot  uint8 = 83 // snapshot reply; payload is canonical JSON
 	KindWireEvent     uint8 = 84 // pushed drift event (request id 0)

@@ -207,7 +207,7 @@ func TestBeginEndFrame(t *testing.T) {
 		{},
 		bytes.Repeat([]byte{0xCD}, 2000),
 	}
-	kinds := []uint8{KindWireIngest, KindWireOK, KindWireIngestBatch}
+	kinds := []uint8{KindWireIngestBatch, KindWireOK, KindWireEvent}
 	var want []byte
 	w := NewBuffer(nil)
 	for i, p := range payloads {
@@ -279,7 +279,7 @@ func TestFrameScannerFragmentedReads(t *testing.T) {
 		bytes.Repeat([]byte{0xAB}, 3000), // larger than any single chunk
 		[]byte("last"),
 	}
-	kinds := []uint8{KindWireIngest, KindWireOK, KindWireIngestBatch, KindWireEvent}
+	kinds := []uint8{KindWireIngestBatch, KindWireOK, KindWireEvict, KindWireEvent}
 	for i, p := range want {
 		stream = AppendFrame(stream, kinds[i], p)
 	}
@@ -304,7 +304,7 @@ func TestFrameScannerFragmentedReads(t *testing.T) {
 // a cut at offset zero is a clean EOF, every later cut must surface as
 // ErrInvalid (a peer died mid-frame).
 func TestFrameScannerTruncation(t *testing.T) {
-	frame := AppendFrame(nil, KindWireIngest, []byte("payload under test"))
+	frame := AppendFrame(nil, KindWireIngestBatch, []byte("payload under test"))
 	for cut := 0; cut < len(frame); cut++ {
 		sc := NewFrameScanner(&chunkReader{data: frame[:cut], n: 5})
 		_, _, err := sc.Next()
@@ -343,7 +343,7 @@ func TestFrameScannerLimitPayload(t *testing.T) {
 func TestFrameScannerBufferReuse(t *testing.T) {
 	var stream []byte
 	for i := 0; i < 32; i++ {
-		stream = AppendFrame(stream, KindWireIngest, bytes.Repeat([]byte{byte(i)}, 2048))
+		stream = AppendFrame(stream, KindWireIngestBatch, bytes.Repeat([]byte{byte(i)}, 2048))
 	}
 	sc := NewFrameScanner(bytes.NewReader(stream))
 	if _, _, err := sc.Next(); err != nil { // grow once

@@ -68,10 +68,6 @@ func TestIngestBatchMatchesPerInstanceIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() {
-			for range m.Events() {
-			}
-		}()
 		for start := 0; start < instances; start += batch {
 			end := start + batch
 			if end > instances {
@@ -253,17 +249,18 @@ func TestBackpressureDropAccounting(t *testing.T) {
 }
 
 // TestEventChannelDropAccounting pins slow-subscriber shedding: with a full
-// event buffer and no consumer, drifts keep counting but the overflow is
-// recorded in EventsDropped rather than stalling the shard.
+// subscription buffer and no consumer, drifts keep counting but the overflow
+// is recorded in Dropped and SubscriberDropped rather than stalling the
+// shard.
 func TestEventChannelDropAccounting(t *testing.T) {
 	m, err := New(Config{
 		Shards:      1,
-		EventBuffer: 1,
 		NewDetector: func(string) (detectors.Detector, error) { return alwaysDrift{}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := subscribe(t, m, 1)
 	const n = 32
 	block := make([]detectors.Observation, n)
 	for i := range block {
@@ -277,8 +274,8 @@ func TestEventChannelDropAccounting(t *testing.T) {
 	if sn.Drifts != n {
 		t.Fatalf("Snapshot.Drifts = %d, want %d", sn.Drifts, n)
 	}
-	if sn.EventsDropped != n-1 {
-		t.Fatalf("Snapshot.EventsDropped = %d, want %d (buffer of 1, no subscriber)", sn.EventsDropped, n-1)
+	if sub.Dropped() != n-1 || sn.SubscriberDropped != n-1 {
+		t.Fatalf("Dropped = %d, SubscriberDropped = %d, want %d (buffer of 1, no reader)", sub.Dropped(), sn.SubscriberDropped, n-1)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,19 +38,6 @@ func ckptObs(seed int64, n, features, classes int) []detectors.Observation {
 		obs[i] = detectors.Observation{X: x, TrueClass: y, Predicted: y}
 	}
 	return obs
-}
-
-// driftCollector gathers events synchronously via OnDrift (deterministic,
-// unlike the lossy event channel).
-type driftCollector struct {
-	mu   sync.Mutex
-	seqs []uint64
-}
-
-func (c *driftCollector) onDrift(ev Event) {
-	c.mu.Lock()
-	c.seqs = append(c.seqs, ev.Seq)
-	c.mu.Unlock()
 }
 
 // TestEvictUnknownStreamCountsStreamError pins the satellite semantics:
@@ -94,31 +80,28 @@ func TestMonitorKillResumeMatchesUninterrupted(t *testing.T) {
 	obs := ckptObs(2, n, 6, 3)
 
 	run := func(store Store, segments ...[]detectors.Observation) ([]uint64, uint64) {
-		var col driftCollector
+		var seqs []uint64
 		var rehydrated uint64
 		for _, seg := range segments {
 			m, err := New(Config{
 				Detector:   ckptDetectorConfig(),
 				Shards:     1,
-				OnDrift:    col.onDrift,
 				Checkpoint: CheckpointConfig{Store: store, Interval: time.Hour},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
+			sub := subscribe(t, m, len(seg))
 			for _, o := range seg {
 				if err := m.Ingest("sensor-1", o); err != nil {
 					t.Fatal(err)
 				}
 			}
 			m.Close()
+			seqs = append(seqs, seqsOf(drainEvents(t, sub))...)
 			rehydrated += m.Snapshot().Rehydrated
 		}
-		return col.seqs, rehydrated
+		return seqs, rehydrated
 	}
 
 	controlSeqs, _ := run(NewMemStore(), obs)
@@ -144,21 +127,16 @@ func TestMonitorKillResumeMatchesUninterrupted(t *testing.T) {
 // continued).
 func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 	store := NewMemStore()
-	var col driftCollector
 	m, err := New(Config{
 		Detector:   ckptDetectorConfig(),
 		Shards:     1,
-		OnDrift:    col.onDrift,
 		Checkpoint: CheckpointConfig{Store: store, Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	obs := ckptObs(3, 2400, 6, 3)
+	sub := subscribe(t, m, len(obs))
 	for _, o := range obs[:1200] {
 		if err := m.Ingest("s", o); err != nil {
 			t.Fatal(err)
@@ -173,6 +151,7 @@ func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 		}
 	}
 	m.Close()
+	seqs := seqsOf(drainEvents(t, sub))
 	sn := m.Snapshot()
 	if store.Len() != 1 {
 		t.Fatalf("store holds %d streams, want 1", store.Len())
@@ -185,7 +164,7 @@ func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 	}
 	// Seq continued across the spill: every drift after the evict carries a
 	// sequence above 1200.
-	for _, seq := range col.seqs {
+	for _, seq := range seqs {
 		if seq > 1200 {
 			return
 		}
@@ -193,7 +172,7 @@ func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 	// No post-evict drifts at all would mean the level shift was missed —
 	// which the control in TestMonitorKillResumeMatchesUninterrupted rules
 	// out — so reaching here is a real failure.
-	t.Fatalf("no drift after the evict continued the sequence: %v", col.seqs)
+	t.Fatalf("no drift after the evict continued the sequence: %v", seqs)
 }
 
 // TestIdleGCSpillsToStore pins that idle GC writes the state out before

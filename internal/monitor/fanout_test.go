@@ -24,12 +24,13 @@ func driftConfig(shards, n int) Config {
 // must not return before the teardown is complete — the contract the network
 // server's shutdown path relies on.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
-	// A never-drifting detector keeps the event channel deterministically
+	// A never-drifting detector keeps the subscription deterministically
 	// empty, so a received value below can only mean "channel still open".
 	m, err := New(driftConfig(4, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := subscribe(t, m, 1)
 	for i := 0; i < 64; i++ {
 		if err := m.Ingest("s", detectors.Observation{X: make([]float64, 8)}); err != nil {
 			t.Fatal(err)
@@ -43,8 +44,8 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 			defer wg.Done()
 			m.Close()
 			// Every Close call, winner or not, must only return once the
-			// event channel is closed.
-			if _, ok := <-m.Events(); ok {
+			// subscription's event channel is closed.
+			if _, ok := <-sub.Events(); ok {
 				t.Error("Close returned before the event channel was closed")
 			}
 		}()
@@ -56,8 +57,7 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	}
 }
 
-// TestSubscribeFanout verifies that every subscriber receives every event,
-// independently of the shared Events channel.
+// TestSubscribeFanout verifies that every subscriber receives every event.
 func TestSubscribeFanout(t *testing.T) {
 	m, err := New(driftConfig(2, 10))
 	if err != nil {
@@ -74,10 +74,6 @@ func TestSubscribeFanout(t *testing.T) {
 	if got := m.Snapshot().Subscribers; got != 2 {
 		t.Fatalf("Subscribers = %d, want 2", got)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	o := detectors.Observation{X: make([]float64, 4)}
 	for i := 0; i < 50; i++ { // 5 drifts at n=10
 		if err := m.Ingest("s", o); err != nil {
@@ -119,10 +115,6 @@ func TestSubscriberDropAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	o := detectors.Observation{X: make([]float64, 4)}
 	const obs = 200
 	for i := 0; i < obs; i++ {

@@ -30,24 +30,18 @@ func TestExportImportEquivalence(t *testing.T) {
 			}
 		}
 	}
-	drain := func(m *Monitor) {
-		go func() {
-			for range m.Events() {
-			}
-		}()
-	}
 
 	// Control: one uninterrupted monitor.
-	var control driftCollector
-	cm, err := New(Config{Detector: ckptDetectorConfig(), Shards: 1, OnDrift: control.onDrift})
+	cm, err := New(Config{Detector: ckptDetectorConfig(), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(cm)
+	controlSub := subscribe(t, cm, n)
 	feed(cm, obs)
 	if err := cm.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
+	control := seqsOf(drainEvents(t, controlSub))
 	controlState, err := cm.ExportStream("sensor-7")
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +49,11 @@ func TestExportImportEquivalence(t *testing.T) {
 	cm.Close()
 
 	// Migrated: first half on source, export/import, second half on target.
-	var col driftCollector
-	src, err := New(Config{Detector: ckptDetectorConfig(), Shards: 1, OnDrift: col.onDrift})
+	src, err := New(Config{Detector: ckptDetectorConfig(), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(src)
+	srcSub := subscribe(t, src, n)
 	feed(src, obs[:cut])
 	state, err := src.ExportStream("sensor-7")
 	if err != nil {
@@ -71,12 +64,13 @@ func TestExportImportEquivalence(t *testing.T) {
 		t.Fatalf("source still hosts %v after export (err %v)", ids, err)
 	}
 	src.Close()
+	migrated := seqsOf(drainEvents(t, srcSub))
 
-	dst, err := New(Config{Detector: ckptDetectorConfig(), Shards: 4, OnDrift: col.onDrift})
+	dst, err := New(Config{Detector: ckptDetectorConfig(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(dst)
+	dstSub := subscribe(t, dst, n)
 	if err := dst.ImportStream("sensor-7", state); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +78,7 @@ func TestExportImportEquivalence(t *testing.T) {
 	if err := dst.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
+	migrated = append(migrated, seqsOf(drainEvents(t, dstSub))...)
 	if got := dst.Snapshot().Rehydrated; got != 1 {
 		t.Fatalf("target Rehydrated = %d, want 1 (imports count as rehydrations)", got)
 	}
@@ -93,15 +88,15 @@ func TestExportImportEquivalence(t *testing.T) {
 	}
 	dst.Close()
 
-	if len(control.seqs) == 0 {
+	if len(control) == 0 {
 		t.Fatal("control run detected no drifts; the test stream is too tame")
 	}
-	if len(col.seqs) != len(control.seqs) {
-		t.Fatalf("drift counts differ: migrated %d vs uninterrupted %d", len(col.seqs), len(control.seqs))
+	if len(migrated) != len(control) {
+		t.Fatalf("drift counts differ: migrated %d vs uninterrupted %d", len(migrated), len(control))
 	}
-	for i := range control.seqs {
-		if control.seqs[i] != col.seqs[i] {
-			t.Fatalf("drift %d at seq %d migrated vs %d uninterrupted", i, col.seqs[i], control.seqs[i])
+	for i := range control {
+		if control[i] != migrated[i] {
+			t.Fatalf("drift %d at seq %d migrated vs %d uninterrupted", i, migrated[i], control[i])
 		}
 	}
 	if !bytes.Equal(controlState, migratedState) {

@@ -9,8 +9,9 @@
 //		Detector: core.Config{Features: 20, Classes: 5},
 //	})
 //	defer m.Close()
+//	sub, _ := m.Subscribe(0)
 //	go func() {
-//		for ev := range m.Events() {
+//		for ev := range sub.Events() {
 //			log.Printf("stream %s drifted on classes %v", ev.StreamID, ev.Classes)
 //		}
 //	}()
@@ -23,13 +24,13 @@
 // drains a bounded MPSC ring buffer (see ring.go) of observations in
 // micro-batches: every wakeup pops whatever is queued (bounded), groups it
 // per stream, and hands each stream's run to its detector in one UpdateBatch
-// call. Producers with blocks of observations should use IngestBatch, which
-// moves a whole block through the queue in a single copied slab — one ring
-// slot per block. Because a stream lives on exactly one shard and the ring
-// preserves per-producer FIFO order, a stream's observations reach its
-// detector in send order at any GOMAXPROCS: the parallel monitor's per-stream
-// drift decisions are identical to a sequential run's (ordering_test.go
-// proves it). Detectors are created lazily on first ingest, evicted
+// call. Every ingest travels as a block: IngestBatch moves a whole block
+// through the queue in a single copied slab — one ring slot per block — and
+// Ingest is a block of one. Because a stream lives on exactly one shard and
+// the ring preserves per-producer FIFO order, a stream's observations reach
+// its detector in send order at any GOMAXPROCS: the parallel monitor's
+// per-stream drift decisions are identical to a sequential run's
+// (ordering_test.go proves it). Detectors are created lazily on first ingest, evicted
 // explicitly via Evict, or garbage-collected after Config.IdleTTL without
 // traffic.
 package monitor
@@ -80,10 +81,6 @@ type Config struct {
 	// two; default 1024. Ingest blocks when the target shard's ring is full
 	// (backpressure); TryIngest drops instead.
 	QueueSize int
-	// EventBuffer is the capacity of the drift-event channel; default 256.
-	// Events are dropped (and counted) when the channel is full, so slow
-	// subscribers never stall detection.
-	EventBuffer int
 	// SubscriberEvictDrops, when > 0, evicts a Subscribe fan-out queue once
 	// it has dropped this many events: the subscription is closed (its Events
 	// channel terminates) and the eviction counted in
@@ -102,10 +99,6 @@ type Config struct {
 	// MaxStreamsPerShard caps the streams a shard will host; new streams
 	// beyond the cap are dropped and counted. Zero means unlimited.
 	MaxStreamsPerShard int
-	// OnDrift, when set, is invoked synchronously on the shard goroutine for
-	// every drift (before the event is offered to the channel). It must be
-	// fast and safe for concurrent invocation across shards.
-	OnDrift func(Event)
 	// Checkpoint enables detector-state persistence: periodic per-stream
 	// snapshots, spill (instead of drop) on Evict and idle GC, transparent
 	// rehydration when a checkpointed stream re-ingests, and a full flush on
@@ -146,9 +139,6 @@ func (c *Config) withDefaults() error {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 1024
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
-	}
 	c.Checkpoint.withDefaults()
 	if c.IdleTTL > 0 && c.GCInterval <= 0 {
 		c.GCInterval = c.IdleTTL / 4
@@ -188,15 +178,12 @@ var ErrClosed = errors.New("monitor: closed")
 type Monitor struct {
 	cfg    Config
 	shards []*shard
-	events chan Event
 	start  time.Time
 
 	mu        sync.RWMutex // guards closed against in-flight sends
 	closed    bool
 	closeDone chan struct{} // closed once Close has fully torn down
 	wg        sync.WaitGroup
-
-	eventsDropped atomic.Uint64
 
 	// Event fan-out (Subscribe): every subscriber gets its own bounded
 	// queue, so one slow consumer drops its own events without stalling
@@ -267,7 +254,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:       cfg,
-		events:    make(chan Event, cfg.EventBuffer),
 		closeDone: make(chan struct{}),
 		subs:      make(map[*Subscription]struct{}),
 		start:     time.Now(),
@@ -304,29 +290,20 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// Ingest routes one observation to the given stream's detector, creating the
-// detector on first sight. It blocks when the stream's shard queue is full
-// (backpressure) and returns ErrClosed after Close. The observation's X and
-// Scores slices are copied; callers may reuse their backing arrays
-// immediately.
+// Ingest routes one observation to the given stream's detector: IngestBatch
+// with a block of one.
 func (m *Monitor) Ingest(streamID string, o detectors.Observation) error {
-	s := m.shards[ShardFor(streamID, len(m.shards))]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	s.send(envelope{op: opIngest, id: streamID, bat: s.copyOne(o)}, 1)
-	return nil
+	return m.IngestBatch(streamID, []detectors.Observation{o})
 }
 
 // IngestBatch routes a block of observations for one stream through a single
-// queue operation: all X and Scores slices are copied into one pooled slab,
-// the block travels as one envelope (one ring slot instead of len(obs)),
-// and the shard hands it to the stream's detector in one UpdateBatch call.
-// Per-stream observation order is preserved. Like Ingest it blocks when the
-// shard queue is full and returns ErrClosed after Close; callers may reuse
-// every backing array the moment it returns. An empty block is a no-op.
+// queue operation, creating the stream's detector on first sight: all X and
+// Scores slices are copied into one pooled slab, the block travels as one
+// envelope (one ring slot instead of len(obs)), and the shard hands it to
+// the stream's detector in one UpdateBatch call. Per-stream observation
+// order is preserved. It blocks when the shard queue is full (backpressure)
+// and returns ErrClosed after Close; callers may reuse every backing array
+// the moment it returns. An empty block is a no-op.
 func (m *Monitor) IngestBatch(streamID string, obs []detectors.Observation) error {
 	s := m.shards[ShardFor(streamID, len(m.shards))]
 	m.mu.RLock()
@@ -341,22 +318,10 @@ func (m *Monitor) IngestBatch(streamID string, obs []detectors.Observation) erro
 	return nil
 }
 
-// TryIngest is Ingest without backpressure: when the shard queue is full the
-// observation is dropped, counted, and false is returned.
+// TryIngest is Ingest without backpressure: TryIngestBatch with a block of
+// one.
 func (m *Monitor) TryIngest(streamID string, o detectors.Observation) (bool, error) {
-	s := m.shards[ShardFor(streamID, len(m.shards))]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return false, ErrClosed
-	}
-	env := envelope{op: opIngest, id: streamID, bat: s.copyOne(o)}
-	if s.trySend(env, 1) {
-		return true, nil
-	}
-	s.pool.Put(env.bat)
-	s.dropped.Add(1)
-	return false, nil
+	return m.TryIngestBatch(streamID, []detectors.Observation{o})
 }
 
 // TryIngestBatch is IngestBatch without backpressure: when the shard queue
@@ -400,12 +365,6 @@ func (m *Monitor) Evict(streamID string) error {
 	s.in.push(envelope{op: opEvict, id: streamID})
 	return nil
 }
-
-// Events returns the drift-event channel. It is closed by Close after all
-// shards drain, so a range loop over it terminates cleanly. For multiple
-// independent consumers use Subscribe, which gives each its own bounded
-// queue and drop accounting.
-func (m *Monitor) Events() <-chan Event { return m.events }
 
 // Subscription is one subscriber's private, bounded drift-event queue (see
 // Monitor.Subscribe). Events that arrive while the queue is full are dropped
@@ -451,16 +410,21 @@ func (s *Subscription) close(evicted bool) {
 	})
 }
 
+// DefaultSubscriptionBuffer is the event-queue capacity Subscribe selects for
+// buffer <= 0: deep enough that a consumer keeping up on average rides out
+// a burst of drifts across every shard without dropping.
+const DefaultSubscriptionBuffer = 1024
+
 // Subscribe registers a new drift-event subscriber with its own queue of the
-// given capacity (<= 0 selects Config.EventBuffer). Every subscriber
-// receives every event, independently of the shared Events channel; a
+// given capacity (<= 0 selects DefaultSubscriptionBuffer). It is the only way
+// to receive drift events. Every subscriber receives every event; a
 // subscriber that falls behind drops its own events (counted per
 // subscription and in Snapshot.SubscriberDropped) without affecting anyone
 // else — the fan-out shape the network server needs, one subscription per
 // subscribed connection. Returns ErrClosed after Close.
 func (m *Monitor) Subscribe(buffer int) (*Subscription, error) {
 	if buffer <= 0 {
-		buffer = m.cfg.EventBuffer
+		buffer = DefaultSubscriptionBuffer
 	}
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
@@ -473,10 +437,9 @@ func (m *Monitor) Subscribe(buffer int) (*Subscription, error) {
 }
 
 // Close stops ingestion, drains every shard queue, waits for the workers to
-// exit, and closes the event channel and every subscription. It is
-// idempotent, and a concurrent second Close blocks until the teardown is
-// complete — callers never observe a Close that returned while events were
-// still being delivered.
+// exit, and closes every subscription. It is idempotent, and a concurrent
+// second Close blocks until the teardown is complete — callers never
+// observe a Close that returned while events were still being delivered.
 func (m *Monitor) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -512,7 +475,6 @@ func (m *Monitor) Close() {
 	for _, sub := range subs {
 		sub.Close()
 	}
-	close(m.events)
 	close(m.closeDone)
 }
 
@@ -549,18 +511,9 @@ func (m *Monitor) FlushCheckpoints() error {
 	return nil
 }
 
-// publish offers a drift event to the shared Events channel and to every
-// subscription, dropping per receiver when a queue is full so shards never
-// stall on a slow consumer.
+// publish offers a drift event to every subscription, dropping per receiver
+// when a queue is full so shards never stall on a slow consumer.
 func (m *Monitor) publish(ev Event) {
-	if m.cfg.OnDrift != nil {
-		m.cfg.OnDrift(ev)
-	}
-	select {
-	case m.events <- ev:
-	default:
-		m.eventsDropped.Add(1)
-	}
 	limit := uint64(m.cfg.SubscriberEvictDrops)
 	var evict []*Subscription
 	m.subMu.RLock()
@@ -593,12 +546,11 @@ type Snapshot struct {
 	// class count is unknown, i.e. a custom factory without Detector.Classes).
 	DriftsByClass []uint64
 	// Dropped counts observations dropped by TryIngest / TryIngestBatch on
-	// full shard queues; EventsDropped counts drift events dropped on the
-	// full event channel; IdleEvicted counts idle-GC evictions; StreamErrors
+	// full shard queues; IdleEvicted counts idle-GC evictions; StreamErrors
 	// counts observations rejected by detector-factory failures and
 	// per-shard stream-cap limits (MaxStreamsPerShard), plus Evict calls for
 	// streams that were not resident (see Evict).
-	Dropped, EventsDropped, IdleEvicted, StreamErrors uint64
+	Dropped, IdleEvicted, StreamErrors uint64
 	// Received counts observations accepted into shard ring queues (every
 	// Ingest/IngestBatch plus successful Try* calls); Rejected counts
 	// received observations refused at processing time (factory failures and
@@ -667,7 +619,6 @@ type Snapshot struct {
 func (m *Monitor) Snapshot() Snapshot {
 	sn := Snapshot{
 		Shards:             len(m.shards),
-		EventsDropped:      m.eventsDropped.Load(),
 		Checkpoints:        m.checkpoints.Load(),
 		CheckpointErrors:   m.ckptErrors.Load(),
 		Rehydrated:         m.rehydrated.Load(),
@@ -905,24 +856,9 @@ func appendObs(slab []float64, o detectors.Observation) ([]float64, detectors.Ob
 	return slab, o
 }
 
-// copyOne copies a single observation into a pooled batchBuf so callers can
-// reuse their slices the moment Ingest returns (steady state allocates
-// nothing).
-func (s *shard) copyOne(o detectors.Observation) *batchBuf {
-	bat := s.pool.Get().(*batchBuf)
-	if need := len(o.X) + len(o.Scores); cap(bat.slab) < need {
-		bat.slab = make([]float64, 0, need)
-	}
-	bat.slab = bat.slab[:0]
-	if cap(bat.obs) < 1 {
-		bat.obs = make([]detectors.Observation, 0, 16)
-	}
-	bat.obs = bat.obs[:1]
-	bat.slab, bat.obs[0] = appendObs(bat.slab, o)
-	return bat
-}
-
-// copyBatch copies a block of observations into one pooled slab.
+// copyBatch copies a block of observations into one pooled slab so callers
+// can reuse their slices the moment IngestBatch returns (steady state
+// allocates nothing).
 func (s *shard) copyBatch(obs []detectors.Observation) *batchBuf {
 	bat := s.pool.Get().(*batchBuf)
 	need := 0

@@ -20,6 +20,50 @@ func testConfig(shards int) Config {
 	}
 }
 
+// subscribe registers a drift-event subscription on m. Tests size buffer
+// above the event count they can possibly produce, so drainEvents sees
+// every event.
+func subscribe(t testing.TB, m *Monitor, buffer int) *Subscription {
+	t.Helper()
+	sub, err := m.Subscribe(buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// drainEvents returns every event already queued on sub without blocking.
+// After a FlushCheckpoints barrier (or Close) every event published before
+// it is in the channel; drainEvents fails the test if sub dropped any.
+func drainEvents(t testing.TB, sub *Subscription) []Event {
+	t.Helper()
+	var out []Event
+	for {
+		select {
+		case ev, ok := <-sub.Events():
+			if ok {
+				out = append(out, ev)
+				continue
+			}
+		default:
+		}
+		break
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("subscription dropped %d events", d)
+	}
+	return out
+}
+
+// seqsOf returns the events' sequence numbers in delivery order.
+func seqsOf(evs []Event) []uint64 {
+	seqs := make([]uint64, len(evs))
+	for i, ev := range evs {
+		seqs[i] = ev.Seq
+	}
+	return seqs
+}
+
 func TestShardPlacementIsDeterministicAndBalanced(t *testing.T) {
 	const shards, streams = 8, 4096
 	counts := make([]int, shards)
@@ -172,14 +216,7 @@ func TestPerStreamIsolationOfDriftSignals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range m.Events() {
-			events = append(events, ev)
-		}
-	}()
+	sub := subscribe(t, m, 200)
 	x := []float64{0.5}
 	for i := 0; i < 100; i++ {
 		for _, id := range []string{"noisy", "quiet"} {
@@ -189,7 +226,7 @@ func TestPerStreamIsolationOfDriftSignals(t *testing.T) {
 		}
 	}
 	m.Close()
-	<-done
+	events := drainEvents(t, sub)
 	if len(events) != 10 {
 		t.Fatalf("got %d drift events, want 10", len(events))
 	}
@@ -296,8 +333,8 @@ func TestCloseSemantics(t *testing.T) {
 	if err := m.Evict("s"); err != ErrClosed {
 		t.Fatalf("Evict after Close = %v, want ErrClosed", err)
 	}
-	if _, ok := <-m.Events(); ok {
-		t.Fatal("event channel should be closed after Close")
+	if _, err := m.Subscribe(0); err != ErrClosed {
+		t.Fatalf("Subscribe after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -310,33 +347,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOnDriftCallback(t *testing.T) {
-	var mu sync.Mutex
-	var calls []Event
+func TestSubscribeDeliversEveryDrift(t *testing.T) {
 	cfg := Config{
 		Shards: 1,
 		NewDetector: func(id string) (detectors.Detector, error) {
 			return &driftEveryN{n: 5}, nil
-		},
-		OnDrift: func(ev Event) {
-			mu.Lock()
-			calls = append(calls, ev)
-			mu.Unlock()
 		},
 	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := subscribe(t, m, 25)
 	x := []float64{0}
 	for i := 0; i < 25; i++ {
 		if err := m.Ingest("cb", detectors.Observation{X: x}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := m.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	calls := drainEvents(t, sub)
 	m.Close()
 	if len(calls) != 5 {
-		t.Fatalf("OnDrift ran %d times, want 5", len(calls))
+		t.Fatalf("subscription delivered %d drifts, want 5", len(calls))
 	}
 	if calls[0].Seq != 5 {
 		t.Fatalf("first drift at seq %d, want 5", calls[0].Seq)
@@ -361,14 +396,7 @@ func TestEndToEndDriftDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drifted := make(map[string]bool)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range m.Events() {
-			drifted[ev.StreamID] = true
-		}
-	}()
+	sub := subscribe(t, m, 36000)
 	base := synth.Config{Features: 8, Classes: 3, Seed: 3}
 	for s := 0; s < 3; s++ {
 		before, err := synth.NewRBF(base, 3, 0.05)
@@ -391,7 +419,10 @@ func TestEndToEndDriftDetection(t *testing.T) {
 		}
 	}
 	m.Close()
-	<-done
+	drifted := make(map[string]bool)
+	for _, ev := range drainEvents(t, sub) {
+		drifted[ev.StreamID] = true
+	}
 	if len(drifted) == 0 {
 		t.Fatal("no stream reported drift despite a sudden concept change on every stream")
 	}

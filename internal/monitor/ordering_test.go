@@ -53,8 +53,6 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 
-	var mu sync.Mutex
-	drifts := make(map[string][]uint64)
 	store := NewMemStore()
 	m, err := New(Config{
 		Detector: core.Config{
@@ -64,21 +62,19 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 		Shards:     shards,
 		QueueSize:  128,
 		Checkpoint: CheckpointConfig{Store: store},
-		// OnDrift runs on the shard goroutine; per-stream events therefore
-		// arrive in sequence order even while shards interleave.
-		OnDrift: func(ev Event) {
-			mu.Lock()
-			drifts[ev.StreamID] = append(drifts[ev.StreamID], ev.Seq)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]string, 0, len(work))
-	for id := range work {
+	total := 0
+	for id, obs := range work {
 		ids = append(ids, id)
+		total += len(obs)
 	}
+	// Each stream publishes from its one shard goroutine, so per-stream
+	// events arrive in sequence order even while shards interleave.
+	sub := subscribe(t, m, total)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		mine := make([]string, 0, len(ids)/producers+1)
@@ -117,6 +113,10 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 	wg.Wait()
 	if err := m.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
+	}
+	drifts := make(map[string][]uint64)
+	for _, ev := range drainEvents(t, sub) {
+		drifts[ev.StreamID] = append(drifts[ev.StreamID], ev.Seq)
 	}
 	sums := make(map[string]uint64, len(ids))
 	for _, id := range ids {

@@ -64,7 +64,6 @@ func (s Snapshot) AppendJSON(b []byte) []byte {
 	unum("Warnings", s.Warnings)
 	unums("DriftsByClass", s.DriftsByClass)
 	unum("Dropped", s.Dropped)
-	unum("EventsDropped", s.EventsDropped)
 	unum("IdleEvicted", s.IdleEvicted)
 	unum("StreamErrors", s.StreamErrors)
 	unum("Received", s.Received)
@@ -179,7 +178,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	emit("rbmim_queued", "Observations received but not yet processed, sampled across shard rings.", "gauge", float64(s.Queued))
 	emit("rbmim_queue_capacity", "Per-shard ring capacity in envelopes.", "gauge", float64(s.QueueCap))
 	emit("rbmim_queue_high_water", "Largest per-shard ring occupancy observed since the last checkpoint-flush barrier, in envelopes.", "gauge", float64(s.QueueHighWater))
-	emit("rbmim_events_dropped_total", "Drift events dropped on the full shared event channel.", "counter", float64(s.EventsDropped))
 	emit("rbmim_idle_evicted_total", "Streams evicted by idle GC.", "counter", float64(s.IdleEvicted))
 	emit("rbmim_stream_errors_total", "Observations rejected by factory failures, stream caps, and evicts of non-resident streams.", "counter", float64(s.StreamErrors))
 	emit("rbmim_checkpoints_total", "Detector snapshots written to the checkpoint store.", "counter", float64(s.Checkpoints))
@@ -248,7 +246,6 @@ func MergeSnapshots(sns ...Snapshot) Snapshot {
 			out.DriftsByClass[k] += v
 		}
 		out.Dropped += s.Dropped
-		out.EventsDropped += s.EventsDropped
 		out.IdleEvicted += s.IdleEvicted
 		out.StreamErrors += s.StreamErrors
 		out.Received += s.Received

@@ -21,7 +21,6 @@ func testSnapshot() Snapshot {
 		Warnings:           7,
 		DriftsByClass:      []uint64{3, 0, 39},
 		Dropped:            5,
-		EventsDropped:      2,
 		IdleEvicted:        1,
 		StreamErrors:       9,
 		Received:           123465,
@@ -99,7 +98,7 @@ func TestSnapshotJSONStableFieldOrder(t *testing.T) {
 	data := string(testSnapshot().AppendJSON(nil))
 	order := []string{
 		"Shards", "Streams", "Ingested", "Drifts", "Warnings",
-		"DriftsByClass", "Dropped", "EventsDropped", "IdleEvicted",
+		"DriftsByClass", "Dropped", "IdleEvicted",
 		"StreamErrors", "Received", "Rejected", "Queued", "QueueCap",
 		"QueueHighWater", "Checkpoints", "CheckpointErrors", "Rehydrated",
 		"Subscribers", "SubscriberDropped", "SubscribersEvicted",

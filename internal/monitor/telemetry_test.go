@@ -29,14 +29,7 @@ func driftTrace(t *testing.T, level telemetry.Level) ([]string, Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []string
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range m.Events() {
-			trace = append(trace, fmt.Sprintf("%s/%d%v", ev.StreamID, ev.Seq, ev.Classes))
-		}
-	}()
+	sub := subscribe(t, m, 12000)
 	base := synth.Config{Features: 8, Classes: 3, Seed: 3}
 	before, err := synth.NewRBF(base, 3, 0.05)
 	if err != nil {
@@ -56,7 +49,10 @@ func driftTrace(t *testing.T, level telemetry.Level) ([]string, Snapshot) {
 		}
 	}
 	m.Close()
-	<-done
+	var trace []string
+	for _, ev := range drainEvents(t, sub) {
+		trace = append(trace, fmt.Sprintf("%s/%d%v", ev.StreamID, ev.Seq, ev.Classes))
+	}
 	return trace, m.Snapshot()
 }
 

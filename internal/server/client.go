@@ -29,69 +29,33 @@ var ErrClientClosed = errors.New("server: client closed")
 // it, submit, await the matched reply — so the synchronous API and the
 // Async variants share one code path and the 0 allocs/op steady state.
 
-// Ingest sends one observation for one stream and waits for the ack. The
-// server applies the monitor's blocking backpressure, so a full shard queue
-// delays the reply rather than dropping data. A Busy reply (overload shed)
-// is retried with backoff up to RetryPolicy.BusyAttempts — with the same
-// sequence number, so the eventual commit is exactly once.
+// Ingest sends one observation for one stream and waits for the ack:
+// IngestBatch with a block of one.
 func (c *Client) Ingest(streamID string, o detectors.Observation) error {
-	return c.ingestSeq(streamID, o, c.seqs.next(streamID))
+	return c.IngestBatch(streamID, []detectors.Observation{o})
 }
 
-// ingestSeq is Ingest at a fixed sequence number: the Busy-retry loop, and
-// ClientPool's failover resend (same seq on a different connection).
-func (c *Client) ingestSeq(streamID string, o detectors.Observation, seq uint64) error {
-	backoff := c.policy.BusyBackoff
-	for attempt := 0; ; attempt++ {
-		p, err := c.ingestAsyncSeq(streamID, o, seq)
-		if err != nil {
-			return err
-		}
-		err = p.Wait()
-		if err == nil || Classify(err) != ClassBusy || attempt >= c.policy.BusyAttempts {
-			return err
-		}
-		if !c.pause(jitter(backoff)) {
-			return c.sticky()
-		}
-		if backoff *= 2; backoff > c.policy.BackoffMax {
-			backoff = c.policy.BackoffMax
-		}
-	}
-}
-
-// IngestAsync sends one observation without waiting for its ack, returning a
-// Pending whose Wait delivers it. Up to Window() requests may be outstanding
-// before the call blocks on the in-flight window. Requests from one
-// goroutine reach the server in call order. Busy replies are not retried on
-// the async path — Wait surfaces ErrBusy and the caller decides.
+// IngestAsync sends one observation without waiting for its ack:
+// IngestBatchAsync with a block of one.
 func (c *Client) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	return c.ingestAsyncSeq(streamID, o, c.seqs.next(streamID))
-}
-
-func (c *Client) ingestAsyncSeq(streamID string, o detectors.Observation, seq uint64) (Pending, error) {
-	slot, err := c.acquire()
-	if err != nil {
-		return Pending{}, err
-	}
-	p := c.asyncAck(slot)
-	b := c.beginCall(slot, codec.KindWireIngest)
-	b.U64(c.session)
-	b.U64(seq)
-	b.Str(streamID)
-	encodeObs(b, o)
-	c.submit(slot)
-	return p, nil
+	return c.IngestBatchAsync(streamID, []detectors.Observation{o})
 }
 
 // IngestBatch sends a block of observations for one stream in a single
 // frame — one server-side queue hop, one batched detector update — and
 // waits for the ack. Steady state allocates nothing on either side. An
-// empty block is a no-op. Busy replies retry like Ingest's.
+// empty block is a no-op. The server applies the monitor's blocking
+// backpressure, so a full shard queue delays the reply rather than dropping
+// data. A Busy reply (overload shed) is retried with backoff up to
+// RetryPolicy.BusyAttempts — with the same sequence number, so the eventual
+// commit is exactly once.
 func (c *Client) IngestBatch(streamID string, obs []detectors.Observation) error {
 	return c.ingestBatchSeq(streamID, obs, c.seqs.next(streamID))
 }
 
+// ingestBatchSeq is IngestBatch at a fixed sequence number: the Busy-retry
+// loop, and ClientPool's failover resend (same seq on a different
+// connection).
 func (c *Client) ingestBatchSeq(streamID string, obs []detectors.Observation, seq uint64) error {
 	backoff := c.policy.BusyBackoff
 	for attempt := 0; ; attempt++ {
@@ -115,7 +79,10 @@ func (c *Client) ingestBatchSeq(streamID string, obs []detectors.Observation, se
 // IngestBatchAsync is IngestBatch without waiting for the ack — the
 // pipelined bulk-load path: keep Window() batches in flight and the
 // connection streams frames back to back instead of idling a round trip
-// between blocks.
+// between blocks. Up to Window() requests may be outstanding before the
+// call blocks on the in-flight window, and requests from one goroutine
+// reach the server in call order. Busy replies are not retried on the async
+// path — Wait surfaces ErrBusy and the caller decides.
 func (c *Client) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
 	return c.ingestBatchAsyncSeq(streamID, obs, c.seqs.next(streamID))
 }
@@ -126,41 +93,9 @@ func (c *Client) ingestBatchAsyncSeq(streamID string, obs []detectors.Observatio
 		return Pending{}, err
 	}
 	p := c.asyncAck(slot)
-	c.encodeBatch(slot, codec.KindWireIngestBatch, streamID, obs, seq)
-	c.submit(slot)
-	return p, nil
-}
-
-// TryIngestBatch is IngestBatch without blocking backpressure: a full shard
-// queue on the server surfaces as a Busy reply, returned here as
-// (false, nil) — the caller decides whether to retry, thin out, or drop,
-// exactly like Monitor.TryIngestBatch in process. A refused batch's
-// sequence number is simply never committed; a later attempt gets a fresh
-// one.
-func (c *Client) TryIngestBatch(streamID string, obs []detectors.Observation) (bool, error) {
-	slot, err := c.acquire()
-	if err != nil {
-		return false, err
-	}
-	c.encodeBatch(slot, codec.KindWireTryIngestBatch, streamID, obs, c.seqs.next(streamID))
-	c.submit(slot)
-	cl, err := c.await(slot)
-	if err != nil {
-		return false, err
-	}
-	if cl.replyKind == codec.KindWireBusy {
-		c.release(slot)
-		return false, nil
-	}
-	// Anything but OK (an Error reply, a protocol violation) means the batch
-	// was not accepted — mirror Monitor.TryIngestBatch's (false, err).
-	err = c.ackErr(cl)
-	c.release(slot)
-	return err == nil, err
-}
-
-func (c *Client) encodeBatch(slot uint32, kind uint8, streamID string, obs []detectors.Observation, seq uint64) {
-	b := c.beginCall(slot, kind)
+	b := c.beginCall(slot, codec.KindWireIngestBatch)
+	// A one-observation frame times as rtt_ingest (see stageOf).
+	c.calls[slot].stage = int8(stageOf(codec.KindWireIngestBatch, len(obs)))
 	b.U64(c.session)
 	b.U64(seq)
 	b.Str(streamID)
@@ -168,6 +103,8 @@ func (c *Client) encodeBatch(slot uint32, kind uint8, streamID string, obs []det
 	for i := range obs {
 		encodeObs(b, obs[i])
 	}
+	c.submit(slot)
+	return p, nil
 }
 
 // Evict asks the server to evict a stream (spilling its state to the
@@ -426,12 +363,13 @@ func (s *Subscription) Close() error {
 }
 
 // Subscribe opens a dedicated connection that streams every drift event the
-// monitor publishes. buffer sizes the server-side per-subscriber queue
-// (<= 0 selects the server's default): when this subscriber falls behind —
-// slow reader, slow link — events overflowing that queue are dropped for
-// this subscriber only and counted in Snapshot.SubscriberDropped (and, when
-// the server's monitor enables SubscriberEvictDrops, a subscriber that
-// keeps dropping is evicted: its event channel closes).
+// monitor publishes. buffer sizes the server-side per-subscriber queue and
+// the local event channel (<= 0 selects monitor.DefaultSubscriptionBuffer
+// for both). When this subscriber falls behind — slow reader, slow link —
+// events overflowing the server-side queue are dropped for this subscriber
+// only and counted in Snapshot.SubscriberDropped (and, when the server's
+// monitor enables SubscriberEvictDrops, a subscriber that keeps dropping is
+// evicted: its event channel closes).
 func (c *Client) Subscribe(buffer int) (*Subscription, error) {
 	nc, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -467,7 +405,7 @@ func (c *Client) Subscribe(buffer int) (*Subscription, error) {
 	}
 	chanCap := buffer
 	if chanCap <= 0 {
-		chanCap = 256
+		chanCap = monitor.DefaultSubscriptionBuffer
 	}
 	sub := &Subscription{
 		nc:   nc,

@@ -181,35 +181,18 @@ func (cc *ClusterClient) Members() []string {
 // Migrations returns how many stream migrations this client has completed.
 func (cc *ClusterClient) Migrations() uint64 { return cc.migrations.Load() }
 
-// Ingest routes one observation to the stream's member and waits for the
-// ack (Client.Ingest semantics through the member's pool).
+// Ingest is IngestBatch with a block of one.
 func (cc *ClusterClient) Ingest(streamID string, o detectors.Observation) error {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return err
-	}
-	return p.Ingest(streamID, o)
+	return cc.IngestBatch(streamID, []detectors.Observation{o})
 }
 
-// IngestAsync routes one observation without waiting for its ack. The
-// migration gate is held only for the submission: the request is pipelined
-// on the stream's connection, and a later migration on that connection
-// queues behind it, so the observation is applied before any export.
+// IngestAsync is IngestBatchAsync with a block of one.
 func (cc *ClusterClient) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return Pending{}, err
-	}
-	return p.IngestAsync(streamID, o)
+	return cc.IngestBatchAsync(streamID, []detectors.Observation{o})
 }
 
-// IngestBatch routes a block to the stream's member and waits for the ack.
+// IngestBatch routes a block to the stream's member and waits for the ack
+// (Client.IngestBatch semantics through the member's pool).
 func (cc *ClusterClient) IngestBatch(streamID string, obs []detectors.Observation) error {
 	g := cc.gate(streamID)
 	g.RLock()
@@ -221,8 +204,10 @@ func (cc *ClusterClient) IngestBatch(streamID string, obs []detectors.Observatio
 	return p.IngestBatch(streamID, obs)
 }
 
-// IngestBatchAsync routes a block without waiting for its ack (see
-// IngestAsync for the gate semantics).
+// IngestBatchAsync routes a block without waiting for its ack. The
+// migration gate is held only for the submission: the request is pipelined
+// on the stream's connection, and a later migration on that connection
+// queues behind it, so the block is applied before any export.
 func (cc *ClusterClient) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
 	g := cc.gate(streamID)
 	g.RLock()
@@ -232,20 +217,6 @@ func (cc *ClusterClient) IngestBatchAsync(streamID string, obs []detectors.Obser
 		return Pending{}, err
 	}
 	return p.IngestBatchAsync(streamID, obs)
-}
-
-// TryIngestBatch routes a block without blocking backpressure: a full or
-// shedding member surfaces as (false, nil), exactly like
-// Client.TryIngestBatch.
-func (cc *ClusterClient) TryIngestBatch(streamID string, obs []detectors.Observation) (bool, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return false, err
-	}
-	return p.TryIngestBatch(streamID, obs)
 }
 
 // Evict routes the eviction to the stream's member (Client.Evict

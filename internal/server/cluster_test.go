@@ -45,28 +45,15 @@ func shiftObs(seed int64, n int) []detectors.Observation {
 	return obs
 }
 
-// seqCollector gathers drift events synchronously via OnDrift.
-type seqCollector struct {
-	mu   sync.Mutex
-	seqs []uint64
-}
-
-func (c *seqCollector) onDrift(ev monitor.Event) {
-	c.mu.Lock()
-	c.seqs = append(c.seqs, ev.Seq)
-	c.mu.Unlock()
-}
-
 // newFleet starts n checkpointed driftservers on loopback and returns their
 // addresses and monitors (indexable by address for white-box asserts).
-func newFleet(t testing.TB, n int, onDrift func(monitor.Event)) (addrs []string, byAddr map[string]*monitor.Monitor) {
+func newFleet(t testing.TB, n int) (addrs []string, byAddr map[string]*monitor.Monitor) {
 	t.Helper()
 	byAddr = make(map[string]*monitor.Monitor, n)
 	for i := 0; i < n; i++ {
 		m, err := monitor.New(monitor.Config{
 			Detector:   clusterDetectorConfig(),
 			Shards:     2,
-			OnDrift:    onDrift,
 			Checkpoint: monitor.CheckpointConfig{Store: monitor.NewMemStore(), Interval: time.Hour},
 		})
 		if err != nil {
@@ -158,11 +145,11 @@ func TestClusterMigrationEquivalence(t *testing.T) {
 	obs := shiftObs(9, n)
 
 	// Reference: one uninterrupted in-process monitor, same template.
-	var control seqCollector
-	cm, err := monitor.New(monitor.Config{Detector: clusterDetectorConfig(), Shards: 1, OnDrift: control.onDrift})
+	cm, err := monitor.New(monitor.Config{Detector: clusterDetectorConfig(), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	controlSub := subscribeMonitor(t, cm, n)
 	for _, o := range obs {
 		if err := cm.Ingest("sensor-42", o); err != nil {
 			t.Fatal(err)
@@ -171,14 +158,18 @@ func TestClusterMigrationEquivalence(t *testing.T) {
 	if err := cm.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
+	control := seqsByStream(drainEvents(t, controlSub))["sensor-42"]
 	controlState, err := cm.ExportStream("sensor-42")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm.Close()
 
-	var col seqCollector
-	addrs, byAddr := newFleet(t, 2, col.onDrift)
+	addrs, byAddr := newFleet(t, 2)
+	subs := make(map[string]*monitor.Subscription, len(addrs))
+	for _, addr := range addrs {
+		subs[addr] = subscribeMonitor(t, byAddr[addr], n)
+	}
 	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -225,15 +216,19 @@ func TestClusterMigrationEquivalence(t *testing.T) {
 		t.Fatalf("target Rehydrated = %d, want 1", got)
 	}
 
-	if len(control.seqs) == 0 {
+	// The source served everything before the migration, the target
+	// everything after.
+	migrated := seqsByStream(drainEvents(t, subs[src]))["sensor-42"]
+	migrated = append(migrated, seqsByStream(drainEvents(t, subs[target]))["sensor-42"]...)
+	if len(control) == 0 {
 		t.Fatal("reference run detected no drifts; the test stream is too tame")
 	}
-	if len(col.seqs) != len(control.seqs) {
-		t.Fatalf("drift counts differ: migrated %d vs reference %d", len(col.seqs), len(control.seqs))
+	if len(migrated) != len(control) {
+		t.Fatalf("drift counts differ: migrated %d vs reference %d", len(migrated), len(control))
 	}
-	for i := range control.seqs {
-		if control.seqs[i] != col.seqs[i] {
-			t.Fatalf("drift %d at seq %d migrated vs %d reference", i, col.seqs[i], control.seqs[i])
+	for i := range control {
+		if control[i] != migrated[i] {
+			t.Fatalf("drift %d at seq %d migrated vs %d reference", i, migrated[i], control[i])
 		}
 	}
 	migratedState, err := byAddr[target].ExportStream("sensor-42")
@@ -257,7 +252,7 @@ func TestClusterMigrationUnderConcurrentIngest(t *testing.T) {
 		rounds    = 6
 		block     = 25
 	)
-	addrs, _ := newFleet(t, 3, nil)
+	addrs, _ := newFleet(t, 3)
 	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +332,7 @@ func TestClusterMigrationUnderConcurrentIngest(t *testing.T) {
 // conserves every observation across the transition.
 func TestClusterRebalance(t *testing.T) {
 	const streams = 40
-	addrs, byAddr := newFleet(t, 3, nil)
+	addrs, byAddr := newFleet(t, 3)
 	cc, err := DialCluster(ClusterConfig{Addrs: addrs[:2], Window: 4})
 	if err != nil {
 		t.Fatal(err)

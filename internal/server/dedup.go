@@ -12,12 +12,12 @@ import (
 // when its connection died was applied before the ack was lost — so it must
 // resend, and a resend of an already-applied batch would double-count
 // observations, silently corrupting the prequential drift statistics the
-// whole system exists to compute. Every Ingest / IngestBatch /
-// TryIngestBatch frame therefore carries the client's session id (a random
-// nonzero uint64 minted per Client or shared per ClientPool) and a
-// per-stream sequence number; the server remembers, per (session, stream),
-// which of the last DedupWindow sequence numbers it has committed and acks a
-// duplicate with OK without re-ingesting.
+// whole system exists to compute. Every IngestBatch frame therefore
+// carries the client's session id (a random nonzero uint64 minted per
+// Client or shared per ClientPool) and a per-stream sequence number; the
+// server remembers, per (session, stream), which of the last DedupWindow
+// sequence numbers it has committed and acks a duplicate with OK without
+// re-ingesting.
 //
 // The fate of a (session, stream, seq) is resolved atomically via claim:
 // the first handler to claim a seq owns it and marks it in flight *before*
@@ -25,7 +25,7 @@ import (
 // is still blocked inside the monitor's enqueue waits (on the table's
 // condition variable) for the owner's settle instead of racing it. Without
 // the in-flight marker the reconnect-under-stall scenario double-ingests:
-// the old connection's handler sits in Monitor.Ingest (it commits only
+// the old connection's handler sits in Monitor.IngestBatch (it commits only
 // after the blocking enqueue returns) while the client's resend on the new
 // connection passes the committed-check and ingests the same observations
 // again. The marker is a plain token in a map — no per-claim allocation, so

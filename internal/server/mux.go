@@ -125,29 +125,20 @@ func (p *ClientPool) failedOver(c *Client, streamID string, err error) (*Client,
 	return next, true
 }
 
-// Ingest routes one observation over the stream's connection and waits for
-// the ack (see Client.Ingest). If the connection dies permanently mid-call,
-// the request is resent on the stream's re-homed connection with its
-// original sequence number — exactly once either way.
+// Ingest is IngestBatch with a block of one.
 func (p *ClientPool) Ingest(streamID string, o detectors.Observation) error {
-	seq := p.seqs.next(streamID)
-	c := p.conn(streamID)
-	err := c.ingestSeq(streamID, o, seq)
-	if next, ok := p.failedOver(c, streamID, err); ok {
-		err = next.ingestSeq(streamID, o, seq)
-	}
-	return err
+	return p.IngestBatch(streamID, []detectors.Observation{o})
 }
 
-// IngestAsync routes one observation over the stream's connection without
-// waiting (see Client.IngestAsync). Async requests do not fail over — the
-// Pending surfaces the dead connection's error and the caller decides.
+// IngestAsync is IngestBatchAsync with a block of one.
 func (p *ClientPool) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	return p.conn(streamID).IngestAsync(streamID, o)
+	return p.IngestBatchAsync(streamID, []detectors.Observation{o})
 }
 
 // IngestBatch routes a block over the stream's connection and waits for the
-// ack (see Client.IngestBatch), failing over like Ingest.
+// ack (see Client.IngestBatch). If the connection dies permanently mid-call,
+// the request is resent on the stream's re-homed connection with its
+// original sequence number — exactly once either way.
 func (p *ClientPool) IngestBatch(streamID string, obs []detectors.Observation) error {
 	seq := p.seqs.next(streamID)
 	c := p.conn(streamID)
@@ -159,15 +150,10 @@ func (p *ClientPool) IngestBatch(streamID string, obs []detectors.Observation) e
 }
 
 // IngestBatchAsync routes a block over the stream's connection without
-// waiting (see Client.IngestBatchAsync).
+// waiting (see Client.IngestBatchAsync). Async requests do not fail over —
+// the Pending surfaces the dead connection's error and the caller decides.
 func (p *ClientPool) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
 	return p.conn(streamID).IngestBatchAsync(streamID, obs)
-}
-
-// TryIngestBatch routes a block over the stream's connection without
-// blocking backpressure (see Client.TryIngestBatch).
-func (p *ClientPool) TryIngestBatch(streamID string, obs []detectors.Observation) (bool, error) {
-	return p.conn(streamID).TryIngestBatch(streamID, obs)
 }
 
 // Evict routes the eviction over the stream's connection, behind any of the
@@ -212,7 +198,7 @@ func (p *ClientPool) Snapshot() (monitor.Snapshot, error) {
 // Migrate exports a stream for handoff over the stream's own connection —
 // behind any of its requests already pipelined there, so everything sent
 // before the migrate is applied before the state is serialized (see
-// Client.Migrate). A connection death mid-call fails over like Ingest: the
+// Client.Migrate). A connection death mid-call fails over like IngestBatch: the
 // re-sent Migrate re-exports from the server's checkpoint store (exports
 // spill first), so the retry returns the same bytes.
 func (p *ClientPool) Migrate(streamID string) ([]byte, error) {
@@ -225,7 +211,7 @@ func (p *ClientPool) Migrate(streamID string) ([]byte, error) {
 }
 
 // Handoff installs a migrated stream's state over the stream's connection
-// (see Client.Handoff), failing over like Ingest. A handoff resend after a
+// (see Client.Handoff), failing over like IngestBatch. A handoff resend after a
 // lost ack is refused with "already resident", which the cluster layer
 // treats as success.
 func (p *ClientPool) Handoff(streamID string, state []byte) error {

@@ -93,13 +93,13 @@ type call struct {
 	done  chan struct{} // cap 1; reader signals reply arrival
 	fate  atomic.Uint32 // await-path deadline arbitration (see above)
 
-	// RTT telemetry: the request kind's histogram index and the submit
-	// stamp. A reconnect's resend keeps the original stamp, so the observed
-	// RTT honestly includes the outage the caller actually waited through.
-	// Both fields ride the slot through the sendq/inflight channels, which
-	// order the caller's writes before the reader's read.
-	kindIdx int8 // index into Client.rtt; -1 for unmapped kinds
-	sentNS  int64
+	// RTT telemetry: the request's stage index and the submit stamp. A
+	// reconnect's resend keeps the original stamp, so the observed RTT
+	// honestly includes the outage the caller actually waited through. Both
+	// fields ride the slot through the sendq/inflight channels, which order
+	// the caller's writes before the reader's read.
+	stage  int8 // index into Client.rtt (see stageOf); -1 for unmapped kinds
+	sentNS int64
 
 	// ack, when non-nil, marks an ack-only request (the Async ingest paths,
 	// Evict, FlushCheckpoints): the reader resolves the ack itself and
@@ -157,9 +157,9 @@ type Client struct {
 	reconnects atomic.Uint64
 
 	// rtt holds client-observed round-trip-time histograms per request
-	// kind, indexed like serverTele.serve. Always on: the timing is two
+	// stage (see stageOf). Always on: the timing is two
 	// clock reads on the client's own path and cannot perturb the server.
-	rtt [codec.KindWireLastDrift - codec.KindWireIngest + 1]telemetry.Histogram
+	rtt [numStages]telemetry.Histogram
 
 	wg sync.WaitGroup // the supervisor (which in turn waits epoch loops)
 }
@@ -384,12 +384,11 @@ func (c *Client) Window() int { return c.window }
 // connection with a fresh one.
 func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
 
-// rttStageNames maps a Client.rtt index to its stage label (same indexing
-// as serveStageNames).
-var rttStageNames = [...]string{
-	"rtt_ingest", "rtt_ingest_batch", "rtt_try_ingest_batch",
-	"rtt_subscribe", "rtt_snapshot", "rtt_evict", "rtt_flush",
-	"rtt_migrate", "rtt_handoff", "rtt_streams", "rtt_last_drift",
+// rttStageNames maps a Client.rtt index to its stage label (see stageOf).
+var rttStageNames = [numStages]string{
+	"rtt_ingest", "rtt_ingest_batch", "rtt_subscribe", "rtt_snapshot",
+	"rtt_evict", "rtt_flush", "rtt_migrate", "rtt_handoff", "rtt_streams",
+	"rtt_last_drift",
 }
 
 // Latency snapshots the client-observed round-trip-time histograms, one
@@ -496,11 +495,7 @@ func (c *Client) beginCall(slot uint32, kind uint8) *codec.Buffer {
 	cl := &c.calls[slot]
 	cl.frame.Reset()
 	cl.fate.Store(fatePending)
-	if i := int(kind) - int(codec.KindWireIngest); i >= 0 && i < len(c.rtt) {
-		cl.kindIdx = int8(i)
-	} else {
-		cl.kindIdx = -1
-	}
+	cl.stage = int8(stageOf(kind, 0))
 	cl.mark = cl.frame.BeginFrame(kind)
 	cl.frame.U64(uint64(cl.gen)<<32 | uint64(slot))
 	return &cl.frame
@@ -670,8 +665,8 @@ func (ep *epoch) readLoop() {
 			return
 		}
 		c.acked.Add(1)
-		if cl.kindIdx >= 0 {
-			c.rtt[cl.kindIdx].Observe(telemetry.Now() - cl.sentNS)
+		if cl.stage >= 0 {
+			c.rtt[cl.stage].Observe(telemetry.Now() - cl.sentNS)
 		}
 		if ack := cl.ack; ack != nil {
 			// Ack-only request: interpret the reply here, recycle the slot

@@ -73,8 +73,6 @@ func buildWireWorkload(t *testing.T, streams, perStream int) map[string][]detect
 // checkpoints.
 func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipelined bool) (map[string][]uint64, map[string]uint64) {
 	t.Helper()
-	var mu sync.Mutex
-	drifts := make(map[string][]uint64)
 	store := monitor.NewMemStore()
 	m, err := monitor.New(monitor.Config{
 		Detector: core.Config{Classes: 3}, // sizes per-class stats; factory below overrides
@@ -84,16 +82,16 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 		Shards:     4,
 		QueueSize:  128,
 		Checkpoint: monitor.CheckpointConfig{Store: store},
-		OnDrift: func(ev monitor.Event) {
-			mu.Lock()
-			drifts[ev.StreamID] = append(drifts[ev.StreamID], ev.Seq)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	total := 0
+	for _, obs := range work {
+		total += len(obs)
+	}
+	sub := subscribeMonitor(t, m, total)
 	srv, err := New(Config{Monitor: m})
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +200,8 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 			t.Fatal(err)
 		}
 	}
+
+	drifts := seqsByStream(drainEvents(t, sub))
 
 	// Restore every stream's checkpoint into a fresh detector and checksum
 	// the learned weights. The raw frame is NOT hashed directly: it also

@@ -6,7 +6,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -69,24 +68,14 @@ func TestServerKillResume(t *testing.T) {
 
 	// Reference: one uninterrupted in-process monitor with the exact
 	// configuration driftserver builds from its flags.
-	var refMu sync.Mutex
-	refEvents := map[string][]uint64{}
 	ref, err := monitor.New(monitor.Config{
 		Detector: core.Config{Features: features, Classes: classes, Seed: seed, AdaptiveWindow: true},
 		Shards:   2,
-		OnDrift: func(ev monitor.Event) {
-			refMu.Lock()
-			refEvents[ev.StreamID] = append(refEvents[ev.StreamID], ev.Seq)
-			refMu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range ref.Events() {
-		}
-	}()
+	refSub := subscribeMonitor(t, ref, streams*n)
 	for _, ws := range workload {
 		for i := 0; i < n; i += batch {
 			if err := ref.IngestBatch(ws.id, ws.obs[i:i+batch]); err != nil {
@@ -95,6 +84,7 @@ func TestServerKillResume(t *testing.T) {
 		}
 	}
 	ref.Close()
+	refEvents := seqsByStream(drainEvents(t, refSub))
 	wantPost := map[string][]uint64{}
 	post := 0
 	for id, seqs := range refEvents {

@@ -22,16 +22,16 @@ import (
 //     replies): also cleared by a reconnect — a fresh connection abandons
 //     the poisoned stream (e.g. the second reply to a duplicated frame)
 //     and the resent requests dedup server-side;
-//   - Busy (overload shed or a full Try queue): the connection is healthy,
-//     the server is not; retryable after a backoff, with the same seq;
+//   - Busy (overload shed): the connection is healthy, the server is not;
+//     retryable after a backoff, with the same seq;
 //   - app (the server's Error reply, local misuse): resending the same
 //     request reproduces the same failure — never retried;
 //   - closed / deadline: the caller's own doing; never retried.
 
 // ErrBusy is the error a Busy reply resolves to on the blocking ingest
-// paths: the server is shedding load (Config.ShedHighWater) or refusing a
-// full Try queue. Retryable after a backoff; Client.Ingest and
-// Client.IngestBatch retry it themselves up to RetryPolicy.BusyAttempts.
+// paths: the server is shedding load (Config.ShedHighWater). Retryable
+// after a backoff; Client.IngestBatch (and Ingest, a block of one) retries
+// it itself up to RetryPolicy.BusyAttempts.
 var ErrBusy = errors.New("server: busy (overload shed)")
 
 // ErrDeadlineExceeded is returned when a request's deadline

@@ -56,23 +56,6 @@ func newChaosServer(t *testing.T, mcfg monitor.Config, scfg Config, ccfg chaos.C
 	return m, px
 }
 
-// driftCollector records per-stream drift sequences via Config.OnDrift
-// (synchronous on the shard goroutine, so per-stream order is exact).
-type driftCollector struct {
-	mu   sync.Mutex
-	seqs map[string][]uint64
-}
-
-func newDriftCollector() *driftCollector {
-	return &driftCollector{seqs: make(map[string][]uint64)}
-}
-
-func (dc *driftCollector) onDrift(ev monitor.Event) {
-	dc.mu.Lock()
-	dc.seqs[ev.StreamID] = append(dc.seqs[ev.StreamID], ev.Seq)
-	dc.mu.Unlock()
-}
-
 // chaosPolicy is DefaultRetryPolicy tightened for tests: fast backoff, and
 // a stall watchdog short enough to recover from dropped frames quickly.
 func chaosPolicy() RetryPolicy {
@@ -97,13 +80,12 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 
 	// Unfaulted serial reference: same observations, same per-stream order,
 	// straight into an in-process monitor.
-	ref := newDriftCollector()
-	mr, err := monitor.New(monitor.Config{
-		NewDetector: factory, Shards: 2, OnDrift: ref.onDrift,
-	})
+	total := uint64(len(streams) * perStream)
+	mr, err := monitor.New(monitor.Config{NewDetector: factory, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refSub := subscribeMonitor(t, mr, int(total))
 	for i := 0; i < perStream; i += batch {
 		for _, s := range streams {
 			if err := mr.IngestBatch(s, obs[i:i+batch]); err != nil {
@@ -114,15 +96,16 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 	if err := mr.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
+	ref := seqsByStream(drainEvents(t, refSub))
 	mr.Close()
 
 	// Faulted run: the same workload through the chaos proxy.
-	faulted := newDriftCollector()
-	_, px := newChaosServer(t,
-		monitor.Config{NewDetector: factory, Shards: 2, OnDrift: faulted.onDrift},
+	m, px := newChaosServer(t,
+		monitor.Config{NewDetector: factory, Shards: 2},
 		Config{},
 		chaos.Config{Seed: 42, DropRate: 0.04, DuplicateRate: 0.2, ResetEvery: 30},
 	)
+	faultedSub := subscribeMonitor(t, m, int(total))
 	c, err := DialRetry(px.Addr(), 8, chaosPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +125,7 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	faulted := seqsByStream(drainEvents(t, faultedSub))
 
 	st := px.Stats()
 	t.Logf("chaos: %+v; reconnects=%d dedupHits=%d", st, c.Reconnects(), sn.DedupHits)
@@ -152,7 +136,6 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 		t.Fatal("client never reconnected despite injected faults")
 	}
 
-	total := uint64(len(streams) * perStream)
 	if sn.Ingested != total {
 		t.Fatalf("Ingested=%d, want exactly %d (exactly-once under resend)", sn.Ingested, total)
 	}
@@ -163,9 +146,9 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 	if st.Duplicated >= 3 && sn.DedupHits == 0 {
 		t.Fatalf("proxy duplicated %d frames but the server counted no dedup hits", st.Duplicated)
 	}
-	if !reflect.DeepEqual(ref.seqs, faulted.seqs) {
+	if !reflect.DeepEqual(ref, faulted) {
 		t.Fatalf("drift sequences diverged from unfaulted reference:\nref:     %v\nfaulted: %v",
-			ref.seqs, faulted.seqs)
+			ref, faulted)
 	}
 }
 

@@ -42,9 +42,6 @@ type Config struct {
 	// (batch 256 at 80 features is ~170 KiB, so the default leaves two
 	// orders of magnitude of headroom).
 	MaxFrame int
-	// SubscriberBuffer is the per-subscription event queue capacity used
-	// when a Subscribe request does not specify one. Default 1024.
-	SubscriberBuffer int
 	// DrainTimeout bounds the graceful phase of Close: connections that
 	// have not wound down by then (e.g. a subscriber that stopped reading,
 	// leaving the server parked in a socket write) are force-closed so
@@ -75,9 +72,8 @@ type Config struct {
 	// above this fraction of capacity is refused with a Busy reply instead
 	// of queueing (counted in Snapshot.Shedded), keeping the server
 	// responsive — and its sheds observable — instead of silently pushing
-	// the stall into TCP. TryIngestBatch already has Busy semantics and is
-	// shed at the same threshold. 0 disables shedding (blocking ingests
-	// apply the monitor's backpressure as before).
+	// the stall into TCP. It is the wire's only overload signal. 0 disables
+	// shedding (ingests apply the monitor's blocking backpressure).
 	ShedHighWater float64
 }
 
@@ -90,9 +86,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = 16 << 20
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 1024
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -142,17 +135,17 @@ type Server struct {
 	ready atomic.Bool
 }
 
-// serverTele holds one service-time histogram per request kind, indexed
-// kind - codec.KindWireIngest (the request kinds are contiguous).
+// serverTele holds one service-time histogram per request stage (see
+// stageOf).
 type serverTele struct {
-	serve [codec.KindWireLastDrift - codec.KindWireIngest + 1]telemetry.Histogram
+	serve [numStages]telemetry.Histogram
 }
 
 // serveStageNames maps a serverTele.serve index to its stage label.
-var serveStageNames = [...]string{
-	"serve_ingest", "serve_ingest_batch", "serve_try_ingest_batch",
-	"serve_subscribe", "serve_snapshot", "serve_evict", "serve_flush",
-	"serve_migrate", "serve_handoff", "serve_streams", "serve_last_drift",
+var serveStageNames = [numStages]string{
+	"serve_ingest", "serve_ingest_batch", "serve_subscribe", "serve_snapshot",
+	"serve_evict", "serve_flush", "serve_migrate", "serve_handoff",
+	"serve_streams", "serve_last_drift",
 }
 
 // stages snapshots the non-empty serve histograms (unsorted; the caller
@@ -367,9 +360,11 @@ type connHandler struct {
 
 	// Pooled batch-decode slabs: slabObs views slabF exactly like the
 	// monitor's internal batchBuf, and both are reusable the moment
-	// IngestBatch returns (the monitor copies).
+	// IngestBatch returns (the monitor copies). obsN is the observation
+	// count of the last IngestBatch frame, which picks its latency stage.
 	slabObs []detectors.Observation
 	slabF   []float64
+	obsN    int
 
 	// names interns stream IDs so repeated ingests for the same stream skip
 	// the []byte -> string allocation. Bounded: a connection cycling
@@ -431,7 +426,7 @@ func (s *Server) handle(nc net.Conn) {
 		}
 		ok := h.serve(kind, payload)
 		if s.tele != nil {
-			if i := int(kind) - int(codec.KindWireIngest); i >= 0 && i < len(s.tele.serve) {
+			if i := stageOf(kind, h.obsN); i >= 0 {
 				s.tele.serve[i].Observe(telemetry.Now() - t0)
 			}
 		}
@@ -464,16 +459,11 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 	maxUint64(&h.s.inflightHW, uint64(h.outN)+1)
 	m := h.s.cfg.Monitor
 	switch kind {
-	case codec.KindWireIngest:
+	case codec.KindWireIngestBatch:
 		session, seq := h.rd.U64(), h.rd.U64()
-		sid, ok := h.streamID()
+		sid, obs, ok := h.decodeBatch()
 		if !ok {
-			return h.replyErr(id, "bad ingest payload")
-		}
-		var o detectors.Observation
-		h.slabF, o = decodeObs(&h.rd, h.growSlab(h.rd.Remaining()))
-		if h.rd.Done() != nil {
-			return h.replyErr(id, "bad ingest payload")
+			return h.replyErr(id, "bad batch payload")
 		}
 		// Claim before shed: a duplicate of an already-committed request
 		// must ack OK even under overload — the work is already done.
@@ -483,47 +473,6 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 			return h.reply(id, codec.KindWireOK)
 		case claimAged:
 			return h.replyErr(id, errSeqAged)
-		}
-		if h.shed(sid) {
-			h.settle(session, sid, seq, token, false)
-			return h.reply(id, codec.KindWireBusy)
-		}
-		if err := m.Ingest(sid, o); err != nil {
-			h.settle(session, sid, seq, token, false)
-			return h.replyErr(id, err.Error())
-		}
-		h.settle(session, sid, seq, token, true)
-		return h.reply(id, codec.KindWireOK)
-
-	case codec.KindWireIngestBatch, codec.KindWireTryIngestBatch:
-		session, seq := h.rd.U64(), h.rd.U64()
-		sid, obs, ok := h.decodeBatch()
-		if !ok {
-			return h.replyErr(id, "bad batch payload")
-		}
-		state, token := h.claim(session, sid, seq)
-		switch state {
-		case claimApplied:
-			return h.reply(id, codec.KindWireOK)
-		case claimAged:
-			return h.replyErr(id, errSeqAged)
-		}
-		if kind == codec.KindWireTryIngestBatch {
-			if h.shed(sid) {
-				h.settle(session, sid, seq, token, false)
-				return h.reply(id, codec.KindWireBusy)
-			}
-			accepted, err := m.TryIngestBatch(sid, obs)
-			if err != nil {
-				h.settle(session, sid, seq, token, false)
-				return h.replyErr(id, err.Error())
-			}
-			if !accepted {
-				h.settle(session, sid, seq, token, false)
-				return h.reply(id, codec.KindWireBusy)
-			}
-			h.settle(session, sid, seq, token, true)
-			return h.reply(id, codec.KindWireOK)
 		}
 		if h.shed(sid) {
 			h.settle(session, sid, seq, token, false)
@@ -540,9 +489,6 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 		buffer := int(h.rd.U32())
 		if h.rd.Done() != nil {
 			return h.replyErr(id, "bad subscribe payload")
-		}
-		if buffer <= 0 {
-			buffer = h.s.cfg.SubscriberBuffer
 		}
 		sub, err := m.Subscribe(buffer)
 		if err != nil {
@@ -746,9 +692,10 @@ func (h *connHandler) growSlab(payloadBytes int) []float64 {
 	return h.slabF[:0]
 }
 
-// decodeBatch decodes an IngestBatch/TryIngestBatch payload into the
-// connection's pooled slabs.
+// decodeBatch decodes an IngestBatch payload into the connection's pooled
+// slabs.
 func (h *connHandler) decodeBatch() (string, []detectors.Observation, bool) {
+	h.obsN = 0
 	sid, ok := h.streamID()
 	if !ok {
 		return "", nil, false
@@ -762,6 +709,7 @@ func (h *connHandler) decodeBatch() (string, []detectors.Observation, bool) {
 		h.slabObs = make([]detectors.Observation, n)
 	}
 	obs := h.slabObs[:n]
+	h.obsN = n
 	for i := range obs {
 		slab, obs[i] = decodeObs(&h.rd, slab)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -68,6 +69,53 @@ func newTestServer(t testing.TB, mcfg monitor.Config, scfg Config) (*Server, *mo
 	return srv, m, c
 }
 
+// subscribeMonitor registers an in-process subscription on m. Tests size
+// buffer above the event count they can possibly produce, so drainEvents
+// sees every event.
+func subscribeMonitor(t testing.TB, m *monitor.Monitor, buffer int) *monitor.Subscription {
+	t.Helper()
+	sub, err := m.Subscribe(buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// drainEvents returns every event already queued on sub without blocking.
+// After a FlushCheckpoints barrier (or Monitor.Close) every event published
+// before it is in the channel; drainEvents fails the test if sub dropped
+// any.
+func drainEvents(t testing.TB, sub *monitor.Subscription) []monitor.Event {
+	t.Helper()
+	var out []monitor.Event
+	for {
+		select {
+		case ev, ok := <-sub.Events():
+			if ok {
+				out = append(out, ev)
+				continue
+			}
+		default:
+		}
+		break
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("subscription dropped %d events", d)
+	}
+	return out
+}
+
+// seqsByStream groups the events' sequence numbers per stream, in delivery
+// order (each stream publishes from its one shard goroutine, so per-stream
+// order is exact).
+func seqsByStream(evs []monitor.Event) map[string][]uint64 {
+	out := make(map[string][]uint64)
+	for _, ev := range evs {
+		out[ev.StreamID] = append(out[ev.StreamID], ev.Seq)
+	}
+	return out
+}
+
 func testObs(features, n int) []detectors.Observation {
 	gen, err := synth.NewRBF(synth.Config{Features: features, Classes: 3, Seed: 11}, 3, 0.08)
 	if err != nil {
@@ -101,9 +149,8 @@ func TestServerRoundTrip(t *testing.T) {
 	if err := c.IngestBatch("beta", obs[33:]); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.TryIngestBatch("beta", obs[:8])
-	if err != nil || !ok {
-		t.Fatalf("TryIngestBatch = (%v, %v), want accepted", ok, err)
+	if err := c.IngestBatch("beta", obs[:8]); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
@@ -198,10 +245,12 @@ func (d *blockingDetector) Update(detectors.Observation) detectors.State {
 func (d *blockingDetector) Reset()       {}
 func (d *blockingDetector) Name() string { return "blocking" }
 
-// TestServerBusyReply wedges the single shard and fills its ring queue
-// (QueueSize 1 rounds up to the 2-slot ring minimum): TryIngestBatch must
-// come back as a Busy reply — (false, nil) at the client — while blocking
-// IngestBatch keeps its backpressure semantics.
+// TestServerBusyReply wedges the single shard and fills its queue to
+// capacity (QueueSize 1 rounds up to the 2-slot ring minimum). With
+// ShedHighWater 1 the server sheds only a full queue, so the next ingest
+// must come back as a Busy reply — ErrBusy at the client, which retries
+// nothing under the zero policy — counted in Shedded, never queued and
+// never dropped.
 func TestServerBusyReply(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -211,29 +260,26 @@ func TestServerBusyReply(t *testing.T) {
 		NewDetector: func(string) (detectors.Detector, error) {
 			return &blockingDetector{entered: entered, release: release}, nil
 		},
-	}, Config{})
+	}, Config{ShedHighWater: 1})
+	var relOnce sync.Once
+	rel := func() { relOnce.Do(func() { close(release) }) }
+	t.Cleanup(rel) // un-wedge even on a failed assertion, or teardown hangs
 	obs := testObs(4, 4)
-	// First observation occupies the shard inside Update.
+	// First observation occupies the shard inside Update; it stays counted
+	// as queued until Update returns.
 	if err := c.Ingest("s", obs[0]); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	// Second and third fill the ring's two slots.
+	// The second brings the queue to its capacity of two.
 	if err := c.Ingest("s", obs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ingest("s", obs[2]); err != nil {
-		t.Fatal(err)
+	// A block now bounces with Busy.
+	if err := c.IngestBatch("s", obs[2:]); !errors.Is(err, ErrBusy) {
+		t.Fatalf("IngestBatch on a full queue = %v, want ErrBusy", err)
 	}
-	// A try-ingest now bounces with Busy.
-	ok, err := c.TryIngestBatch("s", obs[3:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("TryIngestBatch on a full queue reported accepted, want Busy")
-	}
-	close(release)
+	rel()
 	if err := c.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +287,8 @@ func TestServerBusyReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sn.Ingested != 3 || sn.Dropped != 1 {
-		t.Fatalf("Ingested=%d Dropped=%d, want 3/1", sn.Ingested, sn.Dropped)
+	if sn.Ingested != 2 || sn.Shedded != 1 || sn.Dropped != 0 {
+		t.Fatalf("Ingested=%d Shedded=%d Dropped=%d, want 2/1/0", sn.Ingested, sn.Shedded, sn.Dropped)
 	}
 }
 
@@ -254,7 +300,8 @@ func TestServerBadRequest(t *testing.T) {
 		Shards:   1,
 	}, Config{})
 
-	// Hand-roll a truncated ingest payload (id + stream ID, no observation).
+	// Hand-roll a truncated ingest payload (id + stream ID, no session, seq
+	// or observations).
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +310,7 @@ func TestServerBadRequest(t *testing.T) {
 	b := codec.NewBuffer(nil)
 	b.U64(1)
 	b.Str("s")
-	if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngest, b.Bytes())); err != nil {
+	if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngestBatch, b.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	sc := codec.NewFrameScanner(nc)
@@ -289,8 +336,9 @@ func TestServerBadRequest(t *testing.T) {
 	b.U64(0)
 	b.U64(0)
 	b.Str("s")
+	b.U32(1)
 	encodeObs(b, obs[0])
-	if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngest, b.Bytes())); err != nil {
+	if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngestBatch, b.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	kind, body, err = sc.Next()
@@ -303,7 +351,7 @@ func TestServerBadRequest(t *testing.T) {
 	}
 
 	// A frame with a corrupted CRC ends the connection.
-	frame := codec.AppendFrame(nil, codec.KindWireIngest, b.Bytes())
+	frame := codec.AppendFrame(nil, codec.KindWireIngestBatch, b.Bytes())
 	frame[len(frame)-1] ^= 0xFF
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
@@ -530,9 +578,22 @@ func TestServerConcurrentSoak(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				id := fmt.Sprintf("stream-%d-%d", p, r%8)
 				if r%5 == 4 {
-					if _, err := pc.TryIngestBatch(id, obs[:64]); err != nil {
-						t.Error(err)
-						return
+					// Every fifth round pipelines the block as single
+					// observations, each a one-observation frame.
+					pend := make([]Pending, 0, 64)
+					for i := range obs[:64] {
+						pd, err := pc.IngestAsync(id, obs[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						pend = append(pend, pd)
+					}
+					for _, pd := range pend {
+						if err := pd.Wait(); err != nil {
+							t.Error(err)
+							return
+						}
 					}
 					continue
 				}
@@ -573,12 +634,8 @@ func TestServerConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMin := uint64(producers * rounds * 64 * 4 / 5) // Try batches may drop
-	if sn.Ingested+sn.Dropped != uint64(producers*rounds*64) {
-		t.Fatalf("Ingested+Dropped = %d, want %d", sn.Ingested+sn.Dropped, producers*rounds*64)
-	}
-	if sn.Ingested < wantMin {
-		t.Fatalf("Ingested = %d, want >= %d", sn.Ingested, wantMin)
+	if sn.Ingested != uint64(producers*rounds*64) || sn.Dropped != 0 {
+		t.Fatalf("Ingested = %d, Dropped = %d, want %d/0", sn.Ingested, sn.Dropped, producers*rounds*64)
 	}
 	srv.Close()
 	m.Close()
@@ -710,16 +767,17 @@ func TestServerConcurrentDuplicateExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two raw connections send the same (session, stream, seq). The first
-	// handler blocks inside Monitor.Ingest (full ring) before it can commit;
-	// the duplicate must not ingest concurrently.
+	// handler blocks inside Monitor.IngestBatch (full ring) before it can
+	// commit; the duplicate must not ingest concurrently.
 	ingestFrame := func() []byte {
 		b := codec.NewBuffer(nil)
 		b.U64(1)
 		b.U64(7) // session
 		b.U64(1) // seq
 		b.Str("s")
+		b.U32(1)
 		encodeObs(b, obs[3])
-		return codec.AppendFrame(nil, codec.KindWireIngest, b.Bytes())
+		return codec.AppendFrame(nil, codec.KindWireIngestBatch, b.Bytes())
 	}
 	var conns [2]net.Conn
 	for i := range conns {
@@ -785,8 +843,9 @@ func TestServerSeqAgedRejected(t *testing.T) {
 		b.U64(9) // session
 		b.U64(seq)
 		b.Str("s")
+		b.U32(1)
 		encodeObs(b, obs[0])
-		if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngest, b.Bytes())); err != nil {
+		if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireIngestBatch, b.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -812,61 +871,74 @@ func TestServerSeqAgedRejected(t *testing.T) {
 	}
 }
 
-// TestServerWireRevisionSkew: a frame kind from wire protocol revision 1
-// (16, the pre-session/seq Ingest) must fail fast with an "unknown request
-// kind" Error and a hangup — never be misparsed under the revision-2 payload
-// layout, where its first 16 payload bytes would be consumed as session/seq.
+// TestServerWireRevisionSkew: request kinds the server no longer speaks
+// must fail fast with an "unknown request kind" Error and a hangup — never
+// be misparsed. Kind 16 is the revision-1 Ingest (no session or seq, so its
+// first 16 payload bytes would be consumed as session/seq under the
+// current layout); kinds 64 and 66 are the retired revision-3 Ingest and
+// non-blocking batch kind, each sent with the payload it used to carry.
 func TestServerWireRevisionSkew(t *testing.T) {
 	srv, _, _ := newTestServer(t, monitor.Config{
 		Detector: core.Config{Features: 8, Classes: 3, Seed: 7},
 		Shards:   1,
 	}, Config{})
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	o := testObs(8, 1)[0]
+	const (
+		kindWireIngestRev1   = 16
+		kindWireIngestRev3   = 64
+		kindWireTryBatchRev3 = 66
+	)
+	cases := []struct {
+		kind    uint8
+		payload func(b *codec.Buffer)
+	}{
+		{kindWireIngestRev1, func(b *codec.Buffer) {
+			b.U64(1)
+			b.Str("s")
+			encodeObs(b, o)
+		}},
+		{kindWireIngestRev3, func(b *codec.Buffer) {
+			b.U64(1)
+			b.U64(0) // session
+			b.U64(0) // seq
+			b.Str("s")
+			encodeObs(b, o)
+		}},
+		{kindWireTryBatchRev3, func(b *codec.Buffer) {
+			b.U64(1)
+			b.U64(0) // session
+			b.U64(0) // seq
+			b.Str("s")
+			b.U32(1)
+			encodeObs(b, o)
+		}},
 	}
-	defer nc.Close()
-	// A well-formed revision-1 Ingest: id, stream ID, observation — no
-	// session or seq.
-	b := codec.NewBuffer(nil)
-	b.U64(1)
-	b.Str("s")
-	encodeObs(b, testObs(8, 1)[0])
-	const kindWireIngestRev1 = 16
-	if _, err := nc.Write(codec.AppendFrame(nil, kindWireIngestRev1, b.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	sc := codec.NewFrameScanner(nc)
-	kind, body, err := sc.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != codec.KindWireError {
-		t.Fatalf("revision-1 frame reply kind %d, want Error", kind)
-	}
-	rd := codec.NewReader(body)
-	rd.U64()
-	if msg := string(rd.Blob()); !strings.Contains(msg, "unknown request kind") {
-		t.Fatalf("revision skew error %q does not name the unknown kind", msg)
-	}
-	if _, _, err := sc.Next(); err != io.EOF {
-		t.Fatalf("connection after revision skew: %v, want EOF", err)
-	}
-}
-
-// TestClientTryIngestBatchErrorNotAccepted pins the reply mapping: an Error
-// reply must come back as (false, err), mirroring Monitor.TryIngestBatch.
-func TestClientTryIngestBatchErrorNotAccepted(t *testing.T) {
-	_, m, c := newTestServer(t, monitor.Config{
-		Detector: core.Config{Features: 8, Classes: 3, Seed: 7},
-		Shards:   1,
-	}, Config{})
-	m.Close() // the server now answers every ingest with an Error reply
-	ok, err := c.TryIngestBatch("s", testObs(8, 4))
-	if err == nil {
-		t.Fatal("TryIngestBatch against a closed monitor returned no error")
-	}
-	if ok {
-		t.Fatal("TryIngestBatch reported accepted=true alongside an error")
+	for _, tc := range cases {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		b := codec.NewBuffer(nil)
+		tc.payload(b)
+		if _, err := nc.Write(codec.AppendFrame(nil, tc.kind, b.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		sc := codec.NewFrameScanner(nc)
+		kind, body, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != codec.KindWireError {
+			t.Fatalf("kind %d frame reply kind %d, want Error", tc.kind, kind)
+		}
+		rd := codec.NewReader(body)
+		rd.U64()
+		if msg := string(rd.Blob()); !strings.Contains(msg, "unknown request kind") {
+			t.Fatalf("kind %d error %q does not name the unknown kind", tc.kind, msg)
+		}
+		if _, _, err := sc.Next(); err != io.EOF {
+			t.Fatalf("connection after kind %d: %v, want EOF", tc.kind, err)
+		}
 	}
 }

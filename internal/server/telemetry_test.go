@@ -168,6 +168,11 @@ func TestServerTelemetryStages(t *testing.T) {
 	if err := c.IngestBatch("alpha", obs[1:]); err != nil {
 		t.Fatal(err)
 	}
+	// An ack means enqueued; the flush barrier means applied, so the
+	// monitor-side stages have observed both ingests.
+	if err := c.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
 	sn, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +187,13 @@ func TestServerTelemetryStages(t *testing.T) {
 			t.Fatalf("snapshot latency lacks stage %q (have %v)", want, sn.Latency)
 		}
 	}
+	// Ingest travels as a one-observation IngestBatch frame and is timed
+	// under serve_ingest; only the 47-observation block is a batch.
 	if got := stages["serve_ingest"]; got != 1 {
 		t.Fatalf("serve_ingest count = %d, want 1", got)
+	}
+	if got := stages["serve_ingest_batch"]; got != 1 {
+		t.Fatalf("serve_ingest_batch count = %d, want 1", got)
 	}
 
 	lat := c.Latency()
@@ -196,6 +206,9 @@ func TestServerTelemetryStages(t *testing.T) {
 		if rtt[want] == 0 {
 			t.Fatalf("client latency lacks stage %q (have %v)", want, lat)
 		}
+	}
+	if rtt["rtt_ingest"] != 1 || rtt["rtt_ingest_batch"] != 1 {
+		t.Fatalf("rtt_ingest/rtt_ingest_batch counts = %d/%d, want 1/1", rtt["rtt_ingest"], rtt["rtt_ingest_batch"])
 	}
 	for _, st := range lat {
 		if st.P50NS <= 0 || st.P99NS < st.P50NS {
@@ -229,6 +242,10 @@ func TestServerTelemetryOff(t *testing.T) {
 	}, Config{Telemetry: telemetry.Off})
 
 	if err := c.IngestBatch("alpha", testObs(8, 16)); err != nil {
+		t.Fatal(err)
+	}
+	// An ack means enqueued, not applied; the flush barrier means applied.
+	if err := c.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
 	sn, err := c.Snapshot()

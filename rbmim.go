@@ -238,8 +238,9 @@ type (
 	// FSStore is the one-file-per-stream filesystem CheckpointStore.
 	FSStore = monitor.FSStore
 	// MonitorSubscription is one subscriber's private, bounded drift-event
-	// queue on an in-process Monitor (Monitor.Subscribe). Each subscriber
-	// receives every event; a slow one drops only its own.
+	// queue on an in-process Monitor (Monitor.Subscribe, the only way to
+	// receive drift events). Each subscriber receives every event; a slow
+	// one drops only its own.
 	MonitorSubscription = monitor.Subscription
 )
 
@@ -314,8 +315,8 @@ type (
 	// ServerConfig parameterizes a Server; Monitor is required.
 	ServerConfig = server.Config
 	// Client speaks the driftserver wire protocol: Ingest / IngestBatch /
-	// TryIngestBatch / Subscribe / Snapshot / Evict / FlushCheckpoints /
-	// Close. One Client owns one connection and its scratch buffers, so
+	// Subscribe / Snapshot / Evict / FlushCheckpoints / Close (a single
+	// observation travels as a block of one). One Client owns one connection and its scratch buffers, so
 	// steady-state batch ingest is allocation-free; use one Client per
 	// producer goroutine.
 	Client = server.Client
