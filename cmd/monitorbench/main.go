@@ -50,9 +50,9 @@
 //   - -clients N overrides -producers as the number of load goroutines;
 //   - -inflight W opens a pipelined in-flight window of W requests per
 //     connection (1 = the serial stop-and-wait client, the default);
-//   - -conns K > 0 multiplexes all clients over a ClientPool of K pipelined
-//     connections with consistent-hash stream affinity (0 = one private
-//     connection per client, the historical shape);
+//   - -conns K > 0 multiplexes all clients over one rbmim.Client with K
+//     pipelined connections and consistent-hash stream affinity (0 = one
+//     single-connection Client per load goroutine, the historical shape);
 //   - -churn S runs S subscriber churners that connect, drain a few drift
 //     events, and disconnect in a loop for the whole run — the
 //     slow-subscriber/eviction path exercised while the ingest path is
@@ -76,8 +76,9 @@
 // The control connection (snapshots, flush barrier) bypasses the proxy.
 //
 // With -cluster ADDR1,ADDR2,... monitorbench drives a driftserver fleet
-// through the consistent-hash cluster client (rbmim.DialCluster): streams
-// route to members by the ring, -conns/-inflight shape each member's pool,
+// through one rbmim.Client dialed to every address: streams route to
+// members by its consistent-hash ring, -conns/-inflight shape each member's
+// connection set,
 // and the run ends with a fleet-wide flush barrier and an exact
 // conservation check against the merged snapshot. With -migrate M the run
 // pauses halfway and live-migrates M streams to their next ring neighbor
@@ -120,7 +121,7 @@ func main() {
 	ckptInt := flag.Duration("ckptint", 500*time.Millisecond, "periodic snapshot cadence when -checkpoint is set")
 	remote := flag.String("remote", "", "drive a running driftserver at this address instead of an in-process monitor")
 	clients := flag.Int("clients", 0, "remote mode: load goroutines (overrides -producers; 0 = use -producers)")
-	conns := flag.Int("conns", 0, "remote mode: multiplex all clients over a pool of this many pipelined connections (0 = one connection per client)")
+	conns := flag.Int("conns", 0, "remote mode: multiplex all clients over one client with this many pipelined connections (0 = one connection per client)")
 	inflight := flag.Int("inflight", 1, "remote mode: pipelined in-flight requests per connection (1 = serial)")
 	churn := flag.Int("churn", 0, "remote mode: subscriber churners connecting/draining/disconnecting for the whole run")
 	retry := flag.Bool("retry", false, "remote mode: dial with the default retry policy (reconnect, backoff, busy retries)")
@@ -410,12 +411,42 @@ func runRemoteMode(workload []workloadStream, opts remoteOpts, jsonPath string, 
 	if err != nil {
 		fail(err)
 	}
-	mode := "single"
-	if opts.batch > 0 {
-		mode = fmt.Sprintf("batch%d", opts.batch)
+	report(res.wireResult, opts.batch, "shard balance (ingested)",
+		fmt.Sprintf("clients=%d conns=%d inflight=%d churn=%d", opts.clients, opts.conns, opts.inflight, opts.churn),
+		jsonPath, cfg)
+	if res.faults != nil {
+		f := res.faults
+		fmt.Printf("chaos: conns=%d frames=%d dropped=%d duplicated=%d resets=%d blackholed=%d  reconnects=%d dedup_hits=%d shedded=%d\n",
+			f.Conns, f.Frames, f.Dropped, f.Duplicated, f.Resets, f.Blackholed,
+			res.reconnects, res.dedupHits, res.shedded)
 	}
-	wire := fmt.Sprintf("clients=%d conns=%d inflight=%d churn=%d", opts.clients, opts.conns, opts.inflight, opts.churn)
-	fmt.Printf("%-8s %-10s %-14s %-12s %-10s %-10s %s\n", "shards", "mode", "instances/s", "wall", "drifts", "streams", "shard balance (ingested)")
+	checkConserved(workload, res.wireResult)
+	// With -chaosreset the run must actually have exercised the reconnect
+	// path — a zero count means the proxy never fired and the "survived a
+	// degraded network" claim is vacuous.
+	if opts.chaosReset > 0 && res.reconnects == 0 {
+		fail(fmt.Errorf("chaos run with -chaosreset %d recorded zero reconnects", opts.chaosReset))
+	}
+}
+
+// wireResult is a sweepResult measured over the wire, plus the pre-run
+// Ingested counter (a long-lived server accumulates) and the client-observed
+// rtt_* latency stages.
+type wireResult struct {
+	sweepResult
+	before  uint64
+	latency []rbmim.TelemetryStage
+}
+
+// report prints a -remote or -cluster run's result row (wire describes the
+// client shape) and its client-observed ingest latency, and appends the
+// row to the JSON trajectory when one is given.
+func report(res wireResult, batch int, balanceCol, wire, jsonPath string, cfg runConfig) {
+	mode := "single"
+	if batch > 0 {
+		mode = fmt.Sprintf("batch%d", batch)
+	}
+	fmt.Printf("%-8s %-10s %-14s %-12s %-10s %-10s %s\n", "shards", "mode", "instances/s", "wall", "drifts", "streams", balanceCol)
 	fmt.Printf("%-8d %-10s %-14s %-12s %-10d %-10d %s  [%s]\n",
 		res.sn.Shards, mode, fmt.Sprintf("%.0f", res.rate), res.wall.Round(time.Millisecond),
 		res.drifts, res.streams, res.balance, wire)
@@ -423,43 +454,36 @@ func runRemoteMode(workload []workloadStream, opts remoteOpts, jsonPath string, 
 	if haveLat {
 		fmt.Printf("ingest latency (client-observed rtt): p50=%.3fms p95=%.3fms p99=%.3fms\n", p50, p95, p99)
 	}
-	if res.faults != nil {
-		f := res.faults
-		fmt.Printf("chaos: conns=%d frames=%d dropped=%d duplicated=%d resets=%d blackholed=%d  reconnects=%d dedup_hits=%d shedded=%d\n",
-			f.Conns, f.Frames, f.Dropped, f.Duplicated, f.Resets, f.Blackholed,
-			res.reconnects, res.dedupHits, res.shedded)
+	if jsonPath == "" {
+		return
 	}
-	if jsonPath != "" {
-		rec := runRecord{
-			Generated: time.Now().UTC().Format(time.RFC3339),
-			Config:    cfg,
-			Rows: []runRow{{
-				Shards: res.sn.Shards, Batch: opts.batch, InstancesPerSec: res.rate,
-				WallMS: float64(res.wall.Microseconds()) / 1000,
-				Drifts: res.drifts, Streams: res.streams,
-				IngestP50MS: p50, IngestP95MS: p95, IngestP99MS: p99,
-				Snapshot: &res.sn,
-			}},
-		}
-		if err := appendRecord(jsonPath, rec); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nappended run record to %s\n", jsonPath)
+	rec := runRecord{
+		Generated: time.Now().UTC().Format(time.RFC3339),
+		Config:    cfg,
+		Rows: []runRow{{
+			Shards: res.sn.Shards, Batch: batch, InstancesPerSec: res.rate,
+			WallMS: float64(res.wall.Microseconds()) / 1000,
+			Drifts: res.drifts, Streams: res.streams,
+			IngestP50MS: p50, IngestP95MS: p95, IngestP99MS: p99,
+			Snapshot: &res.sn,
+		}},
 	}
-	// The smoke assertion: the server must have processed exactly what was
-	// sent (IngestBatch blocks, so nothing may be dropped).
+	if err := appendRecord(jsonPath, rec); err != nil {
+		fail(err)
+	}
+	fmt.Printf("\nappended run record to %s\n", jsonPath)
+}
+
+// checkConserved is the smoke assertion: the server (or the merged fleet)
+// must have processed exactly what was sent — ingests block, so nothing may
+// be dropped, wherever each stream or half of its life landed.
+func checkConserved(workload []workloadStream, res wireResult) {
 	want := uint64(0)
 	for _, ws := range workload {
 		want += uint64(len(ws.obs))
 	}
 	if got := res.sn.Ingested - res.before; got != want {
-		fail(fmt.Errorf("server ingested %d observations, sent %d", got, want))
-	}
-	// With -chaosreset the run must actually have exercised the reconnect
-	// path — a zero count means the proxy never fired and the "survived a
-	// degraded network" claim is vacuous.
-	if opts.chaosReset > 0 && res.reconnects == 0 {
-		fail(fmt.Errorf("chaos run with -chaosreset %d recorded zero reconnects", opts.chaosReset))
+		fail(fmt.Errorf("ingested %d observations, sent %d", got, want))
 	}
 }
 
@@ -478,56 +502,20 @@ func splitAddrs(s string) []string {
 }
 
 // runClusterMode is the -cluster loadgen path: it drives a driftserver
-// fleet through the consistent-hash cluster client, optionally live-
-// migrating streams mid-run, prints one result row with the per-member
-// balance, and fails the process unless the merged fleet counters account
-// for every observation sent — and, with -migrate, unless every migrated
-// stream actually rehydrated on its target.
+// fleet through one client over every member, optionally live-migrating
+// streams mid-run, prints one result row with the per-member balance, and
+// fails the process unless the merged fleet counters account for every
+// observation sent — and, with -migrate, unless every migrated stream
+// actually rehydrated on its target.
 func runClusterMode(workload []workloadStream, opts remoteOpts, addrs []string, migrate int, jsonPath string, cfg runConfig) {
 	res, err := runCluster(workload, opts, addrs, migrate)
 	if err != nil {
 		fail(err)
 	}
-	mode := "single"
-	if opts.batch > 0 {
-		mode = fmt.Sprintf("batch%d", opts.batch)
-	}
-	wire := fmt.Sprintf("members=%d clients=%d conns=%d inflight=%d migrated=%d", len(addrs), opts.clients, opts.conns, opts.inflight, res.migrated)
-	fmt.Printf("%-8s %-10s %-14s %-12s %-10s %-10s %s\n", "shards", "mode", "instances/s", "wall", "drifts", "streams", "member balance (ingested)")
-	fmt.Printf("%-8d %-10s %-14s %-12s %-10d %-10d %s  [%s]\n",
-		res.sn.Shards, mode, fmt.Sprintf("%.0f", res.rate), res.wall.Round(time.Millisecond),
-		res.drifts, res.streams, res.balance, wire)
-	p50, p95, p99, haveLat := ingestLatency(res.latency)
-	if haveLat {
-		fmt.Printf("ingest latency (client-observed rtt): p50=%.3fms p95=%.3fms p99=%.3fms\n", p50, p95, p99)
-	}
-	if jsonPath != "" {
-		rec := runRecord{
-			Generated: time.Now().UTC().Format(time.RFC3339),
-			Config:    cfg,
-			Rows: []runRow{{
-				Shards: res.sn.Shards, Batch: opts.batch, InstancesPerSec: res.rate,
-				WallMS: float64(res.wall.Microseconds()) / 1000,
-				Drifts: res.drifts, Streams: res.streams,
-				IngestP50MS: p50, IngestP95MS: p95, IngestP99MS: p99,
-				Snapshot: &res.sn,
-			}},
-		}
-		if err := appendRecord(jsonPath, rec); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nappended run record to %s\n", jsonPath)
-	}
-	// Fleet-wide conservation: the merged counters must account for every
-	// observation sent, regardless of which member each stream (or half of
-	// its life, when migrated) landed on.
-	want := uint64(0)
-	for _, ws := range workload {
-		want += uint64(len(ws.obs))
-	}
-	if got := res.sn.Ingested - res.before; got != want {
-		fail(fmt.Errorf("cluster ingested %d observations, sent %d", got, want))
-	}
+	report(res.wireResult, opts.batch, "member balance (ingested)",
+		fmt.Sprintf("members=%d clients=%d conns=%d inflight=%d migrated=%d", len(addrs), opts.clients, opts.conns, opts.inflight, res.migrated),
+		jsonPath, cfg)
+	checkConserved(workload, res.wireResult)
 	// Every handoff installs via the rehydration path on its target, so a
 	// migrating run must show at least as many rehydrations as migrations —
 	// otherwise the handoff silently degenerated to fresh detectors.
@@ -536,19 +524,100 @@ func runClusterMode(workload []workloadStream, opts remoteOpts, addrs []string, 
 	}
 }
 
+// retryPolicy is the senders' retry policy: none, or the default policy
+// with backoff and stall timeout tightened to loopback scale.
+func retryPolicy(on bool) rbmim.RetryPolicy {
+	if !on {
+		return rbmim.RetryPolicy{}
+	}
+	policy := rbmim.DefaultRetryPolicy()
+	policy.BackoffBase = 5 * time.Millisecond
+	policy.StallTimeout = time.Second
+	return policy
+}
+
+// replay sends obs[lo:hi) of every stream, with span choosing (lo, hi) from
+// the stream's length. opts.clients producers feed disjoint stream subsets;
+// producer p sends through senders[p % len(senders)], so one shared Client
+// multiplexes every producer and one Client per producer gives each a
+// private connection. With opts.inflight > 1 each producer keeps a ring of
+// async requests pipelined instead of idling a round trip per block.
+func replay(senders []*rbmim.Client, workload []workloadStream, opts remoteOpts, span func(n int) (lo, hi int)) error {
+	step := opts.batch
+	if step <= 0 {
+		step = 1
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, opts.clients)
+	for p := 0; p < opts.clients; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			c := senders[p%len(senders)]
+			// ring bounds this producer's outstanding async requests to the
+			// in-flight window.
+			ring := make([]rbmim.ClientPending, opts.inflight)
+			n := 0
+			send := func(id string, block []rbmim.Observation) error {
+				if opts.inflight <= 1 {
+					if opts.batch > 0 {
+						return c.IngestBatch(id, block)
+					}
+					return c.Ingest(id, block[0])
+				}
+				if n >= len(ring) {
+					if err := ring[n%len(ring)].Wait(); err != nil {
+						return err
+					}
+				}
+				var pd rbmim.ClientPending
+				var err error
+				if opts.batch > 0 {
+					pd, err = c.IngestBatchAsync(id, block)
+				} else {
+					pd, err = c.IngestAsync(id, block[0])
+				}
+				if err != nil {
+					return err
+				}
+				ring[n%len(ring)] = pd
+				n++
+				return nil
+			}
+			for s := p; s < len(workload); s += opts.clients {
+				ws := workload[s]
+				lo, hi := span(len(ws.obs))
+				for i := lo; i < hi; i += step {
+					if err := send(ws.id, ws.obs[i:min(i+step, hi)]); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			for i := 0; i < n && i < len(ring); i++ {
+				if err := ring[i].Wait(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
 // runCluster replays the workload against the fleet. With migrate > 0 the
 // run is two-phase: the first half of every stream, then migrate streams
 // hop to their next ring neighbor via checkpoint handoff, then the second
 // half lands on the new placement.
 func runCluster(workload []workloadStream, opts remoteOpts, addrs []string, migrate int) (clusterResult, error) {
-	policy := rbmim.RetryPolicy{}
-	if opts.retry {
-		policy = rbmim.DefaultRetryPolicy()
-		policy.BackoffBase = 5 * time.Millisecond
-		policy.StallTimeout = time.Second
-	}
-	cc, err := rbmim.DialCluster(rbmim.ClusterConfig{
-		Addrs: addrs, Conns: opts.conns, Window: opts.inflight, Policy: policy,
+	cc, err := rbmim.Dial(rbmim.ClientConfig{
+		Addrs: addrs, Conns: opts.conns, Window: opts.inflight, Retry: retryPolicy(opts.retry),
 	})
 	if err != nil {
 		return clusterResult{}, err
@@ -568,84 +637,9 @@ func runCluster(workload []workloadStream, opts remoteOpts, addrs []string, migr
 	}
 	before := rbmim.MergeSnapshots(merged...)
 
-	// sendRange replays obs[lo:hi) of every stream, clients feeding disjoint
-	// stream subsets through the shared cluster client (the per-member pools
-	// do the multiplexing), with the same pipelined async ring as -remote.
-	sendRange := func(frac2 bool) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, opts.clients)
-		for p := 0; p < opts.clients; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				ring := make([]rbmim.ClientPending, opts.inflight)
-				n := 0
-				send := func(id string, block []rbmim.Observation) error {
-					if opts.inflight <= 1 {
-						if opts.batch > 0 {
-							return cc.IngestBatch(id, block)
-						}
-						return cc.Ingest(id, block[0])
-					}
-					if n >= len(ring) {
-						if err := ring[n%len(ring)].Wait(); err != nil {
-							return err
-						}
-					}
-					var pd rbmim.ClientPending
-					var err error
-					if opts.batch > 0 {
-						pd, err = cc.IngestBatchAsync(id, block)
-					} else {
-						pd, err = cc.IngestAsync(id, block[0])
-					}
-					if err != nil {
-						return err
-					}
-					ring[n%len(ring)] = pd
-					n++
-					return nil
-				}
-				step := opts.batch
-				if step <= 0 {
-					step = 1
-				}
-				for s := p; s < len(workload); s += opts.clients {
-					ws := workload[s]
-					lo, hi := 0, len(ws.obs)/2
-					if frac2 {
-						lo, hi = len(ws.obs)/2, len(ws.obs)
-					}
-					for i := lo; i < hi; i += step {
-						end := i + step
-						if end > hi {
-							end = hi
-						}
-						if err := send(ws.id, ws.obs[i:end]); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}
-				for i := 0; i < n && i < len(ring); i++ {
-					if err := ring[i].Wait(); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(p)
-		}
-		wg.Wait()
-		select {
-		case err := <-errs:
-			return err
-		default:
-			return nil
-		}
-	}
-
+	senders := []*rbmim.Client{cc}
 	start := time.Now()
-	if err := sendRange(false); err != nil {
+	if err := replay(senders, workload, opts, func(n int) (int, int) { return 0, n / 2 }); err != nil {
 		return clusterResult{}, err
 	}
 	// Live migration between the halves: each chosen stream hops to the
@@ -675,7 +669,7 @@ func runCluster(workload []workloadStream, opts remoteOpts, addrs []string, migr
 		}
 		migrated++
 	}
-	if err := sendRange(true); err != nil {
+	if err := replay(senders, workload, opts, func(n int) (int, int) { return n / 2, n }); err != nil {
 		return clusterResult{}, err
 	}
 	if err := cc.FlushCheckpoints(); err != nil {
@@ -696,38 +690,29 @@ func runCluster(workload []workloadStream, opts remoteOpts, addrs []string, migr
 		loads = append(loads, m.Ingested-beforeByAddr[m.Addr].Ingested)
 	}
 	return clusterResult{
-		sweepResult: sweepResult{
-			rate:    float64(after.Ingested-before.Ingested) / wall.Seconds(),
-			wall:    wall,
-			drifts:  after.Drifts - before.Drifts,
-			streams: after.Streams,
-			balance: balanceString(loads),
-			sn:      after,
+		wireResult: wireResult{
+			sweepResult: sweepResult{
+				rate:    float64(after.Ingested-before.Ingested) / wall.Seconds(),
+				wall:    wall,
+				drifts:  after.Drifts - before.Drifts,
+				streams: after.Streams,
+				balance: balanceString(loads),
+				sn:      after,
+			},
+			before:  before.Ingested,
+			latency: cc.Latency(),
 		},
-		before:     before.Ingested,
 		migrated:   migrated,
 		rehydrated: after.Rehydrated - before.Rehydrated,
-		latency:    cc.Latency(),
 	}, nil
 }
 
-// clusterResult is a sweepResult over the merged fleet snapshot, plus the
+// clusterResult is a wireResult over the merged fleet snapshot, plus the
 // migration tally the -migrate assertions need.
 type clusterResult struct {
-	sweepResult
-	before     uint64
+	wireResult
 	migrated   uint64
 	rehydrated uint64
-	latency    []rbmim.TelemetryStage // client-observed rtt_* stages
-}
-
-// wireSender is the slice of the client API the load loop needs; both a
-// private *rbmim.Client and a shared *rbmim.ClientPool implement it.
-type wireSender interface {
-	Ingest(string, rbmim.Observation) error
-	IngestBatch(string, []rbmim.Observation) error
-	IngestAsync(string, rbmim.Observation) (rbmim.ClientPending, error)
-	IngestBatchAsync(string, []rbmim.Observation) (rbmim.ClientPending, error)
 }
 
 // ingestLatency folds the client-observed rtt_ingest* stages (single and
@@ -751,15 +736,13 @@ func ingestLatency(stages []rbmim.TelemetryStage) (p50, p95, p99 float64, ok boo
 
 // runRemote replays the workload against a driftserver, clients feeding
 // disjoint stream subsets — each over a private connection, or all
-// multiplexed over a shared pool (opts.conns > 0). With opts.inflight > 1
-// each client keeps a ring of async requests pipelined instead of idling a
-// round trip per block. Deltas against the pre-run snapshot keep the
-// numbers correct on a long-lived server.
+// multiplexed over one Client with opts.conns connections. Deltas against
+// the pre-run snapshot keep the numbers correct on a long-lived server.
 func runRemote(workload []workloadStream, opts remoteOpts) (remoteResult, error) {
 	// The control connection (snapshots, flush barrier, churner subscribes)
 	// always dials the server directly: the proxy degrades the load path,
 	// not the measurement.
-	ctl, err := rbmim.Dial(opts.addr)
+	ctl, err := rbmim.Dial(rbmim.ClientConfig{Addrs: []string{opts.addr}})
 	if err != nil {
 		return remoteResult{}, err
 	}
@@ -789,55 +772,24 @@ func runRemote(workload []workloadStream, opts remoteOpts) (remoteResult, error)
 		defer px.Close()
 		sendAddr = px.Addr()
 	}
-	policy := rbmim.RetryPolicy{}
-	if opts.retry || px != nil {
-		policy = rbmim.DefaultRetryPolicy()
-		policy.BackoffBase = 5 * time.Millisecond
-		policy.StallTimeout = time.Second
-	}
 
-	producers := opts.clients
-	senders := make([]wireSender, producers)
-	reconnects := func() uint64 { return 0 }
-	latency := func() []rbmim.TelemetryStage { return nil }
-	if opts.conns > 0 {
-		pool, err := rbmim.DialPoolRetry(sendAddr, opts.conns, opts.inflight, policy)
+	// -conns K > 0: one Client with K connections shared by every producer;
+	// -conns 0: one single-connection Client per producer.
+	nSenders := 1
+	if opts.conns == 0 {
+		nSenders = opts.clients
+	}
+	senders := make([]*rbmim.Client, 0, nSenders)
+	for len(senders) < nSenders {
+		c, err := rbmim.Dial(rbmim.ClientConfig{
+			Addrs: []string{sendAddr}, Conns: opts.conns, Window: opts.inflight,
+			Retry: retryPolicy(opts.retry || px != nil),
+		})
 		if err != nil {
 			return remoteResult{}, err
 		}
-		defer pool.Close()
-		for p := range senders {
-			senders[p] = pool
-		}
-		reconnects = pool.Reconnects
-		latency = pool.Latency
-	} else {
-		conns := make([]*rbmim.Client, producers)
-		for p := range senders {
-			c, err := rbmim.DialRetry(sendAddr, opts.inflight, policy)
-			if err != nil {
-				return remoteResult{}, err
-			}
-			defer c.Close()
-			senders[p] = c
-			conns[p] = c
-		}
-		reconnects = func() uint64 {
-			var n uint64
-			for _, c := range conns {
-				n += c.Reconnects()
-			}
-			return n
-		}
-		latency = func() []rbmim.TelemetryStage {
-			var groups [][]rbmim.TelemetryStage
-			for _, c := range conns {
-				if st := c.Latency(); len(st) > 0 {
-					groups = append(groups, st)
-				}
-			}
-			return rbmim.MergeTelemetryStages(groups...)
-		}
+		defer c.Close()
+		senders = append(senders, c)
 	}
 
 	// Subscriber churners: connect, drain a handful of events (or time out),
@@ -877,89 +829,25 @@ func runRemote(workload []workloadStream, opts remoteOpts) (remoteResult, error)
 			}
 		}()
 	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			c := senders[p]
-			// ring bounds this client's outstanding async requests to the
-			// in-flight window; zero-valued entries are skipped on drain.
-			ring := make([]rbmim.ClientPending, opts.inflight)
-			n := 0
-			send := func(id string, block []rbmim.Observation) error {
-				if opts.inflight <= 1 {
-					if opts.batch > 0 {
-						return c.IngestBatch(id, block)
-					}
-					return c.Ingest(id, block[0])
-				}
-				if n >= len(ring) {
-					if err := ring[n%len(ring)].Wait(); err != nil {
-						return err
-					}
-				}
-				var pd rbmim.ClientPending
-				var err error
-				if opts.batch > 0 {
-					pd, err = c.IngestBatchAsync(id, block)
-				} else {
-					pd, err = c.IngestAsync(id, block[0])
-				}
-				if err != nil {
-					return err
-				}
-				ring[n%len(ring)] = pd
-				n++
-				return nil
-			}
-			step := opts.batch
-			if step <= 0 {
-				step = 1
-			}
-			for s := p; s < len(workload); s += producers {
-				ws := workload[s]
-				for i := 0; i < len(ws.obs); i += step {
-					end := i + step
-					if end > len(ws.obs) {
-						end = len(ws.obs)
-					}
-					if err := send(ws.id, ws.obs[i:end]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-			for i := 0; i < n && i < len(ring); i++ {
-				if err := ring[i].Wait(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	stopChurn := func() {
 		close(churnDone)
 		churnWG.Wait()
+	}
+
+	start := time.Now()
+	if err := replay(senders, workload, opts, func(n int) (int, int) { return 0, n }); err != nil {
+		stopChurn()
 		return remoteResult{}, err
-	default:
 	}
 	// Barrier: every acked observation is enqueued, so one monitor-wide
 	// flush makes all of it applied (and checkpoints, if the server has a
 	// store, durable) before the clock stops.
 	if err := ctl.FlushCheckpoints(); err != nil {
-		close(churnDone)
-		churnWG.Wait()
+		stopChurn()
 		return remoteResult{}, err
 	}
 	wall := time.Since(start)
-	close(churnDone)
-	churnWG.Wait()
+	stopChurn()
 	after, err := ctl.Snapshot()
 	if err != nil {
 		return remoteResult{}, err
@@ -972,20 +860,28 @@ func runRemote(workload []workloadStream, opts remoteOpts) (remoteResult, error)
 			perShard[i] -= before.ShardIngested[i]
 		}
 	}
+	var reconnects uint64
+	var latency [][]rbmim.TelemetryStage
+	for _, c := range senders {
+		reconnects += c.Reconnects()
+		latency = append(latency, c.Latency())
+	}
 	res := remoteResult{
-		sweepResult: sweepResult{
-			rate:    float64(delta) / wall.Seconds(),
-			wall:    wall,
-			drifts:  after.Drifts - before.Drifts,
-			streams: after.Streams,
-			balance: balanceString(perShard),
-			sn:      after,
+		wireResult: wireResult{
+			sweepResult: sweepResult{
+				rate:    float64(delta) / wall.Seconds(),
+				wall:    wall,
+				drifts:  after.Drifts - before.Drifts,
+				streams: after.Streams,
+				balance: balanceString(perShard),
+				sn:      after,
+			},
+			before:  before.Ingested,
+			latency: rbmim.MergeTelemetryStages(latency...),
 		},
-		before:     before.Ingested,
-		reconnects: reconnects(),
+		reconnects: reconnects,
 		dedupHits:  after.DedupHits - before.DedupHits,
 		shedded:    after.Shedded - before.Shedded,
-		latency:    latency(),
 	}
 	if px != nil {
 		faults := px.Stats()
@@ -994,18 +890,15 @@ func runRemote(workload []workloadStream, opts remoteOpts) (remoteResult, error)
 	return res, nil
 }
 
-// remoteResult is a sweepResult plus the pre-run ingest counter, so the
-// verification can compute the delta a long-lived server accumulates, and —
-// on degraded runs — the client-side reconnect count, the server's
-// dedup/shed deltas, and the fault proxy's injection tally.
+// remoteResult is a wireResult plus, on degraded runs, the client-side
+// reconnect count, the server's dedup/shed deltas, and the fault proxy's
+// injection tally.
 type remoteResult struct {
-	sweepResult
-	before     uint64
+	wireResult
 	reconnects uint64
 	dedupHits  uint64
 	shedded    uint64
 	faults     *chaos.Stats
-	latency    []rbmim.TelemetryStage // client-observed rtt_* stages
 }
 
 // buildWorkload pre-generates every stream's observation sequence.

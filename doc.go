@@ -28,7 +28,9 @@
 //     in-memory or filesystem stores.
 //   - A network serving layer (NewServer / Dial): the Monitor behind a
 //     codec-framed binary TCP protocol with a zero-allocation batch
-//     ingest path on both ends, streamed drift-event subscriptions,
+//     ingest path on both ends, one Client that routes streams over a
+//     fleet of servers and a set of pipelined connections per server,
+//     streamed drift-event subscriptions,
 //     explicit backpressure (Busy replies), a checkpoint-flush barrier,
 //     and an HTTP sidecar with /healthz and Prometheus /metrics —
 //     cmd/driftserver is the ready-made binary.

@@ -158,7 +158,7 @@ func ExampleNewServer() {
 		log.Fatal(err)
 	}
 
-	c, err := rbmim.Dial(srv.Addr())
+	c, err := rbmim.Dial(rbmim.ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func ExampleClient() {
 	defer m.Close()
 	defer srv.Close()
 
-	c, err := rbmim.Dial(srv.Addr())
+	c, err := rbmim.Dial(rbmim.ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -293,12 +293,12 @@ func ExampleNewMemStore() {
 	// streams rehydrated from the store: 1
 }
 
-// ExampleDialCluster drives a two-member driftserver fleet through the
-// consistent-hash cluster client: streams route to members by the ring,
+// ExampleDial_cluster drives a two-member driftserver fleet through one
+// Client: streams route to members by its consistent-hash ring,
 // and a live stream hops between members via checkpoint handoff without
 // losing its trained detector — the migrated stream continues exactly
 // where it left off, counted by the target's rehydration counter.
-func ExampleDialCluster() {
+func ExampleDial_cluster() {
 	// Two fleet members, identically configured (same detector template,
 	// each with a checkpoint store — migration serializes through it).
 	var addrs []string
@@ -320,7 +320,7 @@ func ExampleDialCluster() {
 		addrs = append(addrs, srv.Addr())
 	}
 
-	cc, err := rbmim.DialCluster(rbmim.ClusterConfig{Addrs: addrs})
+	cc, err := rbmim.Dial(rbmim.ClientConfig{Addrs: addrs})
 	if err != nil {
 		log.Fatal(err)
 	}

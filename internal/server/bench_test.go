@@ -54,7 +54,7 @@ func BenchmarkServerIngestBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := Dial(srv.Addr())
+			c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func BenchmarkServerIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func BenchmarkServerPipelined(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := DialWindow(srv.Addr(), window)
+		c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: window})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,34 +6,35 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"rbmim/internal/detectors"
 	"rbmim/internal/monitor"
-	"rbmim/internal/telemetry"
 )
 
-// ClusterClient shards the stream space across a fleet of driftservers: a
-// client-side consistent-hash ring maps every stream ID to one member, and
-// each member is driven through its own retrying ClientPool, so the whole
-// single-node stack — pipelining, exactly-once sequence dedup, reconnect
-// with resend, shedding-aware Busy retry — composes per node. There is no
-// proxy tier and no coordination service: the ring is a pure function of
-// (member list, stream ID), so any number of ClusterClients over the same
-// member list route identically (see DESIGN.md, "Cluster routing").
+// Member routing, sync failover and stream migration for Client.
 //
-// The ring hashes VirtualNodes points per member (monitor.Hash64 over
+// A client-side consistent-hash ring maps every stream ID to one member
+// (driftserver), and each member is driven through its own set of
+// pipelined connections, so the whole single-node stack — pipelining,
+// exactly-once sequence dedup, reconnect with resend, shedding-aware Busy
+// retry — composes per node. There is no proxy tier and no coordination
+// service: the ring is a pure function of (member list, stream ID), so any
+// number of Clients over the same member list route identically (see
+// DESIGN.md, "Cluster routing").
+//
+// The ring hashes virtualNodes points per member (monitor.Hash64 over
 // "addr#i"), which keeps the load spread even with few members and — the
 // consistent-hashing invariant — makes a topology change remap only ~K/n of
-// K streams across n members. Jump hash, which places monitor shards, is
-// not used here: it only supports removing the highest-numbered bucket,
-// and a fleet must survive any member leaving.
+// K streams across n members. Jump hash, which places monitor shards and
+// picks a member's connection, is not used for members: it only supports
+// removing the highest-numbered bucket, and a fleet must survive any member
+// leaving.
 //
 // Stream migration (Migrate, and Rebalance's bulk form) moves a live
 // stream's trained detector between members via the checkpoint codec: the
 // source server applies everything pipelined ahead, serializes the detector
 // into the same envelope frame its checkpoint store holds, spills a copy,
-// and removes the stream; the caller installs the frame on the target. The
+// and removes the stream; the client installs the frame on the target. The
 // restored stream continues bit-identically to never having moved. During
 // the transfer the stream's requests are excluded by a striped gate (its
 // stripe's write lock); afterwards an override pins routing to the target
@@ -41,83 +42,147 @@ import (
 // connection behind its pipelined ingests, and resends of an applied export
 // re-read the spilled copy, migration keeps the exactly-once story intact
 // under reconnects and retries.
-//
-// All methods are safe for concurrent use.
-type ClusterClient struct {
-	conns  int
-	window int
-	vnodes int
-	policy RetryPolicy
 
-	mu        sync.RWMutex
-	ring      *hashRing
-	members   map[string]*ClientPool
-	overrides map[string]string // stream -> member addr, where it disagrees with the ring
-	closed    bool
+const (
+	gateStripes = 256
+	// virtualNodes is the ring points hashed per member: it keeps the
+	// max/mean stream-load ratio within a few percent for small fleets.
+	virtualNodes = 64
+)
 
-	// gates stripe the stream space: requests hold their stream's stripe
-	// read-locked for the duration of the call, a migration holds the write
-	// lock, so a stream is never ingested mid-transfer. 256 stripes keep
-	// writer exclusion cheap (a migration blocks ~1/256th of streams).
-	gates [gateStripes]sync.RWMutex
-
-	rebalanceMu sync.Mutex // serializes Rebalance; requests and Migrate stay concurrent
-	migrations  atomic.Uint64
+// member is one driftserver's connection set. Streams map to connections
+// by the hash the monitor uses for shard placement (monitor.ShardFor), so
+// growing the set moves only ~1/n of the streams, and a permanently dead
+// connection's streams re-home deterministically to the next live one.
+type member struct {
+	addr  string
+	conns []*conn
 }
 
-const gateStripes = 256
-
-// ClusterConfig parameterizes DialCluster. Addrs is required; every other
-// zero value selects a default.
-type ClusterConfig struct {
-	// Addrs lists the fleet members (driftserver TCP addresses). Order does
-	// not matter: routing depends only on the set.
-	Addrs []string
-	// Conns is the pooled connection count per member (DialPool); default 1.
-	Conns int
-	// Window is the pipelined in-flight window per connection; default 1.
-	Window int
-	// VirtualNodes is the ring points hashed per member; default 64, which
-	// keeps the max/mean stream-load ratio within a few percent for small
-	// fleets. More points smooth further at O(n·vnodes·log) ring build cost.
-	VirtualNodes int
-	// Policy is the per-connection retry policy (reconnect, resend, Busy
-	// backoff); the zero value disables retries, exactly like DialRetry.
-	Policy RetryPolicy
-}
-
-// DialCluster connects to every member of the fleet and returns the routing
-// client. Like DialPool it fails fast: any unreachable member fails the
-// whole dial (a fleet with a hole would silently concentrate load).
-func DialCluster(cfg ClusterConfig) (*ClusterClient, error) {
-	if len(cfg.Addrs) == 0 {
-		return nil, fmt.Errorf("server: DialCluster needs at least one address")
-	}
-	if cfg.Conns < 1 {
-		cfg.Conns = 1
-	}
-	if cfg.VirtualNodes < 1 {
-		cfg.VirtualNodes = 64
-	}
-	addrs := dedupAddrs(cfg.Addrs)
-	cc := &ClusterClient{
-		conns:     cfg.Conns,
-		window:    cfg.Window,
-		vnodes:    cfg.VirtualNodes,
-		policy:    cfg.Policy,
-		ring:      newHashRing(addrs, cfg.VirtualNodes),
-		members:   make(map[string]*ClientPool, len(addrs)),
-		overrides: make(map[string]string),
-	}
-	for _, addr := range addrs {
-		p, err := DialPoolRetry(addr, cc.conns, cc.window, cc.policy)
+// dialMember opens the client's per-member connection set to addr, every
+// connection sharing the client's exactly-once identity.
+func (c *Client) dialMember(addr string) (*member, error) {
+	m := &member{addr: addr, conns: make([]*conn, 0, c.conns)}
+	for i := 0; i < c.conns; i++ {
+		cn, err := dialConn(addr, c.dial, c.window, c.policy, c.session)
 		if err != nil {
-			cc.Close()
-			return nil, fmt.Errorf("server: dialing cluster member %s: %w", addr, err)
+			m.close()
+			return nil, err
 		}
-		cc.members[addr] = p
+		m.conns = append(m.conns, cn)
 	}
-	return cc, nil
+	return m, nil
+}
+
+// pick returns the connection that owns streamID: its home connection by
+// consistent hash, or — when the home is permanently dead — the first live
+// connection probing forward from it. The probe order is a pure function of
+// (stream, set of dead connections), so every goroutine re-homes a stream
+// identically and its requests keep traveling one connection, preserving
+// per-stream ordering. With every connection dead, the home is returned and
+// the call surfaces its sticky error.
+func (m *member) pick(streamID string) *conn {
+	n := len(m.conns)
+	home := monitor.ShardFor(streamID, n)
+	for i := 0; i < n; i++ {
+		if cn := m.conns[(home+i)%n]; !cn.isDead() {
+			return cn
+		}
+	}
+	return m.conns[home]
+}
+
+// failover applies the client's failover rule (see Client): a call that
+// failed on cn is resent on the stream's re-homed connection when cn is
+// permanently dead, the failure is the death rather than the request's own
+// doing, and the member has somewhere else to send it.
+func (m *member) failover(cn *conn, streamID string, err error) (*conn, bool) {
+	if err == nil || !cn.isDead() {
+		return nil, false
+	}
+	switch Classify(err) {
+	case ClassTransport, ClassProtocol, ClassClosed:
+		// ClassClosed from a dead connection of a live client is its sticky
+		// error surfacing; a client-wide Close leaves no live conn to probe.
+	default:
+		return nil, false
+	}
+	next := m.pick(streamID)
+	if next == cn || next.isDead() {
+		return nil, false
+	}
+	return next, true
+}
+
+func (m *member) ingestBatch(streamID string, obs []detectors.Observation, seq uint64) error {
+	cn := m.pick(streamID)
+	err := cn.ingestBatchSeq(streamID, obs, seq)
+	if next, ok := m.failover(cn, streamID, err); ok {
+		err = next.ingestBatchSeq(streamID, obs, seq)
+	}
+	return err
+}
+
+// migrate exports a stream over its own connection, behind its pipelined
+// requests. A resend after a connection death re-exports from the server's
+// checkpoint store (exports spill first), so it returns the same bytes.
+func (m *member) migrate(streamID string) ([]byte, error) {
+	cn := m.pick(streamID)
+	state, err := cn.migrate(streamID)
+	if next, ok := m.failover(cn, streamID, err); ok {
+		state, err = next.migrate(streamID)
+	}
+	return state, err
+}
+
+// handoff installs a stream's state over its connection. A resend after a
+// lost ack is refused with "already resident", which transfer treats as
+// success.
+func (m *member) handoff(streamID string, state []byte) error {
+	cn := m.pick(streamID)
+	err := cn.handoff(streamID, state)
+	if next, ok := m.failover(cn, streamID, err); ok {
+		err = next.handoff(streamID, state)
+	}
+	return err
+}
+
+// flush issues the flush on every live connection, so it is a barrier for
+// requests pipelined ahead of it on all of them. Dead connections are
+// skipped unless every connection is dead, in which case the first sticky
+// error surfaces.
+func (m *member) flush() error {
+	live := 0
+	for _, cn := range m.conns {
+		if cn.isDead() {
+			continue
+		}
+		live++
+		if err := cn.flush(); err != nil {
+			return err
+		}
+	}
+	if live == 0 {
+		return m.conns[0].sticky()
+	}
+	return nil
+}
+
+// live returns the first live connection (the first one when all are dead,
+// so the call surfaces its sticky error).
+func (m *member) live() *conn {
+	for _, cn := range m.conns {
+		if !cn.isDead() {
+			return cn
+		}
+	}
+	return m.conns[0]
+}
+
+func (m *member) close() {
+	for _, cn := range m.conns {
+		cn.close()
+	}
 }
 
 func dedupAddrs(addrs []string) []string {
@@ -134,162 +199,75 @@ func dedupAddrs(addrs []string) []string {
 }
 
 // gate returns the stripe lock guarding streamID's migrations.
-func (cc *ClusterClient) gate(streamID string) *sync.RWMutex {
-	return &cc.gates[monitor.Hash64(streamID)&(gateStripes-1)]
+func (c *Client) gate(streamID string) *sync.RWMutex {
+	return &c.gates[monitor.Hash64(streamID)&(gateStripes-1)]
 }
 
-// route resolves streamID to its member pool: a migration override first
+// route resolves streamID to its member: a migration override first
 // (ignored if it points at a member that has since left), the ring
 // otherwise.
-func (cc *ClusterClient) route(streamID string) (*ClientPool, string, error) {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	return cc.routeLocked(streamID)
+func (c *Client) route(streamID string) (*member, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.routeLocked(streamID)
 }
 
-func (cc *ClusterClient) routeLocked(streamID string) (*ClientPool, string, error) {
-	if cc.closed {
-		return nil, "", ErrClientClosed
+func (c *Client) routeLocked(streamID string) (*member, error) {
+	if c.closed {
+		return nil, errClosedClassed
 	}
-	if addr, ok := cc.overrides[streamID]; ok {
-		if p, ok := cc.members[addr]; ok {
-			return p, addr, nil
+	if addr, ok := c.overrides[streamID]; ok {
+		if m, ok := c.members[addr]; ok {
+			return m, nil
 		}
 	}
-	addr := cc.ring.owner(streamID)
-	return cc.members[addr], addr, nil
+	return c.members[c.ring.owner(streamID)], nil
+}
+
+// sortedMembers snapshots the member set in address order, so fleet-wide
+// operations iterate deterministically without holding c.mu across network
+// calls.
+func (c *Client) sortedMembers() (ms []*member, closed bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ms = make([]*member, 0, len(c.members))
+	for _, m := range c.members {
+		ms = append(ms, m)
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].addr < ms[j].addr })
+	return ms, c.closed
+}
+
+// memberList is sortedMembers for calls that must fail after Close.
+func (c *Client) memberList() ([]*member, error) {
+	ms, closed := c.sortedMembers()
+	if closed {
+		return nil, errClosedClassed
+	}
+	return ms, nil
 }
 
 // Owner returns the member address streamID currently routes to.
-func (cc *ClusterClient) Owner(streamID string) (string, error) {
-	_, addr, err := cc.route(streamID)
-	return addr, err
+func (c *Client) Owner(streamID string) (string, error) {
+	m, err := c.route(streamID)
+	if err != nil {
+		return "", err
+	}
+	return m.addr, nil
 }
 
-// Members returns the fleet's member addresses, sorted.
-func (cc *ClusterClient) Members() []string {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	out := make([]string, 0, len(cc.members))
-	for addr := range cc.members {
-		out = append(out, addr)
+// Members returns the client's member addresses, sorted.
+func (c *Client) Members() []string {
+	ms, _ := c.sortedMembers()
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.addr
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Migrations returns how many stream migrations this client has completed.
-func (cc *ClusterClient) Migrations() uint64 { return cc.migrations.Load() }
-
-// Ingest is IngestBatch with a block of one.
-func (cc *ClusterClient) Ingest(streamID string, o detectors.Observation) error {
-	return cc.IngestBatch(streamID, []detectors.Observation{o})
-}
-
-// IngestAsync is IngestBatchAsync with a block of one.
-func (cc *ClusterClient) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	return cc.IngestBatchAsync(streamID, []detectors.Observation{o})
-}
-
-// IngestBatch routes a block to the stream's member and waits for the ack
-// (Client.IngestBatch semantics through the member's pool).
-func (cc *ClusterClient) IngestBatch(streamID string, obs []detectors.Observation) error {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return err
-	}
-	return p.IngestBatch(streamID, obs)
-}
-
-// IngestBatchAsync routes a block without waiting for its ack. The
-// migration gate is held only for the submission: the request is pipelined
-// on the stream's connection, and a later migration on that connection
-// queues behind it, so the block is applied before any export.
-func (cc *ClusterClient) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return Pending{}, err
-	}
-	return p.IngestBatchAsync(streamID, obs)
-}
-
-// Evict routes the eviction to the stream's member (Client.Evict
-// semantics); a pinned override for the evicted stream is left in place, so
-// a re-ingest rehydrates where the state was spilled.
-func (cc *ClusterClient) Evict(streamID string) error {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return err
-	}
-	return p.Evict(streamID)
-}
-
-// FlushCheckpoints flushes every member (ClientPool.FlushCheckpoints over
-// the fleet): a full processing and durability barrier for everything sent
-// before the call, on every node. It stops at the first error.
-func (cc *ClusterClient) FlushCheckpoints() error {
-	for _, member := range cc.pools() {
-		if err := member.pool.FlushCheckpoints(); err != nil {
-			return fmt.Errorf("server: flush %s: %w", member.addr, err)
-		}
-	}
-	return nil
-}
-
-// Snapshot returns the fleet-merged view: every member's snapshot folded
-// through monitor.MergeSnapshots. The conservation identity survives the
-// merge, so at quiescence (after FlushCheckpoints) the fleet-wide
-// Received == Ingested + Rejected holds exactly.
-func (cc *ClusterClient) Snapshot() (monitor.Snapshot, error) {
-	sns, err := cc.MemberSnapshots()
-	if err != nil {
-		return monitor.Snapshot{}, err
-	}
-	merged := make([]monitor.Snapshot, 0, len(sns))
-	for _, m := range sns {
-		merged = append(merged, m.Snapshot)
-	}
-	return monitor.MergeSnapshots(merged...), nil
-}
-
-// LastDrift fetches the most recent drift report for a stream from the
-// member that owns it (see Client.LastDrift). Taken under the stream's
-// migration gate so a concurrent Migrate cannot answer from the wrong node.
-func (cc *ClusterClient) LastDrift(streamID string) (monitor.DriftReport, bool, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return monitor.DriftReport{}, false, err
-	}
-	return p.LastDrift(streamID)
-}
-
-// Latency merges the client-observed RTT histograms across every member
-// pool (see Client.Latency) — the fleet-wide ingest-latency view from this
-// client's vantage point.
-func (cc *ClusterClient) Latency() []telemetry.Stage {
-	var groups [][]telemetry.Stage
-	for _, member := range cc.pools() {
-		if st := member.pool.Latency(); len(st) > 0 {
-			groups = append(groups, st)
-		}
-	}
-	if len(groups) == 0 {
-		return nil
-	}
-	return telemetry.MergeStages(groups...)
-}
+func (c *Client) Migrations() uint64 { return c.migrations.Load() }
 
 // MemberSnapshot is one member's snapshot, labelled with its address.
 type MemberSnapshot struct {
@@ -298,35 +276,20 @@ type MemberSnapshot struct {
 }
 
 // MemberSnapshots fetches every member's snapshot, in Members() order.
-func (cc *ClusterClient) MemberSnapshots() ([]MemberSnapshot, error) {
-	var out []MemberSnapshot
-	for _, member := range cc.pools() {
-		sn, err := member.pool.Snapshot()
+func (c *Client) MemberSnapshots() ([]MemberSnapshot, error) {
+	ms, err := c.memberList()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MemberSnapshot, 0, len(ms))
+	for _, m := range ms {
+		sn, err := m.live().snapshot()
 		if err != nil {
-			return nil, fmt.Errorf("server: snapshot %s: %w", member.addr, err)
+			return nil, fmt.Errorf("server: snapshot %s: %w", m.addr, err)
 		}
-		out = append(out, MemberSnapshot{Addr: member.addr, Snapshot: sn})
+		out = append(out, MemberSnapshot{Addr: m.addr, Snapshot: sn})
 	}
 	return out, nil
-}
-
-type memberRef struct {
-	addr string
-	pool *ClientPool
-}
-
-// pools snapshots the member set in sorted address order, so fleet-wide
-// operations iterate deterministically without holding cc.mu across
-// network calls.
-func (cc *ClusterClient) pools() []memberRef {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	out := make([]memberRef, 0, len(cc.members))
-	for addr, p := range cc.members {
-		out = append(out, memberRef{addr, p})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
-	return out
 }
 
 // IsStreamNotFound reports whether err is a Migrate failure for a stream the
@@ -356,63 +319,64 @@ func isAlreadyResident(err error) bool {
 // On a failed install the source is restored best-effort (hand the state
 // back, or rely on the source's checkpoint spill to rehydrate on the next
 // ingest) and routing is left unchanged.
-func (cc *ClusterClient) Migrate(streamID, target string) error {
-	g := cc.gate(streamID)
+func (c *Client) Migrate(streamID, target string) error {
+	g := c.gate(streamID)
 	g.Lock()
 	defer g.Unlock()
-	cc.mu.RLock()
-	src, cur, err := cc.routeLocked(streamID)
-	dst, ok := cc.members[target]
-	cc.mu.RUnlock()
+	c.mu.RLock()
+	src, err := c.routeLocked(streamID)
+	dst, ok := c.members[target]
+	c.mu.RUnlock()
 	if err != nil {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("server: migrate %q: %s is not a cluster member", streamID, target)
+		return fmt.Errorf("server: migrate %q: %s is not a member", streamID, target)
 	}
-	if cur == target {
+	if src == dst {
 		return nil
 	}
-	return cc.transfer(streamID, src, dst, target)
+	return c.transfer(streamID, src, dst)
 }
 
 // transfer is the gate-held export/install/repoint core shared by Migrate
 // and Rebalance. The caller holds the stream's stripe write lock.
-func (cc *ClusterClient) transfer(streamID string, src, dst *ClientPool, target string) error {
-	state, err := src.Migrate(streamID)
+func (c *Client) transfer(streamID string, src, dst *member) error {
+	target := dst.addr
+	state, err := src.migrate(streamID)
 	if err != nil {
 		if IsStreamNotFound(err) {
-			cc.pin(streamID, target)
+			c.pin(streamID, target)
 			return nil
 		}
 		return err
 	}
-	if err := dst.Handoff(streamID, state); err != nil && !isAlreadyResident(err) {
+	if err := dst.handoff(streamID, state); err != nil && !isAlreadyResident(err) {
 		// Put the state back where it came from so the stream keeps its
 		// training even without a source-side checkpoint store. A duplicate
 		// refusal here means the source still holds it (a resend raced);
 		// any other failure leaves the spilled copy as the recovery path.
-		if restoreErr := src.Handoff(streamID, state); restoreErr != nil && !isAlreadyResident(restoreErr) {
+		if restoreErr := src.handoff(streamID, state); restoreErr != nil && !isAlreadyResident(restoreErr) {
 			return fmt.Errorf("server: migrate %q: install on %s failed (%v) and restore failed: %w",
 				streamID, target, err, restoreErr)
 		}
 		return fmt.Errorf("server: migrate %q: install on %s: %w", streamID, target, err)
 	}
-	cc.migrations.Add(1)
-	cc.pin(streamID, target)
+	c.migrations.Add(1)
+	c.pin(streamID, target)
 	return nil
 }
 
 // pin repoints streamID's routing at target: an override where the ring
 // disagrees, nothing where it already agrees.
-func (cc *ClusterClient) pin(streamID, target string) {
-	cc.mu.Lock()
-	if cc.ring.owner(streamID) == target {
-		delete(cc.overrides, streamID)
+func (c *Client) pin(streamID, target string) {
+	c.mu.Lock()
+	if c.ring.owner(streamID) == target {
+		delete(c.overrides, streamID)
 	} else {
-		cc.overrides[streamID] = target
+		c.overrides[streamID] = target
 	}
-	cc.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // Rebalance transitions the fleet to a new member list, migrating only the
@@ -427,17 +391,17 @@ func (cc *ClusterClient) pin(streamID, target string) {
 //
 // Rebalance runs concurrently with ingest traffic; only each migrating
 // stream is briefly excluded by its stripe gate. Concurrent Rebalance calls
-// serialize. Observations are never lost or double-applied (the per-member
-// exactly-once tables are untouched), but a stream whose very first
+// serialize. Observations are never lost or double-applied (the client's
+// exactly-once identity spans every member), but a stream whose very first
 // observations race the ring swap can split its earliest training across
 // two members; the winning copy is the routed one, and the loser's spill
 // remains in the old member's store.
-func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
+func (c *Client) Rebalance(addrs []string) (int, error) {
 	if len(addrs) == 0 {
 		return 0, fmt.Errorf("server: Rebalance needs at least one address")
 	}
-	cc.rebalanceMu.Lock()
-	defer cc.rebalanceMu.Unlock()
+	c.rebalanceMu.Lock()
+	defer c.rebalanceMu.Unlock()
 
 	addrs = dedupAddrs(addrs)
 	next := make(map[string]struct{}, len(addrs))
@@ -447,74 +411,71 @@ func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
 
 	// Dial joiners before touching shared state, so a failed dial aborts
 	// with the fleet unchanged.
-	cc.mu.RLock()
-	if cc.closed {
-		cc.mu.RUnlock()
-		return 0, ErrClientClosed
+	c.mu.RLock()
+	if c.closed {
+		c.mu.RUnlock()
+		return 0, errClosedClassed
 	}
 	var joiners []string
 	for _, a := range addrs {
-		if _, ok := cc.members[a]; !ok {
+		if _, ok := c.members[a]; !ok {
 			joiners = append(joiners, a)
 		}
 	}
-	cc.mu.RUnlock()
-	dialed := make(map[string]*ClientPool, len(joiners))
-	for _, a := range joiners {
-		p, err := DialPoolRetry(a, cc.conns, cc.window, cc.policy)
-		if err != nil {
-			for _, d := range dialed {
-				d.Close()
-			}
-			return 0, fmt.Errorf("server: dialing cluster member %s: %w", a, err)
+	c.mu.RUnlock()
+	dialed := make([]*member, 0, len(joiners))
+	closeDialed := func() {
+		for _, m := range dialed {
+			m.close()
 		}
-		dialed[a] = p
+	}
+	for _, a := range joiners {
+		m, err := c.dialMember(a)
+		if err != nil {
+			closeDialed()
+			return 0, err
+		}
+		dialed = append(dialed, m)
 	}
 
 	// Install joiners (the old ring never routes to them, so they take no
 	// traffic yet) and compute the target ring.
-	newRing := newHashRing(addrs, cc.vnodes)
-	cc.mu.Lock()
-	if cc.closed {
-		cc.mu.Unlock()
-		for _, d := range dialed {
-			d.Close()
-		}
-		return 0, ErrClientClosed
+	newRing := newHashRing(addrs, virtualNodes)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		closeDialed()
+		return 0, errClosedClassed
 	}
-	for a, p := range dialed {
-		cc.members[a] = p
+	for _, m := range dialed {
+		c.members[m.addr] = m
 	}
-	old := make([]memberRef, 0, len(cc.members))
-	for addr, p := range cc.members {
-		old = append(old, memberRef{addr, p})
-	}
-	sort.Slice(old, func(i, j int) bool { return old[i].addr < old[j].addr })
-	cc.mu.Unlock()
+	c.mu.Unlock()
+	old, _ := c.sortedMembers()
 
 	// Bulk sweep: list each current member's residents and move every
 	// stream whose target-ring owner differs. Each transfer repoints its
 	// stream's routing the moment it lands, so traffic follows the state.
 	moved := 0
 	var firstErr error
-	for _, member := range old {
-		if _, staying := next[member.addr]; staying && len(dialed) == 0 && len(old) == len(addrs) {
+	for _, m := range old {
+		if _, staying := next[m.addr]; staying && len(dialed) == 0 && len(old) == len(addrs) {
 			// Identical topology: nothing can have remapped.
 			continue
 		}
-		ids, err := member.pool.StreamIDs()
+		ids, err := m.live().streamIDs()
 		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("server: listing streams on %s: %w", member.addr, err)
+				firstErr = fmt.Errorf("server: listing streams on %s: %w", m.addr, err)
 			}
 			continue
 		}
 		for _, id := range ids {
 			target := newRing.owner(id)
-			if target == member.addr {
+			if target == m.addr {
 				continue
 			}
-			ok, err := cc.sweepTransfer(id, member.addr, target)
+			ok, err := c.sweepTransfer(id, m.addr, target)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -526,35 +487,35 @@ func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
 
 	// Swap the ring; prune overrides the new ring agrees with, and
 	// overrides pointing at leavers (their streams were just swept).
-	cc.mu.Lock()
-	cc.ring = newRing
-	var leavers []memberRef
-	for addr, p := range cc.members {
+	c.mu.Lock()
+	c.ring = newRing
+	var leavers []*member
+	for addr, m := range c.members {
 		if _, ok := next[addr]; !ok {
-			leavers = append(leavers, memberRef{addr, p})
-			delete(cc.members, addr)
+			leavers = append(leavers, m)
+			delete(c.members, addr)
 		}
 	}
-	for id, addr := range cc.overrides {
+	for id, addr := range c.overrides {
 		if _, gone := next[addr]; !gone || newRing.owner(id) == addr {
-			delete(cc.overrides, id)
+			delete(c.overrides, id)
 		}
 	}
-	cc.mu.Unlock()
+	c.mu.Unlock()
 
 	// Barrier: every request that routed before the swap holds its stripe
 	// read-locked for the duration of its call, so cycling every stripe's
 	// write lock guarantees no in-flight request can still land on a leaver.
-	for i := range cc.gates {
-		cc.gates[i].Lock()
-		cc.gates[i].Unlock() //nolint:staticcheck // intentional barrier, not a critical section
+	for i := range c.gates {
+		c.gates[i].Lock()
+		c.gates[i].Unlock() //nolint:staticcheck // intentional barrier, not a critical section
 	}
 
 	// Straggler sweep: streams that first ingested on a leaver mid-sweep.
 	// Routing no longer points there, so move their state to wherever each
 	// stream routes now.
 	for _, leaver := range leavers {
-		ids, err := leaver.pool.StreamIDs()
+		ids, err := leaver.live().streamIDs()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("server: listing streams on %s: %w", leaver.addr, err)
@@ -562,13 +523,11 @@ func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
 			continue
 		}
 		for _, id := range ids {
-			g := cc.gate(id)
+			g := c.gate(id)
 			g.Lock()
-			cc.mu.RLock()
-			dst, target, err := cc.routeLocked(id)
-			cc.mu.RUnlock()
-			if err == nil && target != leaver.addr {
-				err = cc.transfer(id, leaver.pool, dst, target)
+			dst, err := c.route(id)
+			if err == nil && dst != leaver {
+				err = c.transfer(id, leaver, dst)
 				if err == nil {
 					moved++
 				}
@@ -578,7 +537,7 @@ func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
 				firstErr = err
 			}
 		}
-		leaver.pool.Close()
+		leaver.close()
 	}
 	return moved, firstErr
 }
@@ -587,44 +546,24 @@ func (cc *ClusterClient) Rebalance(addrs []string) (int, error) {
 // re-verify it still routes to the member it was listed on (a concurrent
 // Migrate may have moved it) and transfer it to the target member. Returns
 // whether a transfer happened.
-func (cc *ClusterClient) sweepTransfer(streamID, from, target string) (bool, error) {
-	g := cc.gate(streamID)
+func (c *Client) sweepTransfer(streamID, from, target string) (bool, error) {
+	g := c.gate(streamID)
 	g.Lock()
 	defer g.Unlock()
-	cc.mu.RLock()
-	src, cur, err := cc.routeLocked(streamID)
-	dst, ok := cc.members[target]
-	cc.mu.RUnlock()
+	c.mu.RLock()
+	src, err := c.routeLocked(streamID)
+	dst, ok := c.members[target]
+	c.mu.RUnlock()
 	if err != nil {
 		return false, err
 	}
-	if cur != from || cur == target || !ok {
+	if src.addr != from || src == dst || !ok {
 		return false, nil
 	}
-	if err := cc.transfer(streamID, src, dst, target); err != nil {
+	if err := c.transfer(streamID, src, dst); err != nil {
 		return false, err
 	}
 	return true, nil
-}
-
-// Close closes every member pool. In-flight requests receive errors, never
-// hangs; Close is idempotent.
-func (cc *ClusterClient) Close() error {
-	cc.mu.Lock()
-	if cc.closed {
-		cc.mu.Unlock()
-		return nil
-	}
-	cc.closed = true
-	pools := make([]*ClientPool, 0, len(cc.members))
-	for _, p := range cc.members {
-		pools = append(pools, p)
-	}
-	cc.mu.Unlock()
-	for _, p := range pools {
-		p.Close()
-	}
-	return nil
 }
 
 // ringPoint is one virtual node: a member address at a hash position.

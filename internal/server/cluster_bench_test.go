@@ -111,7 +111,7 @@ func benchCluster(b *testing.B, nodes int) {
 		window  = 4
 	)
 	addrs := startClusterNodes(b, nodes)
-	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: window})
+	cc, err := Dial(ClientConfig{Addrs: addrs, Window: window})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkClusterMigration(b *testing.B) {
 		b.Skip("multi-process benchmark")
 	}
 	addrs := startClusterNodes(b, 2)
-	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: 4})
+	cc, err := Dial(ClientConfig{Addrs: addrs, Window: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

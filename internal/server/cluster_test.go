@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rbmim/internal/core"
 	"rbmim/internal/detectors"
 	"rbmim/internal/monitor"
+	"rbmim/internal/telemetry"
 )
 
 // clusterDetectorConfig is the deterministic template every fleet member
@@ -170,7 +174,7 @@ func TestClusterMigrationEquivalence(t *testing.T) {
 	for _, addr := range addrs {
 		subs[addr] = subscribeMonitor(t, byAddr[addr], n)
 	}
-	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: 4})
+	cc, err := Dial(ClientConfig{Addrs: addrs, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func TestClusterMigrationUnderConcurrentIngest(t *testing.T) {
 		block     = 25
 	)
 	addrs, _ := newFleet(t, 3)
-	cc, err := DialCluster(ClusterConfig{Addrs: addrs, Window: 4})
+	cc, err := Dial(ClientConfig{Addrs: addrs, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +337,7 @@ func TestClusterMigrationUnderConcurrentIngest(t *testing.T) {
 func TestClusterRebalance(t *testing.T) {
 	const streams = 40
 	addrs, byAddr := newFleet(t, 3)
-	cc, err := DialCluster(ClusterConfig{Addrs: addrs[:2], Window: 4})
+	cc, err := Dial(ClientConfig{Addrs: addrs[:2], Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,6 +442,71 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if want := 150.0 / 4.0; got.InstancesPerSec != want {
 		t.Fatalf("InstancesPerSec = %v, want %v", got.InstancesPerSec, want)
+	}
+	// One input is the identity: a one-member Client's Snapshot goes through
+	// the merge, so every field of a fully populated server snapshot must
+	// come back unchanged.
+	var rtt, wait telemetry.Histogram
+	for _, ns := range []int64{900, 1500, 1600, 40000, 2e6} {
+		rtt.Observe(ns)
+		wait.Observe(ns / 3)
+	}
+	one := monitor.Snapshot{
+		Shards: 2, Streams: 7, Ingested: 5000, Drifts: 4, Warnings: 9,
+		DriftsByClass: []uint64{1, 0, 3}, Dropped: 2, IdleEvicted: 1, StreamErrors: 3,
+		Received: 5010, Rejected: 6, Queued: 4, QueueCap: 64, QueueHighWater: 12,
+		Checkpoints: 11, CheckpointErrors: 1, Rehydrated: 2,
+		Subscribers: 3, SubscriberDropped: 5, SubscribersEvicted: 1,
+		InFlightHighWater: 16, RepliesCoalesced: 40, Shedded: 2, DedupHits: 8,
+		ShardStreams: []int{3, 4}, ShardIngested: []uint64{2600, 2400},
+		Uptime:  3 * time.Second,
+		Latency: []telemetry.Stage{rtt.Load("queue_wait"), wait.Load("serve_ingest_batch")},
+	}
+	one.InstancesPerSec = float64(one.Ingested) / one.Uptime.Seconds()
+	fields := reflect.ValueOf(one)
+	for i := 0; i < fields.NumField(); i++ {
+		if fields.Field(i).IsZero() {
+			t.Fatalf("identity input leaves %s zero; populate every field", fields.Type().Field(i).Name)
+		}
+	}
+	if got := monitor.MergeSnapshots(one); !reflect.DeepEqual(got, one) {
+		t.Fatalf("MergeSnapshots of one snapshot is not the identity:\n got %+v\nwant %+v", got, one)
+	}
+}
+
+// TestDialConfig pins Dial's config defaults and Subscribe's member bound:
+// a zero Window gives every connection of every member DefaultWindow, and
+// Subscribe on a two-member client errors without dialing anything.
+func TestDialConfig(t *testing.T) {
+	addrs, _ := newFleet(t, 2)
+	var dials atomic.Int64
+	counting := func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", addr)
+	}
+	c, err := dialClient(ClientConfig{Addrs: addrs, Conns: 2}, counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ms, _ := c.sortedMembers()
+	if len(ms) != 2 || dials.Load() != 4 {
+		t.Fatalf("%d members over %d dials, want 2 over 4", len(ms), dials.Load())
+	}
+	for _, m := range ms {
+		for i, cn := range m.conns {
+			if cn.window != DefaultWindow || len(cn.calls) != DefaultWindow {
+				t.Fatalf("member %s conn %d: window %d with %d slots, want DefaultWindow %d",
+					m.addr, i, cn.window, len(cn.calls), DefaultWindow)
+			}
+		}
+	}
+	if sub, err := c.Subscribe(0); err == nil {
+		sub.Close()
+		t.Fatal("Subscribe on a two-member client succeeded, want an error")
+	}
+	if n := dials.Load(); n != 4 {
+		t.Fatalf("Subscribe on a two-member client dialed %d connections, want none", n-4)
 	}
 }
 

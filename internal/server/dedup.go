@@ -14,7 +14,8 @@ import (
 // observations, silently corrupting the prequential drift statistics the
 // whole system exists to compute. Every IngestBatch frame therefore
 // carries the client's session id (a random nonzero uint64 minted per
-// Client or shared per ClientPool) and a per-stream sequence number; the
+// Client and shared by all its connections) and a per-stream sequence
+// number; the
 // server remembers, per (session, stream), which of the last DedupWindow
 // sequence numbers it has committed and acks a duplicate with OK without
 // re-ingesting.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,12 +14,11 @@ import (
 	"rbmim/internal/telemetry"
 )
 
-// Pipelined client core.
+// Pipelined connection core: the only transport under Client.
 //
 // The wire protocol already carries an echoed request id on every reply, so
-// nothing forces a client to stop-and-wait — it only did because the original
-// Client serialized begin/finish under a mutex. This file replaces that loop
-// with a window of W in-flight requests over one connection:
+// nothing forces a client to stop-and-wait. A conn keeps a window of W
+// in-flight requests over one connection:
 //
 //	caller:  acquire slot -> build frame in the slot -> sendq
 //	writer:  drain sendq, register slots in flight, one writev per drain
@@ -48,7 +48,7 @@ import (
 //
 // The connection-bound state — socket, inflight queue, writer, reader, and
 // stall watchdog — lives in an epoch; the slots, free list, and sendq are
-// Client-level and outlive it. A supervisor goroutine watches the current
+// conn-level and outlive it. A supervisor goroutine watches the current
 // epoch: when it dies (transport error, protocol violation, stall), the
 // supervisor waits for its loops to exit, reclaims every slot the epoch
 // still owed a reply (oldest first) plus everything the writer never picked
@@ -59,8 +59,8 @@ import (
 // submitted during the outage sits in sendq, strictly newer), callers never
 // notice beyond latency, and the server's session/seq dedup window makes
 // the resend of possibly-already-applied requests exactly-once. Without
-// Reconnect (the Dial/DialWindow default), the first epoch death
-// permanently fails the client.
+// Reconnect (the zero RetryPolicy), the first epoch death permanently fails
+// the conn.
 //
 // Permanent failures are sticky and total: they funnel through fail(),
 // which records the first error, closes the `dead` channel, and kills the
@@ -70,9 +70,10 @@ import (
 // promptly instead of hanging any of them, and every later method call
 // returns the sticky error immediately.
 
-// DefaultWindow is the in-flight window Dial selects: deep enough that a
-// single producer saturates the server's request loop, small enough that a
-// stalled server applies backpressure within a few hundred KiB of frames.
+// DefaultWindow is the in-flight window a zero ClientConfig.Window selects
+// for every connection: deep enough that a single producer saturates the
+// server's request loop, small enough that a stalled server applies
+// backpressure within a few hundred KiB of frames.
 const DefaultWindow = 32
 
 // A call's fate arbitrates the race between its awaiting caller's deadline
@@ -98,8 +99,15 @@ type call struct {
 	// honestly includes the outage the caller actually waited through. Both
 	// fields ride the slot through the sendq/inflight channels, which order
 	// the caller's writes before the reader's read.
-	stage  int8 // index into Client.rtt (see stageOf); -1 for unmapped kinds
+	stage  int8 // index into conn.rtt (see stageOf); -1 for unmapped kinds
 	sentNS int64
+
+	// writing is set by the writer while the frame is part of a write in
+	// progress. The server can reply — and the slot be released and
+	// reacquired — before that write call has returned, so beginCall waits
+	// for the flag to clear before rebuilding the frame: the writer is done
+	// with the bytes, and the flag is the happens-before edge that says so.
+	writing atomic.Bool
 
 	// ack, when non-nil, marks an ack-only request (the Async ingest paths,
 	// Evict, FlushCheckpoints): the reader resolves the ack itself and
@@ -116,7 +124,7 @@ type call struct {
 // pendingAck decouples an ack-only request's completion from its window
 // slot. The reader interprets the reply and releases the slot the moment it
 // lands, so a window slot is never held hostage by a caller that has not
-// called Wait yet. Without this, a producer blocked in acquire on one pool
+// called Wait yet. Without this, a producer blocked in acquire on one
 // connection while holding completed-but-unwaited Pendings on another could
 // deadlock the window (hold-and-wait across connections) — with it, slots
 // recycle as fast as the server replies, no matter when Wait runs. Cells
@@ -127,19 +135,18 @@ type pendingAck struct {
 
 var ackPool = sync.Pool{New: func() any { return &pendingAck{err: make(chan error, 1)} }}
 
-// Client speaks the driftserver wire protocol over one TCP connection at a
-// time with a pipelined in-flight window (see the package comment above and
-// Dial / DialWindow / DialRetry). All methods are safe for concurrent use;
-// calls from one goroutine are delivered in order, and the synchronous
-// methods still behave exactly like the serial client's. After Close — or
-// after any failure the RetryPolicy does not absorb — every method returns
-// the same sticky error.
-type Client struct {
+// conn speaks the driftserver wire protocol over one TCP connection at a
+// time with a pipelined in-flight window (see the comment above). It is
+// Client's only transport: every member of a Client holds a set of them.
+// All methods are safe for concurrent use; calls from one goroutine are
+// delivered in order. After close — or after any failure the RetryPolicy
+// does not absorb — every method returns the same sticky error.
+type conn struct {
 	addr    string
+	dial    dialer
 	window  int
 	policy  RetryPolicy
-	session uint64    // exactly-once identity (see dedup.go); pool-shared
-	seqs    *seqTable // per-stream seq assignment; pool-shared
+	session uint64 // the owning Client's exactly-once identity (see dedup.go)
 
 	calls    []call
 	free     chan uint32 // released slots; doubles as the window semaphore
@@ -148,7 +155,7 @@ type Client struct {
 	deadOnce sync.Once
 
 	errMu sync.Mutex
-	err   error // first permanent failure wins; ErrClientClosed after Close
+	err   error // first permanent failure wins; ErrClientClosed after close
 
 	epMu sync.Mutex
 	ep   *epoch // current connection epoch; protected so fail() can kill it
@@ -164,11 +171,17 @@ type Client struct {
 	wg sync.WaitGroup // the supervisor (which in turn waits epoch loops)
 }
 
+// dialer opens one transport connection to addr: TCP in Dial, an in-memory
+// pipe in tests.
+type dialer func(addr string) (net.Conn, error)
+
+func dialTCP(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
 // epoch is one connection's lifetime: the socket, the in-flight queue, and
 // the goroutines bound to them. Slots travel between epochs; an epoch's
 // death hands its outstanding slots to the supervisor for the next one.
 type epoch struct {
-	c        *Client
+	c        *conn
 	nc       net.Conn
 	inflight chan uint32 // written (or about to be) frames awaiting replies
 	resub    []uint32    // prior epoch's outstanding slots, oldest first
@@ -185,47 +198,20 @@ type epoch struct {
 	orphan int64 // -1 = none
 }
 
-// Dial connects to a driftserver at addr ("host:port") with the default
-// in-flight window and no retry policy (a dead connection permanently
-// fails the client; see DialRetry).
-func Dial(addr string) (*Client, error) { return DialWindow(addr, DefaultWindow) }
-
-// DialWindow connects with an explicit in-flight window: up to window
-// requests may be outstanding before the next call blocks. window 1
-// degenerates to the serial stop-and-wait client.
-func DialWindow(addr string, window int) (*Client, error) {
-	return DialRetry(addr, window, RetryPolicy{})
-}
-
-// DialRetry connects with an explicit in-flight window and retry policy —
-// the entry point for clients that must survive real networks (see
-// RetryPolicy and DefaultRetryPolicy). The initial dial is not retried;
-// the caller decides whether an unreachable server at startup is fatal.
-func DialRetry(addr string, window int, policy RetryPolicy) (*Client, error) {
-	if window < 1 {
-		window = 1
-	}
-	nc, err := net.Dial("tcp", addr)
+// dialConn opens a pipelined connection to addr with the given window,
+// retry policy (already defaulted) and session. The initial dial is not
+// retried; the caller decides whether an unreachable server is fatal.
+func dialConn(addr string, dial dialer, window int, policy RetryPolicy, session uint64) (*conn, error) {
+	nc, err := dial(addr)
 	if err != nil {
 		return nil, classed(ClassTransport, fmt.Errorf("server: dial %s: %w", addr, err))
 	}
-	return newPipelinedPolicy(addr, nc, window, policy), nil
-}
-
-// newPipelined wires the pipeline core around an established connection
-// with no retry policy (split from DialWindow so tests can run the core
-// over a net.Pipe).
-func newPipelined(addr string, nc net.Conn, window int) *Client {
-	return newPipelinedPolicy(addr, nc, window, RetryPolicy{})
-}
-
-func newPipelinedPolicy(addr string, nc net.Conn, window int, policy RetryPolicy) *Client {
-	c := &Client{
+	c := &conn{
 		addr:    addr,
+		dial:    dial,
 		window:  window,
-		policy:  policy.withDefaults(),
-		session: newSessionID(),
-		seqs:    newSeqTable(),
+		policy:  policy,
+		session: session,
 		calls:   make([]call, window),
 		free:    make(chan uint32, window),
 		sendq:   make(chan uint32, window),
@@ -239,13 +225,13 @@ func newPipelinedPolicy(addr string, nc net.Conn, window int, policy RetryPolicy
 	ep := c.newEpoch(nc, nil)
 	c.wg.Add(1)
 	go c.supervise(ep)
-	return c
+	return c, nil
 }
 
 // newEpoch registers a fresh connection as the current epoch and starts its
 // loops. Registration and the died-while-dialing check share the epoch
 // lock, so a Close racing the redial cannot leave the new socket open.
-func (c *Client) newEpoch(nc net.Conn, resub []uint32) *epoch {
+func (c *conn) newEpoch(nc net.Conn, resub []uint32) *epoch {
 	ep := &epoch{
 		c:        c,
 		nc:       nc,
@@ -278,8 +264,8 @@ func (c *Client) newEpoch(nc net.Conn, resub []uint32) *epoch {
 
 // supervise owns the epoch lifecycle: wait for the current epoch to die,
 // reclaim its outstanding work, and either reconnect (policy allowing) or
-// fail the client permanently.
-func (c *Client) supervise(ep *epoch) {
+// fail the conn permanently.
+func (c *conn) supervise(ep *epoch) {
 	defer c.wg.Done()
 	for {
 		select {
@@ -339,15 +325,15 @@ func (ep *epoch) collect() []uint32 {
 }
 
 // redial dials the server with capped jittered exponential backoff. The
-// sleep aborts promptly when the client dies (Close during backoff).
-func (c *Client) redial() (net.Conn, error) {
+// sleep aborts promptly when the conn dies (close during backoff).
+func (c *conn) redial() (net.Conn, error) {
 	backoff := c.policy.BackoffBase
 	var lastErr error
 	for attempt := 1; attempt <= c.policy.MaxDialAttempts; attempt++ {
 		if !c.pause(jitter(backoff)) {
 			return nil, c.sticky()
 		}
-		nc, err := net.Dial("tcp", c.addr)
+		nc, err := c.dial(c.addr)
 		if err == nil {
 			return nc, nil
 		}
@@ -361,9 +347,9 @@ func (c *Client) redial() (net.Conn, error) {
 		c.addr, c.policy.MaxDialAttempts, lastErr))
 }
 
-// pause sleeps d, returning false the moment the client dies instead —
+// pause sleeps d, returning false the moment the conn dies instead —
 // Close during a backoff sleep must not wait the sleep out.
-func (c *Client) pause(d time.Duration) bool {
+func (c *conn) pause(d time.Duration) bool {
 	if d <= 0 {
 		return !c.isDead()
 	}
@@ -377,44 +363,29 @@ func (c *Client) pause(d time.Duration) bool {
 	}
 }
 
-// Window returns the client's in-flight window.
-func (c *Client) Window() int { return c.window }
-
-// Reconnects returns how many times the client has replaced a dead
-// connection with a fresh one.
-func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
-
-// rttStageNames maps a Client.rtt index to its stage label (see stageOf).
+// rttStageNames maps a conn.rtt index to its stage label (see stageOf).
 var rttStageNames = [numStages]string{
 	"rtt_ingest", "rtt_ingest_batch", "rtt_subscribe", "rtt_snapshot",
 	"rtt_evict", "rtt_flush", "rtt_migrate", "rtt_handoff", "rtt_streams",
 	"rtt_last_drift",
 }
 
-// Latency snapshots the client-observed round-trip-time histograms, one
-// stage per request kind actually issued (rtt_ingest, rtt_ingest_batch,
-// ...), sorted by stage name. RTT spans submit to reply-matched, so it
-// includes queue wait behind the window, the server's service time, and —
-// across a reconnect — the outage the request rode through.
-func (c *Client) Latency() []telemetry.Stage {
-	var out []telemetry.Stage
+// latency appends the conn's client-observed round-trip-time histograms,
+// one stage per request kind actually issued (rtt_ingest,
+// rtt_ingest_batch, ...), to out (see Client.Latency).
+func (c *conn) latency(out []telemetry.Stage) []telemetry.Stage {
 	for i := range c.rtt {
 		if st := c.rtt[i].Load(rttStageNames[i]); st.Count > 0 {
 			out = append(out, st)
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	return telemetry.MergeStages(out)
+	return out
 }
 
-// Dead reports whether the client has permanently failed (Close, or a
-// failure its RetryPolicy does not absorb). A client mid-reconnect is not
+// isDead reports whether the conn has permanently failed (close, or a
+// failure its RetryPolicy does not absorb). A conn mid-reconnect is not
 // dead — callers park and their requests resume on the next connection.
-func (c *Client) Dead() bool { return c.isDead() }
-
-func (c *Client) isDead() bool {
+func (c *conn) isDead() bool {
 	select {
 	case <-c.dead:
 		return true
@@ -423,23 +394,21 @@ func (c *Client) isDead() bool {
 	}
 }
 
-// Close fails the pipeline with ErrClientClosed (first error wins: a client
+// close fails the pipeline with ErrClientClosed (first error wins: a conn
 // that already died permanently keeps reporting that), closes the
 // connection, aborts any reconnect backoff in progress, and waits for the
 // supervisor and epoch loops to exit. It is idempotent and safe to call
 // concurrently with in-flight requests — those requests' callers all
-// receive an error, never a hang. Subscriptions returned by Subscribe have
-// their own connections and are closed separately.
-func (c *Client) Close() error {
+// receive an error, never a hang.
+func (c *conn) close() {
 	c.fail(errClosedClassed)
 	c.wg.Wait()
-	return nil
 }
 
-// fail records the first permanent error, marks the client dead, and kills
+// fail records the first permanent error, marks the conn dead, and kills
 // the current epoch (closing its socket) so goroutines parked in Read/Write
 // error out.
-func (c *Client) fail(err error) {
+func (c *conn) fail(err error) {
 	c.errMu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -453,8 +422,8 @@ func (c *Client) fail(err error) {
 	c.epMu.Unlock()
 }
 
-// sticky returns the error that killed the client.
-func (c *Client) sticky() error {
+// sticky returns the error that killed the conn.
+func (c *conn) sticky() error {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
 	return c.err
@@ -462,7 +431,7 @@ func (c *Client) sticky() error {
 
 // fail records the epoch's first error, marks it dead, and closes its
 // socket so its loops error out of blocking reads and writes. The
-// supervisor decides what the death means for the client.
+// supervisor decides what the death means for the conn.
 func (ep *epoch) fail(err error) {
 	ep.errMu.Lock()
 	if ep.err == nil {
@@ -480,7 +449,7 @@ func (ep *epoch) error() error {
 }
 
 // acquire claims a free slot, parking when the full window is in flight.
-func (c *Client) acquire() (uint32, error) {
+func (c *conn) acquire() (uint32, error) {
 	select {
 	case slot := <-c.free:
 		return slot, nil
@@ -491,8 +460,11 @@ func (c *Client) acquire() (uint32, error) {
 
 // beginCall starts building the request frame in a claimed slot and returns
 // the buffer to append operands to.
-func (c *Client) beginCall(slot uint32, kind uint8) *codec.Buffer {
+func (c *conn) beginCall(slot uint32, kind uint8) *codec.Buffer {
 	cl := &c.calls[slot]
+	for cl.writing.Load() {
+		runtime.Gosched() // the previous occupant's write call is returning
+	}
 	cl.frame.Reset()
 	cl.fate.Store(fatePending)
 	cl.stage = int8(stageOf(kind, 0))
@@ -504,21 +476,21 @@ func (c *Client) beginCall(slot uint32, kind uint8) *codec.Buffer {
 // submit seals the slot's frame and hands it to the writer. The send never
 // blocks: sendq's capacity is the window and a slot is in at most one of
 // free/sendq/inflight at a time.
-func (c *Client) submit(slot uint32) {
+func (c *conn) submit(slot uint32) {
 	cl := &c.calls[slot]
 	cl.frame.EndFrame(cl.mark)
 	cl.sentNS = telemetry.Now()
 	c.sendq <- slot
 }
 
-// await parks until the slot's reply arrives or the client dies, bounded by
+// await parks until the slot's reply arrives or the conn dies, bounded by
 // the policy's RequestTimeout. On death a reply that had already landed
 // still wins — the call genuinely completed.
-func (c *Client) await(slot uint32) (*call, error) {
+func (c *conn) await(slot uint32) (*call, error) {
 	return c.awaitTimeout(slot, c.policy.RequestTimeout)
 }
 
-func (c *Client) awaitTimeout(slot uint32, timeout time.Duration) (*call, error) {
+func (c *conn) awaitTimeout(slot uint32, timeout time.Duration) (*call, error) {
 	cl := &c.calls[slot]
 	var expire <-chan time.Time
 	if timeout > 0 {
@@ -534,7 +506,7 @@ func (c *Client) awaitTimeout(slot uint32, timeout time.Duration) (*call, error)
 		case <-cl.done:
 			return cl, nil
 		default:
-			// The slot is deliberately not recycled: the client is dead and
+			// The slot is deliberately not recycled: the conn is dead and
 			// the reader may still be about to write into it.
 			return nil, c.sticky()
 		}
@@ -552,7 +524,7 @@ func (c *Client) awaitTimeout(slot uint32, timeout time.Duration) (*call, error)
 
 // release returns a consumed slot to the free list, bumping its generation
 // so a stale reply addressed to the previous occupant can never match.
-func (c *Client) release(slot uint32) {
+func (c *conn) release(slot uint32) {
 	c.calls[slot].gen++
 	c.free <- slot
 }
@@ -573,13 +545,20 @@ func (ep *epoch) writeLoop() {
 	// pointer receiver makes it escape — one heap cell for the goroutine's
 	// lifetime instead of one allocation per vector write.
 	bufs := make(net.Buffers, 0, c.window)
+	slots := make([]uint32, 0, c.window)
 	var wv net.Buffers
+	add := func(slot uint32) {
+		ep.inflight <- slot
+		cl := &c.calls[slot]
+		cl.writing.Store(true)
+		bufs = append(bufs, cl.frame.Bytes())
+		slots = append(slots, slot)
+	}
 	if len(ep.resub) > 0 {
 		for _, slot := range ep.resub {
-			ep.inflight <- slot
-			bufs = append(bufs, c.calls[slot].frame.Bytes())
+			add(slot)
 		}
-		if !ep.writeVec(&wv, bufs) {
+		if !ep.writeVec(&wv, bufs, slots) {
 			return
 		}
 	}
@@ -590,31 +569,35 @@ func (ep *epoch) writeLoop() {
 		case <-ep.dead:
 			return
 		}
-		ep.inflight <- slot
-		bufs = append(bufs[:0], c.calls[slot].frame.Bytes())
+		bufs, slots = bufs[:0], slots[:0]
+		add(slot)
 	coalesce:
 		for len(bufs) < c.window {
 			select {
 			case s := <-c.sendq:
-				ep.inflight <- s
-				bufs = append(bufs, c.calls[s].frame.Bytes())
+				add(s)
 			default:
 				break coalesce
 			}
 		}
-		if !ep.writeVec(&wv, bufs) {
+		if !ep.writeVec(&wv, bufs, slots) {
 			return
 		}
 	}
 }
 
-func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers) bool {
+// writeVec writes bufs, the frames of slots, and then releases the slots'
+// writing flags — on failure too, since the bytes are no longer read.
+func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers, slots []uint32) bool {
 	var err error
 	if len(bufs) == 1 {
 		_, err = ep.nc.Write(bufs[0])
 	} else {
 		*wv = bufs
 		_, err = wv.WriteTo(ep.nc)
+	}
+	for _, slot := range slots {
+		ep.c.calls[slot].writing.Store(false)
 	}
 	if err != nil {
 		ep.fail(classed(ClassTransport, fmt.Errorf("server: write: %w", err)))
@@ -752,14 +735,14 @@ func (ep *epoch) stallWatch() {
 // per Pending (it consumes the ack and recycles its cell). The zero
 // Pending is invalid.
 type Pending struct {
-	c   *Client
+	c   *conn
 	ack *pendingAck
 }
 
 // Wait blocks until the request's reply arrives and returns the ack error
 // (nil for OK, ErrBusy for an overload shed, the server's message for
-// Error, the sticky client error if the client died permanently). When the
-// client's RetryPolicy sets RequestTimeout, Wait is bounded by it.
+// Error, the sticky conn error if its connection died permanently). When
+// the client's RetryPolicy sets RequestTimeout, Wait is bounded by it.
 func (p Pending) Wait() error {
 	var timeout time.Duration
 	if p.c != nil {
@@ -838,14 +821,14 @@ func (p Pending) waitTimeout(timeout time.Duration) error {
 
 // asyncAck attaches a pooled ack cell to a claimed slot (before submit, so
 // the reader cannot race it) and returns the caller's Pending handle.
-func (c *Client) asyncAck(slot uint32) Pending {
+func (c *conn) asyncAck(slot uint32) Pending {
 	ack := ackPool.Get().(*pendingAck)
 	c.calls[slot].ack = ack
 	return Pending{c: c, ack: ack}
 }
 
 // ackErr interprets a parked reply for a request that expects a bare OK.
-func (c *Client) ackErr(cl *call) error {
+func (c *conn) ackErr(cl *call) error {
 	return ackErrWire(cl.replyKind, cl.msg)
 }
 

@@ -67,7 +67,7 @@ func buildWireWorkload(t *testing.T, streams, perStream int) map[string][]detect
 
 // runWireWorkload pushes the workload through a fresh monitor+server over
 // loopback — serially (one window-1 client, synchronous calls) or pipelined
-// (a 2-connection ClientPool, window 16, 3 racing producers keeping a ring
+// (one client over 2 connections, window 16, 3 racing producers keeping a ring
 // of async batches in flight) — and returns per-stream drift sequence
 // numbers plus per-stream weight checksums restored from flushed
 // checkpoints.
@@ -104,7 +104,7 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 	}
 	const block = 50
 	if pipelined {
-		pool, err := DialPool(srv.Addr(), 2, 16)
+		pool, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Conns: 2, Window: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 			t.Fatal(err)
 		}
 	} else {
-		c, err := DialWindow(srv.Addr(), 1)
+		c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +268,29 @@ func TestPipelinedOrderingEquivalence(t *testing.T) {
 	}
 }
 
-// pipeClient wires a pipelined client to an in-memory fake server: the test
-// gets the raw server end of the pipe and full control over reply bytes.
+// pipeClient wires a single-connection client to an in-memory fake server:
+// the test gets the raw server end of the pipe and full control over reply
+// bytes.
 func pipeClient(window int) (*Client, net.Conn) {
 	cliEnd, srvEnd := net.Pipe()
-	return newPipelined("pipe", cliEnd, window), srvEnd
+	return pipeDial(cliEnd, window), srvEnd
+}
+
+// pipeDial builds a one-member, one-connection client over an established
+// connection. It has no retry policy, so it never redials.
+func pipeDial(nc net.Conn, window int) *Client {
+	c, err := dialClient(ClientConfig{Addrs: []string{"pipe"}, Window: window},
+		func(string) (net.Conn, error) { return nc, nil })
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// soleMember returns a single-address client's connection set.
+func soleMember(c *Client) *member {
+	ms, _ := c.sortedMembers()
+	return ms[0]
 }
 
 // readRequest reads one request frame off the fake server end and returns
@@ -383,7 +401,7 @@ func TestPipelinedUnsolicitedReply(t *testing.T) {
 	b.U64(uint64(1)<<32 | 0)
 	go srvEnd.Write(codec.AppendFrame(nil, codec.KindWireOK, b.Bytes()))
 	deadline := time.Now().Add(10 * time.Second)
-	for c.sticky() == nil {
+	for soleMember(c).conns[0].sticky() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("unsolicited reply never killed the client")
 		}
@@ -476,7 +494,7 @@ func TestClientCloseStickyRace(t *testing.T) {
 				return nullDetector{}, nil
 			},
 		}, Config{})
-		c, err := DialWindow(srv.Addr(), 8)
+		c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,12 +530,12 @@ func TestClientCloseStickyRace(t *testing.T) {
 	}
 }
 
-// TestClientPoolRoundTrip drives a multiplexed pool end to end: every
-// stream's traffic lands intact (counter conservation through the flush
-// barrier), Busy and Error mappings survive the mux, and the server-side
-// wire counters — in-flight high water, coalesced replies — actually move
-// under a pipelined load and surface through the wire snapshot.
-func TestClientPoolRoundTrip(t *testing.T) {
+// TestConnSetRoundTrip drives a client over a three-connection set end to
+// end: every stream's traffic lands intact (counter conservation through
+// the flush barrier), and the server-side wire counters — in-flight high
+// water, coalesced replies — actually move under a pipelined load and
+// surface through the wire snapshot.
+func TestConnSetRoundTrip(t *testing.T) {
 	srv, _, _ := newTestServer(t, monitor.Config{
 		Shards:    2,
 		QueueSize: 4096,
@@ -525,13 +543,13 @@ func TestClientPoolRoundTrip(t *testing.T) {
 			return nullDetector{}, nil
 		},
 	}, Config{})
-	pool, err := DialPool(srv.Addr(), 3, 16)
+	pool, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Conns: 3, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if pool.Conns() != 3 {
-		t.Fatalf("Conns = %d, want 3", pool.Conns())
+	if n := len(soleMember(pool).conns); n != 3 {
+		t.Fatalf("Conns = %d, want 3", n)
 	}
 	obs := testObs(4, 64)
 	const streams, rounds = 32, 6
@@ -598,7 +616,7 @@ func TestClientPoolRoundTrip(t *testing.T) {
 	// same connection.
 	for s := 0; s < streams; s++ {
 		id := fmt.Sprintf("stream-%d", s)
-		if pool.conn(id) != pool.conn(id) {
+		if soleMember(pool).pick(id) != soleMember(pool).pick(id) {
 			t.Fatalf("stream %s routed to different connections", id)
 		}
 	}
@@ -618,7 +636,7 @@ func TestPipelinedAsyncAllocs(t *testing.T) {
 			return nullDetector{}, nil
 		},
 	}, Config{})
-	c, err := DialWindow(srv.Addr(), 16)
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

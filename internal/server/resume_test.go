@@ -144,7 +144,7 @@ func TestServerKillResume(t *testing.T) {
 
 	// Phase 1: first half of every stream, explicit durability, SIGKILL.
 	cmd1, addr1 := start()
-	c1, err := Dial(addr1)
+	c1, err := Dial(ClientConfig{Addrs: []string{addr1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestServerKillResume(t *testing.T) {
 		cmd2.Process.Signal(syscall.SIGTERM)
 		cmd2.Wait()
 	}()
-	c2, err := Dial(addr2)
+	c2, err := Dial(ClientConfig{Addrs: []string{addr2}})
 	if err != nil {
 		t.Fatal(err)
 	}

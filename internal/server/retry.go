@@ -88,7 +88,7 @@ var (
 )
 
 // Classify returns the retry-relevant class of an error returned by Client,
-// ClientPool, Pending, or Subscription methods. Unrecognized errors
+// Pending, or Subscription methods. Unrecognized errors
 // classify as ClassApp (not retryable) — the conservative default.
 func Classify(err error) ErrorClass {
 	var ce *classedError
@@ -116,11 +116,11 @@ func retryable(err error) bool {
 	return false
 }
 
-// RetryPolicy configures how a Client survives failure. The zero value —
-// what Dial and DialWindow use — disables every mechanism: a dead
-// connection permanently fails the client (the pre-retry behavior), Busy
-// surfaces immediately, requests wait forever. DefaultRetryPolicy is the
-// production shape; DialRetry takes either.
+// RetryPolicy configures how each of a Client's connections survives
+// failure (ClientConfig.Retry). The zero value disables every mechanism: a
+// dead connection fails permanently (the pre-retry behavior), Busy surfaces
+// immediately, requests wait forever. DefaultRetryPolicy is the production
+// shape.
 type RetryPolicy struct {
 	// Reconnect enables transparent recovery from transport and protocol
 	// failures: the failed connection is torn down, a fresh one dialed with
@@ -218,8 +218,9 @@ func newSessionID() uint64 {
 }
 
 // seqTable assigns each stream's monotone per-stream sequence numbers (the
-// other half of the exactly-once identity). Shared across a ClientPool's
-// connections so a failover retry reuses the original seq. The hot path is
+// other half of the exactly-once identity). One table serves a Client's
+// every member and connection, so a failover resend reuses the original
+// seq. The hot path is
 // a mutex-guarded map increment: no allocation after a stream's first
 // request, and contention is trivial next to the frame encode around it.
 type seqTable struct {

@@ -106,7 +106,7 @@ func TestChaosExactlyOnceDriftEquivalence(t *testing.T) {
 		chaos.Config{Seed: 42, DropRate: 0.04, DuplicateRate: 0.2, ResetEvery: 30},
 	)
 	faultedSub := subscribeMonitor(t, m, int(total))
-	c, err := DialRetry(px.Addr(), 8, chaosPolicy())
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 8, Retry: chaosPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestChaosReconnectMidWindowConservation(t *testing.T) {
 		Config{},
 		chaos.Config{Seed: 7, ResetEvery: 25},
 	)
-	c, err := DialRetry(px.Addr(), 16, chaosPolicy())
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 16, Retry: chaosPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestChaosDuplicateRepliesDeepWindow(t *testing.T) {
 		Config{},
 		chaos.Config{Seed: 11, DuplicateRate: 0.3},
 	)
-	c, err := DialRetry(px.Addr(), 8, chaosPolicy())
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 8, Retry: chaosPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestChaosCheckpointBitIdentical(t *testing.T) {
 		Config{},
 		chaos.Config{Seed: 99, DuplicateRate: 0.3, ResetEvery: 10},
 	)
-	c, err := DialRetry(px.Addr(), 8, chaosPolicy())
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 8, Retry: chaosPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestChaosStallWatchdogReconnects(t *testing.T) {
 	)
 	pol := chaosPolicy()
 	pol.StallTimeout = 100 * time.Millisecond
-	c, err := DialRetry(px.Addr(), 4, pol)
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 4, Retry: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestClientBusyRetrySucceeds(t *testing.T) {
 	pol.BusyAttempts = 100
 	pol.BusyBackoff = 5 * time.Millisecond
 	pol.BackoffMax = 20 * time.Millisecond
-	c, err := DialRetry(srv.Addr(), 4, pol)
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 4, Retry: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestClientBackoffTiming(t *testing.T) {
 		BackoffBase:     40 * time.Millisecond,
 		BackoffMax:      400 * time.Millisecond,
 	}
-	c, err := DialRetry(srv.Addr(), 4, pol)
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 4, Retry: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestClientCloseAbortsBackoff(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 	pol := RetryPolicy{Reconnect: true, MaxDialAttempts: 3, BackoffBase: 10 * time.Second}
-	c, err := DialRetry(srv.Addr(), 4, pol)
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 4, Retry: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestPendingExpiredDeadline(t *testing.T) {
 		Config{},
 		chaos.Config{Seed: 1, BlackholeRate: 1},
 	)
-	c, err := DialWindow(px.Addr(), 4)
+	c, err := Dial(ClientConfig{Addrs: []string{px.Addr()}, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,11 +599,11 @@ func TestPendingExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestClientPoolFailover is the affinity regression test: a permanently
-// dead connection must stop receiving its hash-mapped streams — every
-// stream re-homes to the next live connection, deterministically, and
-// ingest keeps working.
-func TestClientPoolFailover(t *testing.T) {
+// TestConnSetFailover is the affinity regression test for a member's
+// connection set: a permanently dead connection must stop receiving its
+// hash-mapped streams — every stream re-homes to the next live connection,
+// deterministically, and ingest keeps working.
+func TestConnSetFailover(t *testing.T) {
 	m, err := monitor.New(monitor.Config{
 		NewDetector: func(string) (detectors.Detector, error) { return nullDetector{}, nil },
 		Shards:      2,
@@ -617,7 +617,7 @@ func TestClientPoolFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); m.Close() })
-	p, err := DialPool(srv.Addr(), 2, 4)
+	p, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Conns: 2, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,14 +644,14 @@ func TestClientPoolFailover(t *testing.T) {
 	}
 
 	// Kill connection 0. Streams homed there must fail over to connection 1
-	// instead of erroring forever (the old behavior: conn() kept returning
-	// the dead client).
-	p.clients[0].Close()
-	if got := p.conn(home0); got != p.clients[1] {
-		t.Fatal("conn() still routes a dead connection's stream to it")
+	// instead of erroring forever on the dead one.
+	set := soleMember(p)
+	set.conns[0].close()
+	if got := set.pick(home0); got != set.conns[1] {
+		t.Fatal("pick() still routes a dead connection's stream to it")
 	}
-	if got := p.conn(home1); got != p.clients[1] {
-		t.Fatal("conn() moved a live connection's stream")
+	if got := set.pick(home1); got != set.conns[1] {
+		t.Fatal("pick() moved a live connection's stream")
 	}
 	if err := p.Ingest(home0, obs[2]); err != nil {
 		t.Fatalf("ingest after failover = %v, want success on the surviving connection", err)
@@ -686,7 +686,7 @@ func TestClientCleanEOFVsMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	c, err := DialWindow(srv.Addr(), 4)
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,19 +696,19 @@ func TestClientCleanEOFVsMidFrame(t *testing.T) {
 	}
 	srv.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for !c.Dead() {
+	for !soleMember(c).conns[0].isDead() {
 		if time.Now().After(deadline) {
 			t.Fatal("client never noticed the server closing")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.sticky(); !errors.Is(err, ErrServerDrain) {
+	if err := soleMember(c).conns[0].sticky(); !errors.Is(err, ErrServerDrain) {
 		t.Fatalf("clean close surfaced %v, want ErrServerDrain", err)
 	}
 
 	// Mid-frame: a reply cut off inside its header.
 	cliEnd, srvEnd := net.Pipe()
-	c2 := newPipelined("pipe", cliEnd, 4)
+	c2 := pipeDial(cliEnd, 4)
 	defer c2.Close()
 	frame := codec.AppendFrame(nil, codec.KindWireOK, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	if _, err := srvEnd.Write(frame[:5]); err != nil {
@@ -716,16 +716,17 @@ func TestClientCleanEOFVsMidFrame(t *testing.T) {
 	}
 	srvEnd.Close()
 	deadline = time.Now().Add(5 * time.Second)
-	for !c2.Dead() {
+	cn2 := soleMember(c2).conns[0]
+	for !cn2.isDead() {
 		if time.Now().After(deadline) {
 			t.Fatal("client never noticed the cut connection")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c2.sticky(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := cn2.sticky(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("mid-frame cut surfaced %v, want io.ErrUnexpectedEOF underneath", err)
 	}
-	if errors.Is(c2.sticky(), ErrServerDrain) {
+	if errors.Is(cn2.sticky(), ErrServerDrain) {
 		t.Fatal("mid-frame cut must not look like a clean drain")
 	}
 }

@@ -55,7 +55,7 @@ func newTestServer(t testing.TB, mcfg monitor.Config, scfg Config) (*Server, *mo
 		m.Close()
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		srv.Close()
 		m.Close()
@@ -426,7 +426,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
+	c, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatalf("subscription ended with error: %v", err)
 	}
 	// New connections are refused; the monitor itself still works.
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}}); err == nil {
 		t.Fatal("Dial succeeded after server Close")
 	}
 	if err := m.Ingest("s", testObs(4, 1)[0]); err != nil {
@@ -569,7 +569,7 @@ func TestServerConcurrentSoak(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			pc, err := Dial(srv.Addr())
+			pc, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 			if err != nil {
 				t.Error(err)
 				return

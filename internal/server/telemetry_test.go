@@ -76,7 +76,7 @@ func TestServerReadyz(t *testing.T) {
 // event frame carries the record to subscribers, and LastDrift retrieves
 // the same report on demand — including from a different connection.
 func TestFlightRecorderWire(t *testing.T) {
-	_, _, c := newTestServer(t, monitor.Config{
+	srv, _, c := newTestServer(t, monitor.Config{
 		Shards: 2,
 		NewDetector: func(string) (detectors.Detector, error) {
 			return &recordingDriftEveryN{wireDriftEveryN{n: 10, class: 2}}, nil
@@ -119,7 +119,7 @@ func TestFlightRecorderWire(t *testing.T) {
 
 	// LastDrift from a second connection: the report is server state, not
 	// subscription state.
-	c2, err := Dial(c.addr)
+	c2, err := Dial(ClientConfig{Addrs: []string{srv.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,12 +314,20 @@ type (
 	Server = server.Server
 	// ServerConfig parameterizes a Server; Monitor is required.
 	ServerConfig = server.Config
-	// Client speaks the driftserver wire protocol: Ingest / IngestBatch /
-	// Subscribe / Snapshot / Evict / FlushCheckpoints / Close (a single
-	// observation travels as a block of one). One Client owns one connection and its scratch buffers, so
-	// steady-state batch ingest is allocation-free; use one Client per
-	// producer goroutine.
+	// Client speaks the driftserver wire protocol to one server or a
+	// fleet: Ingest / IngestBatch (and their Async forms) / Evict /
+	// FlushCheckpoints / Snapshot / LastDrift / Subscribe / Close, plus
+	// live stream migration between fleet members (Migrate, Rebalance). A
+	// consistent-hash ring maps each stream to a member, and the member's
+	// connection set to one pipelined connection, so every stream's
+	// observations arrive in send order. One Client is safe for any
+	// number of producer goroutines, and steady-state ingest allocates
+	// nothing.
 	Client = server.Client
+	// ClientConfig parameterizes Dial: Addrs (required), Conns per member
+	// (default 1), Window per connection (default DefaultClientWindow) and
+	// the Retry policy (zero = no retries).
+	ClientConfig = server.ClientConfig
 	// ClientSubscription is a server-pushed drift-event stream on its own
 	// connection (Client.Subscribe).
 	ClientSubscription = server.Subscription
@@ -327,13 +335,13 @@ type (
 	// (Client.IngestAsync / Client.IngestBatchAsync); Wait must be called
 	// exactly once.
 	ClientPending = server.Pending
-	// ClientPool fans many logical streams over a fixed set of pipelined
-	// connections with consistent-hash stream-to-connection affinity, so
-	// per-stream ordering survives the multiplexing.
-	ClientPool = server.ClientPool
+	// ClusterMemberSnapshot is one fleet member's snapshot labelled with its
+	// address (Client.MemberSnapshots).
+	ClusterMemberSnapshot = server.MemberSnapshot
 )
 
-// DefaultClientWindow is the in-flight request window Dial selects.
+// DefaultClientWindow is the in-flight request window a zero
+// ClientConfig.Window selects.
 const DefaultClientWindow = server.DefaultWindow
 
 // NewServer builds a Server and starts serving immediately. The server
@@ -342,26 +350,24 @@ const DefaultClientWindow = server.DefaultWindow
 // graceful-shutdown order cmd/driftserver implements.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
-// Dial connects a Client to a driftserver at addr ("host:port").
-func Dial(addr string) (*Client, error) { return server.Dial(addr) }
+// Dial connects a Client to every driftserver in cfg.Addrs. Any
+// unreachable address fails the whole dial.
+func Dial(cfg ClientConfig) (*Client, error) { return server.Dial(cfg) }
 
-// DialWindow connects a Client with an explicit in-flight request window: up
-// to window requests may be outstanding (Client.IngestAsync /
-// Client.IngestBatchAsync) before the next call blocks. Window 1 degenerates
-// to a serial stop-and-wait client.
-func DialWindow(addr string, window int) (*Client, error) { return server.DialWindow(addr, window) }
-
-// DialPool opens conns pipelined connections to addr, each with the given
-// in-flight window, and multiplexes streams across them by consistent
-// hashing of the stream ID.
-func DialPool(addr string, conns, window int) (*ClientPool, error) {
-	return server.DialPool(addr, conns, window)
+// DialWindow connects a Client to one driftserver at addr ("host:port")
+// with an explicit in-flight request window: up to window requests may be
+// outstanding (Client.IngestAsync / Client.IngestBatchAsync) before the
+// next call blocks. Window 1 degenerates to a serial stop-and-wait client.
+// It is shorthand for Dial(ClientConfig{Addrs: []string{addr}, Window:
+// window}).
+func DialWindow(addr string, window int) (*Client, error) {
+	return Dial(ClientConfig{Addrs: []string{addr}, Window: window})
 }
 
-// RetryPolicy configures how a Client survives failure: reconnect with
-// capped jittered exponential backoff, Busy retries, request deadlines, and
-// a stall watchdog. The zero value disables every mechanism (what Dial,
-// DialWindow, and DialPool use).
+// RetryPolicy configures how a Client's connections survive failure
+// (ClientConfig.Retry): reconnect with capped jittered exponential backoff,
+// Busy retries, request deadlines, and a stall watchdog. The zero value
+// disables every mechanism.
 type RetryPolicy = server.RetryPolicy
 
 // ErrorClass is the retry-relevant classification of a client error; see
@@ -382,44 +388,8 @@ const (
 // backoff, Busy retries, stall watchdog; request timeouts stay opt-in.
 func DefaultRetryPolicy() RetryPolicy { return server.DefaultRetryPolicy() }
 
-// DialRetry connects a Client with an explicit in-flight window and retry
-// policy — the entry point for clients that must survive real networks.
-// Requests that were in flight when a connection died are resent on the
-// replacement connection, exactly once server-side (session/seq dedup).
-func DialRetry(addr string, window int, policy RetryPolicy) (*Client, error) {
-	return server.DialRetry(addr, window, policy)
-}
-
-// DialPoolRetry is DialPool with a retry policy applied to every
-// connection; the pool's connections share one exactly-once identity, and
-// streams fail over deterministically off permanently dead connections.
-func DialPoolRetry(addr string, conns, window int, policy RetryPolicy) (*ClientPool, error) {
-	return server.DialPoolRetry(addr, conns, window, policy)
-}
-
-// ClusterClient shards the stream space across a driftserver fleet with a
-// client-side consistent-hash ring, drives each member through its own
-// retrying ClientPool, and migrates live streams between members via
-// checkpoint handoff (ClusterClient.Migrate, ClusterClient.Rebalance). A
-// migrated stream's detector continues bit-identically to never having
-// moved.
-type ClusterClient = server.ClusterClient
-
-// ClusterConfig parameterizes DialCluster; Addrs is required and every
-// other zero value selects a default.
-type ClusterConfig = server.ClusterConfig
-
-// ClusterMemberSnapshot is one fleet member's snapshot labelled with its
-// address (ClusterClient.MemberSnapshots).
-type ClusterMemberSnapshot = server.MemberSnapshot
-
-// DialCluster connects to every member of a driftserver fleet and returns
-// the consistent-hash routing client.
-func DialCluster(cfg ClusterConfig) (*ClusterClient, error) { return server.DialCluster(cfg) }
-
-// IsStreamNotFound reports whether err is a ClusterClient.Migrate /
-// Client.Migrate failure for a stream the source server neither hosts nor
-// has checkpointed.
+// IsStreamNotFound reports whether err is a Client.Migrate failure for a
+// stream the source server neither hosts nor has checkpointed.
 func IsStreamNotFound(err error) bool { return server.IsStreamNotFound(err) }
 
 // MergeSnapshots folds per-member monitor snapshots into one fleet-wide
@@ -428,8 +398,8 @@ func IsStreamNotFound(err error) bool { return server.IsStreamNotFound(err) }
 // Rejected + Queued survives the merge.
 func MergeSnapshots(sns ...MonitorSnapshot) MonitorSnapshot { return monitor.MergeSnapshots(sns...) }
 
-// Classify returns the retry-relevant class of an error returned by Client,
-// ClientPool, or ClientPending methods.
+// Classify returns the retry-relevant class of an error returned by Client
+// or ClientPending methods.
 func Classify(err error) ErrorClass { return server.Classify(err) }
 
 // ErrClientClosed is returned by Client methods after Client.Close.
