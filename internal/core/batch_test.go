@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"rbmim/internal/detectors"
@@ -20,7 +22,21 @@ func driftObservations(t *testing.T, n int) []detectors.Observation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := stream.NewDriftStream(before, after, stream.Sudden, n/2, 0, 1)
+	return drawObservations(stream.NewDriftStream(before, after, stream.Sudden, n/2, 0, 1), n)
+}
+
+// localDriftObservations pre-draws a 5-class stream whose class 3 alone
+// drifts halfway: a local drift that only per-drift attribution names.
+func localDriftObservations(t *testing.T, n int) []detectors.Observation {
+	t.Helper()
+	gen, err := synth.NewRBF(synth.Config{Features: 10, Classes: 5, Seed: 6}, 3, 0.07)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drawObservations(stream.NewLocalDriftInjector(gen, []int{3}, stream.Sudden, n/2, 0, 2), n)
+}
+
+func drawObservations(s stream.Stream, n int) []detectors.Observation {
 	obs := make([]detectors.Observation, n)
 	for i := range obs {
 		in := s.Next()
@@ -29,96 +45,101 @@ func driftObservations(t *testing.T, n int) []detectors.Observation {
 	return obs
 }
 
-// TestUpdateBatchMatchesSequential is the core batched-path contract: for
-// every chunking, UpdateBatch must emit the exact per-observation states of
-// the sequential Update loop, and the RBM must end in the same weights (same
-// CD-k randomness consumed in the same order).
+// driftAttribution is what a caller can read right after a drift: the
+// attributed classes and the flight record's mini-batch index.
+type driftAttribution struct {
+	classes []int
+	batch   int
+}
+
+func attributionOf(d *Detector) driftAttribution {
+	return driftAttribution{classes: slices.Clone(d.DriftClasses()), batch: d.LastDriftRecord().Batch}
+}
+
+// TestUpdateBatchMatchesSequential is the update-path contract: for every
+// chunking, looping UpdateBatch on its returned count must emit the exact
+// per-observation states of the sequential Update loop, report at each drift
+// the classes and flight-record batch the sequential run reports at that
+// index, and leave the RBM in the same state (same CD-k randomness consumed
+// in the same order). The second input is a local class-3 drift, whose
+// attribution must survive any block that spans the drifting mini-batch.
 func TestUpdateBatchMatchesSequential(t *testing.T) {
-	const n = 20000
-	obs := driftObservations(t, n)
-	for _, chunk := range []int{1, 7, 50, 256, 1000} {
-		seq, err := NewDetector(testConfig(10, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bat, err := NewDetector(testConfig(10, 4))
+	inputs := []struct {
+		name    string
+		classes int
+		obs     []detectors.Observation
+		// local is the class some drift after the injection must name, or
+		// -1 for a global drift.
+		local int
+	}{
+		{"global", 4, driftObservations(t, 20000), -1},
+		{"local-class-3", 5, localDriftObservations(t, 24000), 3},
+	}
+	for _, in := range inputs {
+		n := len(in.obs)
+		seq, err := NewDetector(testConfig(10, in.classes))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := make([]detectors.State, n)
-		for i := range obs {
-			want[i] = seq.Update(obs[i])
-		}
-		got := make([]detectors.State, n)
-		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			bat.UpdateBatch(obs[start:end], got[start:end])
-		}
-		drifts := 0
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk=%d: state[%d] = %v batched, %v sequential", chunk, i, got[i], want[i])
-			}
+		wantAttr := make(map[int]driftAttribution)
+		for i := range in.obs {
+			want[i] = seq.Update(in.obs[i])
 			if want[i] == detectors.Drift {
-				drifts++
+				wantAttr[i] = attributionOf(seq)
 			}
 		}
-		if drifts == 0 {
-			t.Fatal("comparison stream produced no drift; the test is vacuous")
+		if len(wantAttr) == 0 {
+			t.Fatalf("%s: comparison stream produced no drift; the test is vacuous", in.name)
 		}
-		seqErr, batErr := seq.LastErrors(), bat.LastErrors()
-		for k := range seqErr {
-			if seqErr[k] != batErr[k] {
-				t.Fatalf("chunk=%d: class %d reconstruction error %v batched vs %v sequential", chunk, k, batErr[k], seqErr[k])
+		if in.local >= 0 && !namesClassAfter(wantAttr, in.local, n/2) {
+			t.Fatalf("%s: no drift after the injection names class %d", in.name, in.local)
+		}
+		for _, chunk := range []int{1, 7, 50, 256, 1000} {
+			bat, err := NewDetector(testConfig(10, in.classes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]detectors.State, n)
+			for start := 0; start < n; start += chunk {
+				end := min(start+chunk, n)
+				for off := start; off < end; {
+					k := bat.UpdateBatch(in.obs[off:end], got[off:end])
+					run := got[off : off+k]
+					off += k
+					if slices.Contains(run[:k-1], detectors.Drift) {
+						t.Fatalf("%s chunk=%d: UpdateBatch ran past a drift before %d", in.name, chunk, off)
+					}
+					if i := off - 1; got[i] == detectors.Drift {
+						if a := attributionOf(bat); !reflect.DeepEqual(a, wantAttr[i]) {
+							t.Fatalf("%s chunk=%d: drift at %d attributed %+v, %+v sequentially", in.name, chunk, i, a, wantAttr[i])
+						}
+					}
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s chunk=%d: state[%d] = %v batched, %v sequential", in.name, chunk, i, got[i], want[i])
+				}
+			}
+			seqErr, batErr := seq.LastErrors(), bat.LastErrors()
+			for k := range seqErr {
+				if seqErr[k] != batErr[k] {
+					t.Fatalf("%s chunk=%d: class %d reconstruction error %v batched vs %v sequential", in.name, chunk, k, batErr[k], seqErr[k])
+				}
 			}
 		}
 	}
 }
 
-// TestUpdateBatchDriftClassesSurviveBlock checks the documented
-// BatchDetector attribution semantics: a drift signalled by a mini-batch in
-// the middle of a block must still be attributed after UpdateBatch returns,
-// even when later mini-batches in the same block are quiet.
-func TestUpdateBatchDriftClassesSurviveBlock(t *testing.T) {
-	const n = 24000
-	gen, err := synth.NewRBF(synth.Config{Features: 10, Classes: 5, Seed: 6}, 3, 0.07)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stream.NewLocalDriftInjector(gen, []int{3}, stream.Sudden, n/2, 0, 2)
-	obs := make([]detectors.Observation, n)
-	for i := range obs {
-		in := s.Next()
-		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
-	}
-	d, err := NewDetector(testConfig(10, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blocks of 1000 span 20 mini-batches of 50, so a drifting batch is
-	// almost always followed by quiet ones inside the same block.
-	const block = 1000
-	states := make([]detectors.State, block)
-	foundOnClass := false
-	for start := 0; start < n; start += block {
-		d.UpdateBatch(obs[start:start+block], states)
-		for i, st := range states {
-			if st != detectors.Drift || start+i < n/2 {
-				continue
-			}
-			for _, c := range d.DriftClasses() {
-				if c == 3 {
-					foundOnClass = true
-				}
-			}
+// namesClassAfter reports whether a drift at an index >= from names class.
+func namesClassAfter(attr map[int]driftAttribution, class, from int) bool {
+	for i, a := range attr {
+		if i >= from && slices.Contains(a.classes, class) {
+			return true
 		}
 	}
-	if !foundOnClass {
-		t.Fatal("mid-block drift on class 3 lost its attribution after UpdateBatch")
-	}
+	return false
 }
 
 // TestTrainBatchUnscoredMatchesTrainBatch verifies the amortization claim:

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"rbmim/internal/detectors"
 	"rbmim/internal/stats"
@@ -138,9 +137,6 @@ type Detector struct {
 	monitor  []*classMonitor
 	batches  int
 	drifted  []int
-	// blockDrifted accumulates the union of drifted classes across the
-	// mini-batches completed inside one UpdateBatch call.
-	blockDrifted []int
 	// historyCap bounds the retained per-class trend history: two Granger
 	// windows.
 	historyCap int
@@ -166,7 +162,6 @@ type Detector struct {
 }
 
 var _ detectors.Detector = (*Detector)(nil)
-var _ detectors.BatchDetector = (*Detector)(nil)
 var _ detectors.ClassAttributor = (*Detector)(nil)
 
 // NewDetector builds an RBM-IM detector for the given stream schema.
@@ -278,49 +273,10 @@ func (d *Detector) Update(o detectors.Observation) detectors.State {
 	return state
 }
 
-// UpdateBatch consumes a block of observations through the same scale →
-// mini-batch → CD-k path as Update, writing the per-observation state into
-// states; it implements detectors.BatchDetector. The per-observation states
-// and the detector's internal evolution are identical to calling Update in a
-// loop — batching amortizes the interface dispatch and bounds checks, and
-// lets the monitor and the evaluation pipeline move whole blocks at once.
-// After the call, DriftClasses lists the union of classes over every
-// mini-batch that drifted within the block (see detectors.BatchDetector).
-func (d *Detector) UpdateBatch(obs []detectors.Observation, states []detectors.State) {
-	d.blockDrifted = d.blockDrifted[:0]
-	blockDrifts := false
-	for i := range obs {
-		o := &obs[i]
-		if len(o.X) != d.cfg.Features {
-			panic(fmt.Sprintf("core: observation has %d features, detector configured for %d", len(o.X), d.cfg.Features))
-		}
-		d.scaler.Observe(o.X)
-		d.scaler.Scale(o.X, d.batchX[d.batchN])
-		d.batchY[d.batchN] = o.TrueClass
-		d.batchN++
-		if d.batchN < d.cfg.BatchSize {
-			states[i] = detectors.None
-			continue
-		}
-		states[i] = d.processBatch()
-		d.batchN = 0
-		if states[i] == detectors.Drift {
-			blockDrifts = true
-			for _, k := range d.drifted {
-				if !slices.Contains(d.blockDrifted, k) {
-					d.blockDrifted = append(d.blockDrifted, k)
-				}
-			}
-		}
-	}
-	// A drifting mini-batch followed by quiet ones inside the same block
-	// would leave d.drifted describing only the last batch; restore the
-	// block-wide union so DriftClasses matches the states the caller sees.
-	// Without any drift in the block, d.drifted keeps whatever the
-	// sequential loop would have left (allocation only on actual drifts).
-	if blockDrifts {
-		d.drifted = append([]int(nil), d.blockDrifted...)
-	}
+// UpdateBatch is detectors.UpdateBatch on d: the sequential Update loop,
+// returning the count consumed right after the first Drift.
+func (d *Detector) UpdateBatch(obs []detectors.Observation, states []detectors.State) int {
+	return detectors.UpdateBatch(d, obs, states)
 }
 
 // processBatch trains the RBM on the completed mini-batch and runs the

@@ -397,7 +397,6 @@ func (d *Detector) applyState(st *detectorStaged) {
 	d.batchN = st.batchN
 	d.batches = st.batches
 	d.drifted = st.drifted
-	d.blockDrifted = d.blockDrifted[:0]
 	d.monitor = st.monitor
 }
 

@@ -1,39 +1,18 @@
 package detectors
 
-// BatchDetector is implemented by detectors with a native batched update
-// path. UpdateBatch must be observationally equivalent to calling Update once
-// per element of obs in order: the i-th state written into states is the
-// state Update would have returned for obs[i], and the detector's internal
-// state afterwards matches the sequential run exactly. The value of batching
-// is amortization — one interface dispatch, one bounds check, one scratch
-// setup for a whole block — not different semantics.
-//
-// One deliberate relaxation: a ClassAttributor's DriftClasses, queried after
-// UpdateBatch, describes the drifts of the whole call (for RBM-IM, the union
-// of classes over every mini-batch that drifted during the block) rather
-// than only the single most recent Update. Callers that need per-signal
-// attribution at observation granularity should feed one observation at a
-// time, which is exactly what the adapter below does for legacy detectors.
-type BatchDetector interface {
-	Detector
-	// UpdateBatch consumes len(obs) observations, writing the per-observation
-	// detector state into states[i]. states must have at least len(obs)
-	// elements; the implementation must not retain obs, the observations' X
-	// or Scores slices, or states past the call.
-	UpdateBatch(obs []Observation, states []State)
-}
-
-// UpdateBatch feeds a block of observations to det, using its native batched
-// path when it implements BatchDetector and a plain per-observation loop
-// otherwise, so callers can batch unconditionally while every legacy
-// detector keeps working unchanged. states must have at least len(obs)
-// elements.
-func UpdateBatch(det Detector, obs []Observation, states []State) {
-	if bd, ok := det.(BatchDetector); ok {
-		bd.UpdateBatch(obs, states)
-		return
-	}
+// UpdateBatch feeds obs to det in order, writing the state Update returns
+// for obs[i] into states[i], and returns the number of observations it
+// consumed: len(obs), or fewer when a Drift ends the run early. It returns
+// right after the first Drift, so a ClassAttributor's DriftClasses (and any
+// per-drift record the detector keeps) then describes that drift alone.
+// Callers loop until the block is consumed. states must have at least
+// len(obs) elements.
+func UpdateBatch(det Detector, obs []Observation, states []State) int {
 	for i := range obs {
 		states[i] = det.Update(obs[i])
+		if states[i] == Drift {
+			return i + 1
+		}
 	}
+	return len(obs)
 }

@@ -160,6 +160,45 @@ func TestBlockedPipelineDetectsDrift(t *testing.T) {
 	}
 }
 
+// TestBlockedPipelineResetsAtEachDrift pins where a block's drifts are
+// handled: at their own position, so the detector is reset before it sees
+// the rest of the block. The stub drifts every 700th Update since its last
+// Reset, so its signals fall at the same indices for every block size only
+// when each reset lands right after its drift.
+func TestBlockedPipelineResetsAtEachDrift(t *testing.T) {
+	const every, instances = 700, 5000
+	var want []int
+	for i := every - 1; i < instances; i += every {
+		want = append(want, i)
+	}
+	for _, block := range []int{1, 7, 256} {
+		gen, err := synth.NewRBF(synth.Config{Features: 8, Classes: 3, Seed: 4}, 3, 0.07)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := RunPipeline(gen, &driftSinceReset{every: every},
+			PipelineConfig{Instances: instances, MetricWindow: 500, Seed: 2, BlockSize: block})
+		if !reflect.DeepEqual(res.Signals, want) {
+			t.Fatalf("BlockSize %d: signals %v, want %v", block, res.Signals, want)
+		}
+	}
+}
+
+// driftSinceReset emits Drift on every every-th Update since its last
+// Reset.
+type driftSinceReset struct{ since, every int }
+
+func (d *driftSinceReset) Update(detectors.Observation) detectors.State {
+	d.since++
+	if d.since%d.every == 0 {
+		return detectors.Drift
+	}
+	return detectors.None
+}
+
+func (d *driftSinceReset) Reset()       { d.since = 0 }
+func (d *driftSinceReset) Name() string { return "drift-since-reset" }
+
 // reusingStream emits instances whose X always views the same backing
 // array, mutated on every Next — the hostile stream contract the
 // adaptation ring must survive.

@@ -48,16 +48,15 @@ type PipelineConfig struct {
 	// each handled drift, as MOA's drift-handling wrappers do.
 	Cooldown int
 	// BlockSize is the prequential block length B: each iteration predicts
-	// (and records metrics for) a block of up to B instances, updates the
-	// detector over the whole block in one detectors.UpdateBatch call, then
-	// applies drift handling and classifier training per instance in order.
-	// The default 1 reproduces the classic per-instance test-then-train
-	// loop exactly; larger blocks amortize dispatch and engage the
-	// detectors' native batched paths — the block-based prequential
-	// processing of the online class-imbalance literature — at the cost of
-	// intra-block staleness (predictions inside a block are made before the
-	// classifier trains on the block's earlier instances, and drift
-	// handling runs after the whole block's detector states are known).
+	// (and records metrics for) a block of up to B instances, then feeds the
+	// block to the detector with detectors.UpdateBatch, handling each drift
+	// at its own position (the detector is reset before it sees the rest of
+	// the block) and training the classifier per instance in order. The
+	// default 1 reproduces the classic per-instance test-then-train loop
+	// exactly; larger blocks are the block-based prequential processing of
+	// the online class-imbalance literature, at the cost of intra-block
+	// staleness (predictions inside a block are made before the classifier
+	// trains on the block's earlier instances).
 	BlockSize int
 }
 
@@ -118,12 +117,11 @@ type Result struct {
 }
 
 // RunPipeline executes the prequential test-then-train loop in blocks of
-// PipelineConfig.BlockSize: predict and record metrics for a block, update
-// the detector over the whole block (one detectors.UpdateBatch call —
-// batched detectors take their native path), then, per instance in order,
-// adapt the classifier on drift signals and train it while in warmup or
-// inside a detector-opened adaptation window (see
-// PipelineConfig.AdaptWindow). BlockSize 1 is exactly the classic
+// PipelineConfig.BlockSize: predict and record metrics for a block, then
+// feed it to the detector with detectors.UpdateBatch and, per instance in
+// order, adapt the classifier on each drift signal as UpdateBatch returns it
+// and train it while in warmup or inside a detector-opened adaptation window
+// (see PipelineConfig.AdaptWindow). BlockSize 1 is exactly the classic
 // per-instance loop.
 func RunPipeline(s stream.Stream, det detectors.Detector, cfg PipelineConfig) Result {
 	cfg.fill()
@@ -174,13 +172,18 @@ func RunPipeline(s stream.Stream, det detectors.Detector, cfg PipelineConfig) Re
 			copy(row, scores)
 			blockObs[j] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: pred, Scores: row}
 		}
-		// Detector phase: one batched update over the block ("test +
-		// self-update" time of Table III).
-		t0 := time.Now()
-		detectors.UpdateBatch(det, blockObs[:n], blockStates[:n])
-		detTime += time.Since(t0)
-		// Handling + train phase, per instance in block order.
+		// Detector phase ("test + self-update" time of Table III), then
+		// handling + train phase, per instance in block order. UpdateBatch
+		// returns right after each drift, so the drift is handled — classes
+		// read, detector reset — before the detector sees the rest of the
+		// block.
+		next := 0
 		for j := 0; j < n; j++ {
+			if j == next {
+				t0 := time.Now()
+				next += detectors.UpdateBatch(det, blockObs[j:n], blockStates[j:n])
+				detTime += time.Since(t0)
+			}
 			i := base + j
 			in := blockIns[j]
 			switch blockStates[j] {

@@ -23,16 +23,17 @@
 // owns its streams' detectors outright — no locks on the hot path — and
 // drains a bounded MPSC ring buffer (see ring.go) of observations in
 // micro-batches: every wakeup pops whatever is queued (bounded), groups it
-// per stream, and hands each stream's run to its detector in one UpdateBatch
-// call. Every ingest travels as a block: IngestBatch moves a whole block
-// through the queue in a single copied slab — one ring slot per block — and
-// Ingest is a block of one. Because a stream lives on exactly one shard and
-// the ring preserves per-producer FIFO order, a stream's observations reach
-// its detector in send order at any GOMAXPROCS: the parallel monitor's
-// per-stream drift decisions are identical to a sequential run's
-// (ordering_test.go proves it). Detectors are created lazily on first ingest, evicted
-// explicitly via Evict, or garbage-collected after Config.IdleTTL without
-// traffic.
+// per stream, and hands each stream's run to its detector through
+// detectors.UpdateBatch, which stops at every drift so each event names that
+// drift's own classes. Every ingest travels as a block: IngestBatch moves a
+// whole block through the queue in a single copied slab — one ring slot per
+// block — and Ingest is a block of one. Because a stream lives on exactly one
+// shard and the ring preserves per-producer FIFO order, a stream's
+// observations reach its detector in send order at any GOMAXPROCS: the
+// parallel monitor's per-stream drift events (sequence numbers and classes)
+// are identical to a sequential run's (ordering_test.go proves it).
+// Detectors are created lazily on first ingest, evicted explicitly via
+// Evict, or garbage-collected after Config.IdleTTL without traffic.
 package monitor
 
 import (
@@ -53,10 +54,11 @@ import (
 // Factory builds a fresh detector for a newly observed stream. The monitor
 // hands each detector observations whose X and Scores slices view a pooled
 // slab that is reused the moment the detector consumed them, so detectors
-// built by a Factory must not retain o.X or o.Scores past Update /
-// UpdateBatch (copy them if they need history; RBM-IM and all bundled
-// baselines already comply). Detectors implementing detectors.BatchDetector
-// receive whole micro-batches in one call.
+// built by a Factory must not retain o.X or o.Scores past Update (copy them
+// if they need history; RBM-IM and all bundled baselines already comply).
+// Every detector is driven through detectors.UpdateBatch, the sequential
+// Update loop, and a ClassAttributor's DriftClasses is read right after the
+// Update that signalled each drift.
 type Factory func(streamID string) (detectors.Detector, error)
 
 // Config parameterizes a Monitor. The zero value of every field except
@@ -216,7 +218,7 @@ type Monitor struct {
 // monitorTele bundles the monitor's stage histograms.
 type monitorTele struct {
 	queueWait telemetry.Histogram // envelope push -> shard pop
-	detector  telemetry.Histogram // one flush's Update/UpdateBatch run
+	detector  telemetry.Histogram // one flush's detector run
 	ckptSave  telemetry.Histogram // one stream's SaveState serialization
 	ckptPut   telemetry.Histogram // one checkpoint Store.Put
 }
@@ -299,11 +301,12 @@ func (m *Monitor) Ingest(streamID string, o detectors.Observation) error {
 // IngestBatch routes a block of observations for one stream through a single
 // queue operation, creating the stream's detector on first sight: all X and
 // Scores slices are copied into one pooled slab, the block travels as one
-// envelope (one ring slot instead of len(obs)), and the shard hands it to
-// the stream's detector in one UpdateBatch call. Per-stream observation
-// order is preserved. It blocks when the shard queue is full (backpressure)
-// and returns ErrClosed after Close; callers may reuse every backing array
-// the moment it returns. An empty block is a no-op.
+// envelope (one ring slot instead of len(obs)), and the shard feeds it to
+// the stream's detector with the stream's other queued observations.
+// Per-stream observation order is preserved. It blocks when the shard queue
+// is full (backpressure) and returns ErrClosed after Close; callers may
+// reuse every backing array the moment it returns. An empty block is a
+// no-op.
 func (m *Monitor) IngestBatch(streamID string, obs []detectors.Observation) error {
 	s := m.shards[ShardFor(streamID, len(m.shards))]
 	m.mu.RLock()
@@ -769,8 +772,8 @@ const microBatch = 128
 // shard is one worker: a goroutine draining a ring buffer of observations
 // for the streams consistently hashed onto it. Every wakeup pops the ring in
 // a micro-batch, groups the observations per stream, and feeds each stream's
-// run to its detector in one UpdateBatch call. All mutable per-stream state
-// is confined to the goroutine; only the atomic counters are shared.
+// run to its detector through detectors.UpdateBatch. All mutable per-stream
+// state is confined to the goroutine; only the atomic counters are shared.
 type shard struct {
 	m       *Monitor
 	in      *ring
@@ -1137,43 +1140,22 @@ func (s *shard) flush(id string, g *obsGroup) {
 	if s.m.tele != nil {
 		detStart = telemetry.Now()
 	}
-	if bd, ok := st.det.(detectors.BatchDetector); ok {
-		if cap(s.states) < n {
-			s.states = make([]detectors.State, n)
+	if cap(s.states) < n {
+		s.states = make([]detectors.State, n)
+	}
+	states := s.states[:n]
+	// UpdateBatch returns right after each drift, so tally reads the
+	// classes and flight record of that drift alone.
+	next := 0
+	for i := range states {
+		if i == next {
+			next += detectors.UpdateBatch(st.det, g.obs[i:], states[i:])
 		}
-		states := s.states[:n]
-		bd.UpdateBatch(g.obs, states)
-		if t := s.m.tele; t != nil {
-			t.detector.Observe(telemetry.Now() - detStart)
-		}
-		// Batched attribution is per block: DriftClasses after UpdateBatch
-		// is the union over the block's drifting mini-batches, so every
-		// drift event of this flush carries the same class list.
-		var classes []int
-		if attr, ok := st.det.(detectors.ClassAttributor); ok {
-			classes = attr.DriftClasses()
-		}
-		for _, state := range states {
-			st.seq++
-			s.tally(id, st, state, classes, now)
-		}
-	} else {
-		// Legacy detectors keep exact per-observation attribution: classes
-		// are read immediately after the Update that signalled the drift.
-		for i := range g.obs {
-			st.seq++
-			state := st.det.Update(g.obs[i])
-			var classes []int
-			if state == detectors.Drift {
-				if attr, ok := st.det.(detectors.ClassAttributor); ok {
-					classes = attr.DriftClasses()
-				}
-			}
-			s.tally(id, st, state, classes, now)
-		}
-		if t := s.m.tele; t != nil {
-			t.detector.Observe(telemetry.Now() - detStart)
-		}
+		st.seq++
+		s.tally(id, st, states[i], now)
+	}
+	if t := s.m.tele; t != nil {
+		t.detector.Observe(telemetry.Now() - detStart)
 	}
 	s.ingested.Add(uint64(n))
 	s.queued.Add(int64(-n))
@@ -1190,19 +1172,21 @@ func (s *shard) reject(n int) {
 	s.queued.Add(int64(-n))
 }
 
-// tally records one observation's detector state and publishes drift events.
-func (s *shard) tally(id string, st *streamState, state detectors.State, classes []int, now time.Time) {
+// tally records one observation's detector state and publishes drift
+// events. It runs right after the UpdateBatch return that produced state, so
+// on a drift the detector's classes and flight record are that drift's.
+func (s *shard) tally(id string, st *streamState, state detectors.State, now time.Time) {
 	switch state {
 	case detectors.Warning:
 		s.warnings.Add(1)
 	case detectors.Drift:
 		s.drifts.Add(1)
 		ev := Event{StreamID: id, Seq: st.seq, At: now}
-		ev.Classes = append(ev.Classes, classes...)
-		// Attach the flight record when the detector keeps one. A batched
-		// flush with several drifting mini-batches attaches the latest
-		// record to each of its events; records are immutable, so sharing
-		// the pointer is safe.
+		if attr, ok := st.det.(detectors.ClassAttributor); ok {
+			ev.Classes = append(ev.Classes, attr.DriftClasses()...)
+		}
+		// Attach the flight record when the detector keeps one; records
+		// are immutable, so sharing the pointer is safe.
 		if rec, ok := st.det.(driftRecorder); ok {
 			ev.Record = rec.LastDriftRecord()
 		}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -42,13 +43,27 @@ func buildOrderingWorkload(t *testing.T, streams, perStream int) map[string][]de
 	return work
 }
 
+// traceEvent is the part of a drift event that must not depend on
+// parallelism or grouping: where the drift fired, which classes it names,
+// and the mini-batch of its flight record (-1 without one).
+type traceEvent struct {
+	Seq     uint64
+	Classes []int
+	Batch   int
+}
+
+// stateSum checksums one stream's flushed checkpoint: the raw frame, and the
+// learned weights restored from it.
+type stateSum struct {
+	frame, weights uint64
+}
+
 // runOrderingWorkload pushes the workload through a monitor with the given
-// parallelism and returns (per-stream drift sequence numbers, per-stream
-// weight checksums restored from flushed checkpoints). Streams are split
-// across `producers` goroutines — each stream is owned by exactly one
-// producer, so per-stream send order is preserved while producers race each
-// other on the shard rings.
-func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, shards, producers, procs int) (map[string][]uint64, map[string]uint64) {
+// parallelism and returns (per-stream drift traces, per-stream checksums of
+// the flushed checkpoints). Streams are split across `producers` goroutines
+// — each stream is owned by exactly one producer, so per-stream send order
+// is preserved while producers race each other on the shard rings.
+func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, shards, producers, procs int) (map[string][]traceEvent, map[string]stateSum) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
@@ -114,20 +129,22 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 	if err := m.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
-	drifts := make(map[string][]uint64)
+	drifts := make(map[string][]traceEvent)
 	for _, ev := range drainEvents(t, sub) {
-		drifts[ev.StreamID] = append(drifts[ev.StreamID], ev.Seq)
+		te := traceEvent{Seq: ev.Seq, Classes: ev.Classes, Batch: -1}
+		if ev.Record != nil {
+			te.Batch = ev.Record.Batch
+		}
+		drifts[ev.StreamID] = append(drifts[ev.StreamID], te)
 	}
-	sums := make(map[string]uint64, len(ids))
+	sums := make(map[string]stateSum, len(ids))
 	for _, id := range ids {
 		data, ok, err := store.Get(id)
 		if err != nil || !ok {
 			t.Fatalf("checkpoint for %s after flush: ok=%v err=%v", id, ok, err)
 		}
-		// Restore into a fresh detector and checksum the learned weights.
-		// The raw frame is NOT hashed directly: it also carries the last
-		// drift's attributed class list, which is a block-union and hence
-		// grouping-dependent — the weights are the bit-identity guarantee.
+		// Checksum the raw frame, then restore it into a fresh detector and
+		// checksum the learned weights.
 		det, err := core.NewDetector(core.Config{
 			Features: 8, Classes: 3, Seed: 11 ^ int64(fnv1a(id)),
 			BatchSize: 25, WarmupBatches: 5, AdaptiveWindow: true,
@@ -144,7 +161,7 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 		if err := det.LoadStateBytes(payload[8:]); err != nil {
 			t.Fatalf("restore %s: %v", id, err)
 		}
-		sums[id] = det.RBM().WeightChecksum()
+		sums[id] = stateSum{frame: fnv1a(string(data)), weights: det.RBM().WeightChecksum()}
 	}
 	sn := m.Snapshot()
 	m.Close()
@@ -158,13 +175,9 @@ func runOrderingWorkload(t *testing.T, work map[string][]detectors.Observation, 
 // TestOrderingEquivalenceAcrossParallelism is the tentpole guarantee: the
 // same workload run single-threaded (1 shard, 1 producer, GOMAXPROCS=1) and
 // fully parallel (8 shards, 8 producers, GOMAXPROCS=8) must yield identical
-// per-stream drift decisions (sequence numbers at detection) and bit-identical
-// detector state, verified via checkpoint checksums after a flush barrier.
-//
-// Event.Classes is deliberately NOT compared: batched attribution is the
-// union over a flushed block's drifting mini-batches, so the class list
-// depends on how observations were grouped in flight — the weights and the
-// drift decisions do not.
+// per-stream drift traces (sequence number, attributed classes and flight
+// record batch of every event) and bit-identical detector state, verified via
+// checkpoint checksums after a flush barrier.
 func TestOrderingEquivalenceAcrossParallelism(t *testing.T) {
 	streams, perStream := 6, 4000
 	if testing.Short() {
@@ -177,17 +190,12 @@ func TestOrderingEquivalenceAcrossParallelism(t *testing.T) {
 	total := 0
 	for id := range work {
 		s, p := serialDrifts[id], parallelDrifts[id]
-		if len(s) != len(p) {
-			t.Fatalf("%s: %d drifts serial vs %d parallel\nserial:   %v\nparallel: %v", id, len(s), len(p), s, p)
-		}
-		for i := range s {
-			if s[i] != p[i] {
-				t.Fatalf("%s: drift %d at seq %d serial vs %d parallel", id, i, s[i], p[i])
-			}
+		if !reflect.DeepEqual(s, p) {
+			t.Fatalf("%s: drift traces diverge\nserial:   %+v\nparallel: %+v", id, s, p)
 		}
 		total += len(s)
 		if serialSums[id] != parallelSums[id] {
-			t.Fatalf("%s: weight checksum %x serial vs %x parallel — detector state diverged", id, serialSums[id], parallelSums[id])
+			t.Fatalf("%s: checkpoint checksums %+v serial vs %+v parallel — detector state diverged", id, serialSums[id], parallelSums[id])
 		}
 	}
 	if total == 0 {

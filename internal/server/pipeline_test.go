@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -65,13 +66,27 @@ func buildWireWorkload(t *testing.T, streams, perStream int) map[string][]detect
 	return work
 }
 
+// traceEvent is the part of a drift event that must not depend on the
+// transport: where the drift fired, which classes it names, and the
+// mini-batch of its flight record (-1 without one).
+type traceEvent struct {
+	Seq     uint64
+	Classes []int
+	Batch   int
+}
+
+// stateSum checksums one stream's flushed checkpoint: the raw frame,
+// and the learned weights restored from it.
+type stateSum struct {
+	frame, weights uint64
+}
+
 // runWireWorkload pushes the workload through a fresh monitor+server over
 // loopback — serially (one window-1 client, synchronous calls) or pipelined
 // (one client over 2 connections, window 16, 3 racing producers keeping a ring
-// of async batches in flight) — and returns per-stream drift sequence
-// numbers plus per-stream weight checksums restored from flushed
-// checkpoints.
-func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipelined bool) (map[string][]uint64, map[string]uint64) {
+// of async batches in flight) — and returns per-stream drift traces plus
+// per-stream checksums of the flushed checkpoints.
+func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipelined bool) (map[string][]traceEvent, map[string]stateSum) {
 	t.Helper()
 	store := monitor.NewMemStore()
 	m, err := monitor.New(monitor.Config{
@@ -201,14 +216,18 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 		}
 	}
 
-	drifts := seqsByStream(drainEvents(t, sub))
+	drifts := make(map[string][]traceEvent)
+	for _, ev := range drainEvents(t, sub) {
+		te := traceEvent{Seq: ev.Seq, Classes: ev.Classes, Batch: -1}
+		if ev.Record != nil {
+			te.Batch = ev.Record.Batch
+		}
+		drifts[ev.StreamID] = append(drifts[ev.StreamID], te)
+	}
 
-	// Restore every stream's checkpoint into a fresh detector and checksum
-	// the learned weights. The raw frame is NOT hashed directly: it also
-	// carries the last drift's attributed class list, which is a block-union
-	// and hence grouping-dependent — the weights are the bit-identity
-	// guarantee.
-	sums := make(map[string]uint64, len(ids))
+	// Checksum every stream's raw checkpoint frame, then restore it into a
+	// fresh detector and checksum the learned weights.
+	sums := make(map[string]stateSum, len(ids))
 	for _, id := range ids {
 		data, ok, err := store.Get(id)
 		if err != nil || !ok {
@@ -225,7 +244,7 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 		if err := det.LoadStateBytes(payload[8:]); err != nil {
 			t.Fatalf("restore %s: %v", id, err)
 		}
-		sums[id] = det.RBM().WeightChecksum()
+		sums[id] = stateSum{frame: testHash(string(data)), weights: det.RBM().WeightChecksum()}
 	}
 	return drifts, sums
 }
@@ -233,8 +252,9 @@ func runWireWorkload(t *testing.T, work map[string][]detectors.Observation, pipe
 // TestPipelinedOrderingEquivalence is the acceptance bar for the pipelined
 // wire path: the same workload pushed through a window-1 serial client and
 // through a multiplexed pool of window-16 pipelined connections with racing
-// producers must yield identical per-stream drift decisions (sequence
-// numbers at detection) and bit-identical detector weights. Consistent-hash
+// producers must yield identical per-stream drift traces (sequence number,
+// attributed classes and flight-record batch of every event) and
+// bit-identical checkpoints and detector weights. Consistent-hash
 // connection affinity plus in-order per-connection processing is what makes
 // this hold — a pool that sprayed one stream across connections would fail
 // it.
@@ -250,17 +270,12 @@ func TestPipelinedOrderingEquivalence(t *testing.T) {
 	total := 0
 	for id := range work {
 		s, p := serialDrifts[id], pipeDrifts[id]
-		if len(s) != len(p) {
-			t.Fatalf("%s: %d drifts serial vs %d pipelined\nserial:    %v\npipelined: %v", id, len(s), len(p), s, p)
-		}
-		for i := range s {
-			if s[i] != p[i] {
-				t.Fatalf("%s: drift %d at seq %d serial vs %d pipelined", id, i, s[i], p[i])
-			}
+		if !reflect.DeepEqual(s, p) {
+			t.Fatalf("%s: drift traces diverge\nserial:    %+v\npipelined: %+v", id, s, p)
 		}
 		total += len(s)
 		if serialSums[id] != pipeSums[id] {
-			t.Fatalf("%s: weight checksum %x serial vs %x pipelined — detector state diverged", id, serialSums[id], pipeSums[id])
+			t.Fatalf("%s: checkpoint checksums %+v serial vs %+v pipelined — detector state diverged", id, serialSums[id], pipeSums[id])
 		}
 	}
 	if total == 0 {

@@ -33,17 +33,13 @@ const (
 // reference detectors.
 type Detector = detectors.Detector
 
-// BatchDetector is implemented by detectors with a native batched update
-// path (RBM-IM). UpdateBatch is observationally equivalent to a sequential
-// Update loop; batching amortizes dispatch and scratch setup per block.
-type BatchDetector = detectors.BatchDetector
-
-// UpdateBatch feeds a block of observations to det, taking its native
-// batched path when it implements BatchDetector and falling back to a
-// per-observation loop otherwise. states must have at least len(obs)
-// elements; states[i] is the state Update would have returned for obs[i].
-func UpdateBatch(det Detector, obs []Observation, states []State) {
-	detectors.UpdateBatch(det, obs, states)
+// UpdateBatch feeds obs to det in order, writing the state Update returns
+// for obs[i] into states[i], and returns the number consumed: len(obs), or
+// fewer when a Drift ends the run early, so DriftClasses then names that
+// drift's classes alone. Loop until the block is consumed. states must have
+// at least len(obs) elements.
+func UpdateBatch(det Detector, obs []Observation, states []State) int {
+	return detectors.UpdateBatch(det, obs, states)
 }
 
 // ClassAttributor is implemented by detectors that attribute drifts to
