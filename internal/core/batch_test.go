@@ -56,77 +56,80 @@ func attributionOf(d *Detector) driftAttribution {
 	return driftAttribution{classes: slices.Clone(d.DriftClasses()), batch: d.LastDriftRecord().Batch}
 }
 
-// TestUpdateBatchMatchesSequential is the update-path contract: for every
-// chunking, looping UpdateBatch on its returned count must emit the exact
-// per-observation states of the sequential Update loop, report at each drift
-// the classes and flight-record batch the sequential run reports at that
-// index, and leave the RBM in the same state (same CD-k randomness consumed
-// in the same order). The second input is a local class-3 drift, whose
-// attribution must survive any block that spans the drifting mini-batch.
+// TestUpdateBatchMatchesSequential is the update-path contract on a global
+// drift: see checkUpdateBatchMatchesSequential.
 func TestUpdateBatchMatchesSequential(t *testing.T) {
-	inputs := []struct {
-		name    string
-		classes int
-		obs     []detectors.Observation
-		// local is the class some drift after the injection must name, or
-		// -1 for a global drift.
-		local int
-	}{
-		{"global", 4, driftObservations(t, 20000), -1},
-		{"local-class-3", 5, localDriftObservations(t, 24000), 3},
+	checkUpdateBatchMatchesSequential(t, 4, driftObservations(t, 20000), -1)
+}
+
+// TestUpdateBatchDriftClassesSurviveBlock runs the same contract on a local
+// class-3 drift: a drift signalled by a mini-batch in the middle of a block
+// must be attributed to class 3 when UpdateBatch returns at it, exactly as
+// the sequential run attributes it, even when quiet mini-batches follow it
+// inside the block.
+func TestUpdateBatchDriftClassesSurviveBlock(t *testing.T) {
+	checkUpdateBatchMatchesSequential(t, 5, localDriftObservations(t, 24000), 3)
+}
+
+// checkUpdateBatchMatchesSequential checks that, for every chunking, looping
+// UpdateBatch on its returned count emits the exact per-observation states
+// of the sequential Update loop, reports at each drift the classes and
+// flight-record batch the sequential run reports at that index, and leaves
+// the RBM in the same state (same CD-k randomness consumed in the same
+// order). local is the class some drift after the halfway injection must
+// name, or -1 for a global drift.
+func checkUpdateBatchMatchesSequential(t *testing.T, classes int, obs []detectors.Observation, local int) {
+	t.Helper()
+	n := len(obs)
+	seq, err := NewDetector(testConfig(10, classes))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, in := range inputs {
-		n := len(in.obs)
-		seq, err := NewDetector(testConfig(10, in.classes))
+	want := make([]detectors.State, n)
+	wantAttr := make(map[int]driftAttribution)
+	for i := range obs {
+		want[i] = seq.Update(obs[i])
+		if want[i] == detectors.Drift {
+			wantAttr[i] = attributionOf(seq)
+		}
+	}
+	if len(wantAttr) == 0 {
+		t.Fatal("comparison stream produced no drift; the test is vacuous")
+	}
+	if local >= 0 && !namesClassAfter(wantAttr, local, n/2) {
+		t.Fatalf("no drift after the injection names class %d", local)
+	}
+	for _, chunk := range []int{1, 7, 50, 256, 1000} {
+		bat, err := NewDetector(testConfig(10, classes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]detectors.State, n)
-		wantAttr := make(map[int]driftAttribution)
-		for i := range in.obs {
-			want[i] = seq.Update(in.obs[i])
-			if want[i] == detectors.Drift {
-				wantAttr[i] = attributionOf(seq)
-			}
-		}
-		if len(wantAttr) == 0 {
-			t.Fatalf("%s: comparison stream produced no drift; the test is vacuous", in.name)
-		}
-		if in.local >= 0 && !namesClassAfter(wantAttr, in.local, n/2) {
-			t.Fatalf("%s: no drift after the injection names class %d", in.name, in.local)
-		}
-		for _, chunk := range []int{1, 7, 50, 256, 1000} {
-			bat, err := NewDetector(testConfig(10, in.classes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]detectors.State, n)
-			for start := 0; start < n; start += chunk {
-				end := min(start+chunk, n)
-				for off := start; off < end; {
-					k := bat.UpdateBatch(in.obs[off:end], got[off:end])
-					run := got[off : off+k]
-					off += k
-					if slices.Contains(run[:k-1], detectors.Drift) {
-						t.Fatalf("%s chunk=%d: UpdateBatch ran past a drift before %d", in.name, chunk, off)
-					}
-					if i := off - 1; got[i] == detectors.Drift {
-						if a := attributionOf(bat); !reflect.DeepEqual(a, wantAttr[i]) {
-							t.Fatalf("%s chunk=%d: drift at %d attributed %+v, %+v sequentially", in.name, chunk, i, a, wantAttr[i])
-						}
+		got := make([]detectors.State, n)
+		for start := 0; start < n; start += chunk {
+			end := min(start+chunk, n)
+			for off := start; off < end; {
+				k := bat.UpdateBatch(obs[off:end], got[off:end])
+				run := got[off : off+k]
+				off += k
+				if slices.Contains(run[:k-1], detectors.Drift) {
+					t.Fatalf("chunk=%d: UpdateBatch ran past a drift before %d", chunk, off)
+				}
+				if i := off - 1; got[i] == detectors.Drift {
+					if a := attributionOf(bat); !reflect.DeepEqual(a, wantAttr[i]) {
+						t.Fatalf("chunk=%d: drift at %d attributed %+v, %+v sequentially", chunk, i, a, wantAttr[i])
 					}
 				}
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s chunk=%d: state[%d] = %v batched, %v sequential", in.name, chunk, i, got[i], want[i])
-				}
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("chunk=%d: state[%d] = %v batched, %v sequential", chunk, i, got[i], want[i])
 			}
-			seqErr, batErr := seq.LastErrors(), bat.LastErrors()
-			for k := range seqErr {
-				if seqErr[k] != batErr[k] {
-					t.Fatalf("%s chunk=%d: class %d reconstruction error %v batched vs %v sequential", in.name, chunk, k, batErr[k], seqErr[k])
-				}
+		}
+		seqErr, batErr := seq.LastErrors(), bat.LastErrors()
+		for k := range seqErr {
+			if seqErr[k] != batErr[k] {
+				t.Fatalf("chunk=%d: class %d reconstruction error %v batched vs %v sequential", chunk, k, batErr[k], seqErr[k])
 			}
 		}
 	}
