@@ -148,6 +148,11 @@ type Detector struct {
 	errCounts []int
 	xsScratch []float64
 	vScratch  []float64
+	// tcrit caches the prediction-interval critical value of
+	// trendCandidate by degrees of freedom (0 = not computed yet). It is a
+	// function of Config alone, so it is neither checkpointed nor cleared
+	// by Reset.
+	tcrit []float64
 	// Checkpoint scratch (state.go): the encoded payload and the framed
 	// snapshot, reused so periodic SaveState calls are allocation-free.
 	stateScratch []byte
@@ -209,10 +214,11 @@ func NewDetector(cfg Config) (*Detector, error) {
 	rbm.ensureBatch(cfg.BatchSize)
 	d.errSums = make([]float64, cfg.Classes)
 	d.errCounts = make([]int, cfg.Classes)
-	// The adaptive window is clamped to 4*TrendWindow, so these scratch
-	// slices never grow after construction.
+	// The adaptive window is clamped to 4*TrendWindow (and LoadState
+	// rejects wider ones), so these never grow after construction.
 	d.xsScratch = make([]float64, 0, 4*cfg.TrendWindow)
 	d.vScratch = make([]float64, 0, 4*cfg.TrendWindow)
+	d.tcrit = make([]float64, 4*cfg.TrendWindow-1)
 	d.recorder = make([]DriftSample, flightRecorderDepth)
 	d.monitor = make([]*classMonitor, cfg.Classes)
 	for k := range d.monitor {
@@ -413,19 +419,13 @@ func (d *Detector) trendCandidate(m *classMonitor, r float64) (candidate, escape
 	}
 	vals := m.trend.ValuesInto(d.vScratch)
 	d.vScratch = vals[:0]
-	if cap(d.xsScratch) < n {
-		d.xsScratch = make([]float64, 0, n)
-	}
 	xs := d.xsScratch[:n]
 	for i := range xs {
 		xs[i] = float64(i)
 	}
 	alphaHat, betaHat, rss := stats.OLS(xs, vals)
-	dfree := float64(n - 2)
-	if dfree <= 0 {
-		return false, false
-	}
-	s2 := rss / dfree
+	dfree := n - 2
+	s2 := rss / float64(dfree)
 	// Prediction at the next time index.
 	x0 := float64(n)
 	xBar := (x0 - 1) / 2
@@ -442,8 +442,7 @@ func (d *Detector) trendCandidate(m *classMonitor, r float64) (candidate, escape
 	if se < 1e-9 {
 		se = 1e-9
 	}
-	effAlpha := d.cfg.Alpha / float64(d.cfg.Classes)
-	tcrit := stats.StudentTQuantile(1-effAlpha/2, dfree)
+	tcrit := d.tcritAt(dfree)
 	jump := math.Abs(r - pred)
 	floor := 0.05 * m.trend.Mean()
 	if floor < 1e-6 {
@@ -452,6 +451,20 @@ func (d *Detector) trendCandidate(m *classMonitor, r float64) (candidate, escape
 	escaped = jump > tcrit*se
 	candidate = escaped && jump > floor
 	return candidate, escaped
+}
+
+// tcritAt returns the two-sided critical value of trendCandidate's
+// prediction interval at dfree degrees of freedom, with alpha split across
+// the classes, computing it on first use. dfree is at most
+// 4*TrendWindow-2, the widest window the clamp allows.
+func (d *Detector) tcritAt(dfree int) float64 {
+	t := d.tcrit[dfree]
+	if t == 0 {
+		effAlpha := d.cfg.Alpha / float64(d.cfg.Classes)
+		t = stats.StudentTQuantile(1-effAlpha/2, float64(dfree))
+		d.tcrit[dfree] = t
+	}
+	return t
 }
 
 // grangerConfirms runs the first-difference Granger causality test between

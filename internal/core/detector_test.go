@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rbmim/internal/detectors"
+	"rbmim/internal/stats"
 	"rbmim/internal/stream"
 	"rbmim/internal/synth"
 )
@@ -157,5 +159,47 @@ func TestDetectorHandlesImbalancedStream(t *testing.T) {
 	batches := 15000 / d.Config().BatchSize
 	if len(drifts) > batches/8 {
 		t.Fatalf("imbalanced stationary stream: %d drifts over %d batches", len(drifts), batches)
+	}
+}
+
+// TestTcritTableMatchesQuantile pins the critical-value table to the call it
+// caches: every entry a stream filled through processBatch, and every entry
+// the 4*TrendWindow clamp lets trendCandidate reach, equals a fresh
+// StudentTQuantile(1-alpha/(2Z), dfree) bit for bit.
+func TestTcritTableMatchesQuantile(t *testing.T) {
+	gen, err := synth.NewRBF(synth.Config{Features: 8, Classes: 3, Seed: 9}, 3, 0.07)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDetector(testConfig(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDetector(d, gen, 6000)
+	cfg := d.Config()
+	fresh := func(dfree int) float64 {
+		return stats.StudentTQuantile(1-cfg.Alpha/(2*float64(cfg.Classes)), float64(dfree))
+	}
+	filled := 0
+	for dfree, v := range d.tcrit {
+		if v == 0 {
+			continue
+		}
+		filled++
+		if math.Float64bits(v) != math.Float64bits(fresh(dfree)) {
+			t.Fatalf("dfree %d: filled entry %v, fresh quantile %v", dfree, v, fresh(dfree))
+		}
+	}
+	if filled == 0 {
+		t.Fatal("the stream filled no table entry")
+	}
+	if want := 4*cfg.TrendWindow - 1; len(d.tcrit) != want {
+		t.Fatalf("table has %d entries, the clamp needs %d", len(d.tcrit), want)
+	}
+	// trendCandidate tests windows of n >= 5 points at dfree = n-2.
+	for dfree := 3; dfree <= 4*cfg.TrendWindow-2; dfree++ {
+		if got, want := d.tcritAt(dfree), fresh(dfree); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dfree %d: table %v, fresh quantile %v", dfree, got, want)
+		}
 	}
 }

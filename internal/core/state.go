@@ -357,6 +357,10 @@ func (d *Detector) decodeState(rd *codec.Reader) (*detectorStaged, error) {
 		if err := m.trend.DecodeState(rd); err != nil {
 			return nil, err
 		}
+		if w := m.trend.Window(); w > 4*c.TrendWindow {
+			rd.Fail("class %d trend window %d exceeds the %d clamp", k, w, 4*c.TrendWindow)
+			return nil, rd.Err()
+		}
 		if err := m.adwin.DecodeState(rd); err != nil {
 			return nil, err
 		}

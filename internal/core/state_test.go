@@ -11,6 +11,7 @@ import (
 
 	"rbmim/internal/codec"
 	"rbmim/internal/detectors"
+	"rbmim/internal/stats"
 )
 
 // stateTestConfig is small enough for fast tests while exercising odd kernel
@@ -221,6 +222,59 @@ func TestDetectorLoadStateNeverHalfLoads(t *testing.T) {
 	patchCRC(bad)
 	if err := receiver.LoadStateBytes(bad); err == nil || !errors.Is(err, codec.ErrInvalid) {
 		t.Fatalf("wrong version accepted: %v", err)
+	}
+}
+
+// TestDetectorLoadStateRejectsOversizedTrendWindow crafts snapshots whose
+// class trend window sits at and one past the 4*TrendWindow clamp
+// processBatch enforces. The clamped one restores and keeps running at the
+// widest window, which indexes the last critical-value table entry; the
+// wider one is a codec error that leaves the receiver untouched.
+func TestDetectorLoadStateRejectsOversizedTrendWindow(t *testing.T) {
+	cfg := stateTestConfig(1)
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := stateObsDraw(17, cfg.Features, cfg.Classes)
+	for i := 0; i < 400; i++ {
+		det.Update(draw(i))
+	}
+	clamp := 4 * cfg.TrendWindow
+	for _, w := range []int{clamp, clamp + 1} {
+		tr := stats.NewSlidingTrend(w)
+		for i := 0; i < w; i++ {
+			tr.Add(1 + 0.01*float64(i%3))
+		}
+		det.monitor[1].trend = tr
+		buf := codec.NewBuffer(nil)
+		det.encodeState(buf)
+		snapshot := codec.AppendFrame(nil, codec.KindRBMIM, buf.Bytes())
+
+		receiver, err := NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := detectorStateBytes(t, receiver)
+		err = receiver.LoadStateBytes(snapshot)
+		if w == clamp {
+			if err != nil {
+				t.Fatalf("window %d (the clamp) rejected: %v", w, err)
+			}
+			for i := 0; i < 20*cfg.BatchSize; i++ {
+				receiver.Update(draw(i))
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("window %d above the %d clamp accepted", w, clamp)
+		}
+		if !errors.Is(err, codec.ErrInvalid) {
+			t.Fatalf("window %d: error %v is not codec.ErrInvalid", w, err)
+		}
+		if !bytes.Equal(before, detectorStateBytes(t, receiver)) {
+			t.Fatalf("window %d: failed load mutated the receiver", w)
+		}
 	}
 }
 

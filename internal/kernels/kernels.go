@@ -9,11 +9,18 @@
 // Every kernel produces, for each output element, the exact floating-point
 // result of the obvious scalar reference loop: the same operations, applied
 // in the same left-to-right order, with the same expression shapes (no
-// re-association, no multiple partial accumulators per element, no FMA
-// contraction beyond what the reference expression itself permits). Blocking
-// and unrolling are only applied across *independent* output elements, or by
-// splitting one element's accumulation at an exact float64 store/load
-// boundary — both of which leave each element's value bit-identical.
+// re-association, no multiple partial accumulators per element). FMA is
+// used only where the reference expression's own math.Exp uses it: the AVX
+// Sigmoid body runs the FMA branch of math.Exp's amd64 assembly lane by
+// lane, and math.Exp takes that branch only when the CPU has AVX and FMA
+// and GODEBUG does not switch them off. CPUID alone therefore cannot tell
+// which branch the reference takes, so the vector Sigmoid is enabled only
+// when CPUID reports AVX2 and FMA and an init-time probe finds it agreeing
+// bit for bit with 1/(1+math.Exp(-x)) on inputs where the two branches
+// differ. Blocking and unrolling are only applied across *independent*
+// output elements, or by splitting one element's accumulation at an exact
+// float64 store/load boundary — both of which leave each element's value
+// bit-identical.
 //
 // This contract is what lets core.RBM run its Gibbs layer passes as one
 // blocked product over a whole mini-batch while remaining bit-identical to a
@@ -301,8 +308,25 @@ func Broadcast(dst, row []float64, m int) {
 }
 
 // Sigmoid applies the logistic function element-wise in place, computing
-// exactly 1/(1+exp(-x)) per element.
+// exactly 1/(1+math.Exp(-x)) per element. On amd64 hosts where the gate
+// holds, four-element groups run sigmoidAVX; a group it refuses (a lane
+// whose exponential is not finite and normal) and the tail run the scalar
+// expression.
 func Sigmoid(dst []float64) {
+	i := 0
+	if useSigmoidAVX {
+		for i+4 <= len(dst) {
+			i += sigmoidAVX(dst[i:])
+			if i+4 <= len(dst) {
+				sigmoidGeneric(dst[i : i+4])
+				i += 4
+			}
+		}
+	}
+	sigmoidGeneric(dst[i:])
+}
+
+func sigmoidGeneric(dst []float64) {
 	for i, x := range dst {
 		dst[i] = 1 / (1 + math.Exp(-x))
 	}

@@ -1,32 +1,30 @@
-// AVX bodies for the hottest kernels. Bit-exactness: only VMULPD / VADDPD /
-// VSUBPD (and their scalar SD forms in the tails) are used — each lane
-// performs the exact IEEE-754 operation of the corresponding scalar Go
-// expression, and no FMA contraction is introduced — so these produce
-// bit-identical results to the pure-Go bodies (asserted by the package's
-// property tests, which run both paths on amd64).
+// AVX bodies for the hottest kernels. Bit-exactness: axpyAVX, gradQuadAVX
+// and matmulRowAVX use only VMULPD / VADDPD / VSUBPD (and their scalar SD
+// forms in the tails) — each lane performs the exact IEEE-754 operation of
+// the corresponding scalar Go expression, and no FMA contraction is
+// introduced — so they produce bit-identical results to the pure-Go bodies
+// (asserted by the package's property tests, which run both paths on
+// amd64). sigmoidAVX uses FMA exactly where math.Exp's own FMA branch does;
+// see its comment.
 
 #include "textflag.h"
 
-// func cpuHasAVX() bool
-//
-// CPUID leaf 1: ECX bit 28 = AVX, bit 27 = OSXSAVE; XGETBV(0) bits 1-2 =
-// XMM+YMM state enabled by the OS.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  noavx
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
 	RET
 
-noavx:
-	MOVB $0, ret+0(FP)
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET
 
 // func axpyAVX(alpha float64, x, y []float64)
@@ -319,5 +317,150 @@ store1:
 	JMP  tail1
 
 rowdone:
+	VZEROUPPER
+	RET
+
+// Constants of sigmoidAVX, each replicated across the four lanes. The
+// floating-point literals are the ones $GOROOT/src/math/exp_amd64.s uses, so
+// the assembler produces the same float64 bits.
+DATA sigc<>+0(SB)/8, $0x8000000000000000 // sign bit
+DATA sigc<>+8(SB)/8, $0x8000000000000000
+DATA sigc<>+16(SB)/8, $0x8000000000000000
+DATA sigc<>+24(SB)/8, $0x8000000000000000
+DATA sigc<>+32(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
+DATA sigc<>+40(SB)/8, $1.4426950408889634073599246810018920
+DATA sigc<>+48(SB)/8, $1.4426950408889634073599246810018920
+DATA sigc<>+56(SB)/8, $1.4426950408889634073599246810018920
+DATA sigc<>+64(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA sigc<>+72(SB)/8, $0.69314718055966295651160180568695068359375
+DATA sigc<>+80(SB)/8, $0.69314718055966295651160180568695068359375
+DATA sigc<>+88(SB)/8, $0.69314718055966295651160180568695068359375
+DATA sigc<>+96(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA sigc<>+104(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA sigc<>+112(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA sigc<>+120(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA sigc<>+128(SB)/8, $0.0625
+DATA sigc<>+136(SB)/8, $0.0625
+DATA sigc<>+144(SB)/8, $0.0625
+DATA sigc<>+152(SB)/8, $0.0625
+DATA sigc<>+160(SB)/8, $2.4801587301587301587e-5
+DATA sigc<>+168(SB)/8, $2.4801587301587301587e-5
+DATA sigc<>+176(SB)/8, $2.4801587301587301587e-5
+DATA sigc<>+184(SB)/8, $2.4801587301587301587e-5
+DATA sigc<>+192(SB)/8, $1.9841269841269841270e-4
+DATA sigc<>+200(SB)/8, $1.9841269841269841270e-4
+DATA sigc<>+208(SB)/8, $1.9841269841269841270e-4
+DATA sigc<>+216(SB)/8, $1.9841269841269841270e-4
+DATA sigc<>+224(SB)/8, $1.3888888888888888889e-3
+DATA sigc<>+232(SB)/8, $1.3888888888888888889e-3
+DATA sigc<>+240(SB)/8, $1.3888888888888888889e-3
+DATA sigc<>+248(SB)/8, $1.3888888888888888889e-3
+DATA sigc<>+256(SB)/8, $8.3333333333333333333e-3
+DATA sigc<>+264(SB)/8, $8.3333333333333333333e-3
+DATA sigc<>+272(SB)/8, $8.3333333333333333333e-3
+DATA sigc<>+280(SB)/8, $8.3333333333333333333e-3
+DATA sigc<>+288(SB)/8, $4.1666666666666666667e-2
+DATA sigc<>+296(SB)/8, $4.1666666666666666667e-2
+DATA sigc<>+304(SB)/8, $4.1666666666666666667e-2
+DATA sigc<>+312(SB)/8, $4.1666666666666666667e-2
+DATA sigc<>+320(SB)/8, $1.6666666666666666667e-1
+DATA sigc<>+328(SB)/8, $1.6666666666666666667e-1
+DATA sigc<>+336(SB)/8, $1.6666666666666666667e-1
+DATA sigc<>+344(SB)/8, $1.6666666666666666667e-1
+DATA sigc<>+352(SB)/8, $0.5
+DATA sigc<>+360(SB)/8, $0.5
+DATA sigc<>+368(SB)/8, $0.5
+DATA sigc<>+376(SB)/8, $0.5
+DATA sigc<>+384(SB)/8, $1.0
+DATA sigc<>+392(SB)/8, $1.0
+DATA sigc<>+400(SB)/8, $1.0
+DATA sigc<>+408(SB)/8, $1.0
+DATA sigc<>+416(SB)/8, $2.0
+DATA sigc<>+424(SB)/8, $2.0
+DATA sigc<>+432(SB)/8, $2.0
+DATA sigc<>+440(SB)/8, $2.0
+DATA sigc<>+448(SB)/4, $1 // int32 lanes: the lowest in-range biased exponent
+DATA sigc<>+452(SB)/4, $1
+DATA sigc<>+456(SB)/4, $1
+DATA sigc<>+460(SB)/4, $1
+DATA sigc<>+464(SB)/4, $0x3FF // exponent bias
+DATA sigc<>+468(SB)/4, $0x3FF
+DATA sigc<>+472(SB)/4, $0x3FF
+DATA sigc<>+476(SB)/4, $0x3FF
+DATA sigc<>+480(SB)/4, $0x7FE // highest in-range biased exponent
+DATA sigc<>+484(SB)/4, $0x7FE
+DATA sigc<>+488(SB)/4, $0x7FE
+DATA sigc<>+492(SB)/4, $0x7FE
+GLOBL sigc<>(SB), RODATA|NOPTR, $496
+
+// func sigmoidAVX(dst []float64) int
+//
+// dst[i] = 1/(1+exp(-dst[i])) four elements at a time, returning how many
+// leading elements it wrote (a multiple of four). Each lane runs the FMA
+// branch of math.Exp (archExp in $GOROOT/src/math/exp_amd64.s) operation
+// for operation — VCVTPD2DQ rounding of x*LOG2E to the exponent k, the
+// fused LN2U/LN2L reduction, ×0.0625, the fused Taylor chain, three
+// y·(y+2) squarings and a fourth fused with the final +1 — then scales by
+// 2^k and computes 1/(1+e). That equals 1/(1+math.Exp(-x)) bit for bit
+// whenever archExp takes the same branch and reaches its final scaling
+// directly, i.e. the biased exponent k+0x3FF lies in [1, 0x7FE]. One
+// signed range check per group covers every other case: NaN, ±Inf and
+// out-of-int32 products convert to 0x80000000, and overflow and
+// denormal/underflow results fall outside the range. The function stops
+// before the first group with such a lane and leaves it, and any tail
+// shorter than four, to the caller's scalar loop. Requires AVX2 and FMA.
+TEXT ·sigmoidAVX(SB), NOSPLIT, $0-32
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	ANDQ $-4, CX
+	XORQ AX, AX
+	VMOVDQU sigc<>+448(SB), X8 // 1 (int32 lanes)
+	VMOVUPD sigc<>+384(SB), Y9 // 1.0
+
+sigloop:
+	CMPQ AX, CX
+	JGE  sigdone
+	VMOVUPD (DI)(AX*8), Y0
+	VXORPD  sigc<>+0(SB), Y0, Y0 // t = -x
+	VMULPD  sigc<>+32(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2            // k = int32(round(t*LOG2E))
+	VPADDD  sigc<>+464(SB), X2, X3
+	VPCMPGTD X3, X8, X4          // 1 > k+bias
+	VPCMPGTD sigc<>+480(SB), X3, X5 // k+bias > 0x7FE
+	VPOR    X5, X4, X4
+	VPTEST  X4, X4
+	JNE     sigdone
+	VPMOVZXDQ X3, Y7
+	VPSLLQ  $52, Y7, Y7          // 2^k
+	VCVTDQ2PD X2, Y2
+	VFNMADD231PD sigc<>+64(SB), Y2, Y0
+	VFNMADD231PD sigc<>+96(SB), Y2, Y0
+	VMULPD  sigc<>+128(SB), Y0, Y0
+	VMOVUPD sigc<>+160(SB), Y1
+	VFMADD213PD sigc<>+192(SB), Y0, Y1
+	VFMADD213PD sigc<>+224(SB), Y0, Y1
+	VFMADD213PD sigc<>+256(SB), Y0, Y1
+	VFMADD213PD sigc<>+288(SB), Y0, Y1
+	VFMADD213PD sigc<>+320(SB), Y0, Y1
+	VFMADD213PD sigc<>+352(SB), Y0, Y1
+	VFMADD213PD sigc<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  sigc<>+416(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  sigc<>+416(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  sigc<>+416(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  sigc<>+416(SB), Y0, Y1
+	VFMADD213PD sigc<>+384(SB), Y1, Y0
+	VMULPD  Y7, Y0, Y0
+	VADDPD  Y9, Y0, Y0
+	VDIVPD  Y0, Y9, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sigloop
+
+sigdone:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -2,9 +2,9 @@
 
 package kernels
 
-// useAVX is permanently false off amd64; the pure-Go bodies are the only
-// implementation and the stubs below are unreachable.
-var useAVX = false
+// useAVX and useSigmoidAVX are permanently false off amd64; the pure-Go
+// bodies are the only implementation and the stubs below are unreachable.
+var useAVX, useSigmoidAVX = false, false
 
 func axpyAVX(alpha float64, x, y []float64) {
 	panic("kernels: axpyAVX without amd64 support")
@@ -16,4 +16,8 @@ func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64) {
 
 func matmulRowAVX(dst, a, b []float64) {
 	panic("kernels: matmulRowAVX without amd64 support")
+}
+
+func sigmoidAVX(dst []float64) int {
+	panic("kernels: sigmoidAVX without amd64 support")
 }

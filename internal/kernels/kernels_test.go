@@ -277,17 +277,61 @@ func TestBroadcastFillsRows(t *testing.T) {
 	}
 }
 
+// sigmoidSpecials are arguments at the edges of math.Exp's branches: ±0,
+// NaN, ±Inf, denormals, out-of-int32 exponents, and the arguments around
+// the biased exponents 0, 1, 0x7FE and 0x7FF of exp(-x), where the vector
+// path hands over to the scalar expression.
+var sigmoidSpecials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+	3e9, -3e9,
+	708, -708, 708.4, 709.09, -709, -709.78, 709.78,
+	745, -745, 746, -746,
+}
+
+// sigmoidInput draws a Sigmoid argument: a special, a random bit pattern, or
+// an N(0, 25) value (about 4% of which differ between math.Exp's FMA and
+// non-FMA branches).
+func sigmoidInput(rng *rand.Rand) float64 {
+	switch rng.Intn(4) {
+	case 0:
+		return sigmoidSpecials[rng.Intn(len(sigmoidSpecials))]
+	case 1:
+		return math.Float64frombits(rng.Uint64())
+	default:
+		return 5 * rng.NormFloat64()
+	}
+}
+
+// TestSigmoidMatchesNaive pins Sigmoid to 1/(1+math.Exp(-x)) bit for bit:
+// over the shared random shapes, then at every length 0..37 (every scalar
+// tail length, refused groups at every position) over specials, random bit
+// patterns and N(0, 25) draws, then on each special alone.
 func TestSigmoidMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for round := 0; round < propRounds; round++ {
-		n := randDim(rng, 200)
-		dst := randSlice(rng, n)
+	check := func(dst []float64) {
+		t.Helper()
 		dstRef := append([]float64(nil), dst...)
 		Sigmoid(dst)
 		naiveSigmoid(dstRef)
 		if !sameBits(dst, dstRef) {
-			t.Fatalf("n=%d: Sigmoid diverged from naive", n)
+			t.Fatalf("n=%d: Sigmoid diverged from naive", len(dst))
 		}
+	}
+	for round := 0; round < propRounds; round++ {
+		check(randSlice(rng, randDim(rng, 200)))
+	}
+	for n := 0; n <= 37; n++ {
+		for round := 0; round < 50; round++ {
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = sigmoidInput(rng)
+			}
+			check(dst)
+		}
+	}
+	for _, x := range sigmoidSpecials {
+		check([]float64{x, x, x, x, x})
 	}
 }
 
@@ -312,8 +356,8 @@ func TestSoftmaxMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSIMDAndGenericPathsAgree reruns the two dispatched kernels with the
-// assembly path disabled and asserts bitwise agreement with the enabled
+// TestSIMDAndGenericPathsAgree reruns the dispatched kernels with the
+// assembly paths disabled and asserts bitwise agreement with the enabled
 // path over random shapes (on platforms without assembly both runs take the
 // generic path and the test is a tautology). The main property tests cover
 // whichever path the host dispatches to; this pins the other one.
@@ -321,7 +365,8 @@ func TestSIMDAndGenericPathsAgree(t *testing.T) {
 	if !useAVX {
 		t.Skip("no SIMD path on this host; generic path already covered")
 	}
-	defer func() { useAVX = true }()
+	sigAVX := useSigmoidAVX
+	defer func() { useAVX, useSigmoidAVX = true, sigAVX }()
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < propRounds; round++ {
 		n := randDim(rng, 200)
@@ -361,6 +406,20 @@ func TestSIMDAndGenericPathsAgree(t *testing.T) {
 		AccumRankK(g, w, xm, vm, p, q, m, rows, cols)
 		if !sameBits(g, gSIMD) {
 			t.Fatalf("m=%d rows=%d cols=%d: AccumRankK SIMD and generic paths disagree", m, rows, cols)
+		}
+
+		sn := randDim(rng, 200)
+		sg := make([]float64, sn)
+		for i := range sg {
+			sg[i] = sigmoidInput(rng)
+		}
+		sgSIMD := append([]float64(nil), sg...)
+		useSigmoidAVX = sigAVX
+		Sigmoid(sgSIMD)
+		useSigmoidAVX = false
+		Sigmoid(sg)
+		if !sameBits(sg, sgSIMD) {
+			t.Fatalf("n=%d: Sigmoid SIMD and generic paths disagree", sn)
 		}
 	}
 }

@@ -46,3 +46,25 @@ func BenchmarkGrad20x40AVX(b *testing.B) { benchGradMode(b, 20, 40, true) }
 func BenchmarkGrad20x40Gen(b *testing.B) { benchGradMode(b, 20, 40, false) }
 func BenchmarkGrad40x5AVX(b *testing.B)  { benchGradMode(b, 40, 5, true) }
 func BenchmarkGrad40x5Gen(b *testing.B)  { benchGradMode(b, 40, 5, false) }
+
+func benchSigmoidMode(b *testing.B, n int, avx bool) {
+	old := useSigmoidAVX
+	useSigmoidAVX = avx && old
+	defer func() { useSigmoidAVX = old }()
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = 5 * rng.NormFloat64()
+	}
+	dst := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, src)
+		Sigmoid(dst)
+	}
+}
+
+func BenchmarkSigmoid40AVX(b *testing.B)   { benchSigmoidMode(b, 40, true) }
+func BenchmarkSigmoid40Gen(b *testing.B)   { benchSigmoidMode(b, 40, false) }
+func BenchmarkSigmoid2000AVX(b *testing.B) { benchSigmoidMode(b, 2000, true) }
+func BenchmarkSigmoid2000Gen(b *testing.B) { benchSigmoidMode(b, 2000, false) }
