@@ -21,6 +21,7 @@
 package codec
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -490,9 +491,10 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 // ReadFrame reads exactly one frame from r: the fixed header first, then the
 // declared payload and CRC. Short reads surface as ErrInvalid-wrapped
 // errors, and the frame is re-validated end to end (including CRC) before
-// the payload is returned.
+// the payload is returned. ReadFrame does not buffer r, so it never reads
+// past its frame.
 func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
-	kind, payload, err = NewFrameScanner(r).Next()
+	kind, payload, err = readFrame(r, new([]byte), MaxPayload)
 	if err == io.EOF {
 		// Unlike a connection loop (FrameScanner.Next), a checkpoint load
 		// expects a frame to be present: an empty input is invalid input.
@@ -501,15 +503,21 @@ func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	return kind, payload, err
 }
 
+// scanBufSize is a FrameScanner's read buffer: one Read fills it with a
+// whole pipelined window of small frames.
+const scanBufSize = 32 << 10
+
 // FrameScanner reads a stream of consecutive frames from r, reusing one
 // internal buffer across frames — the connection-loop primitive of the
 // network protocol, where a steady-state reader must not allocate per frame.
 // The payload returned by Next is a view into that buffer, valid only until
-// the next call. The scanner makes no assumptions about how the underlying
-// reads fragment: a frame split across arbitrarily small Reads (TCP
-// segmentation) is reassembled via io.ReadFull.
+// the next call. The scanner reads r through its own 32 KiB bufio.Reader,
+// so a burst of small frames costs one Read on r instead of two per frame;
+// it reads ahead of the frames it returns, so only the scanner may read r.
+// A frame split across arbitrarily small Reads (TCP segmentation) is
+// reassembled.
 type FrameScanner struct {
-	r   io.Reader
+	r   *bufio.Reader
 	buf []byte
 	max uint32
 }
@@ -517,7 +525,7 @@ type FrameScanner struct {
 // NewFrameScanner returns a FrameScanner over r accepting payloads up to
 // MaxPayload (lower it with LimitPayload when r is an untrusted peer).
 func NewFrameScanner(r io.Reader) *FrameScanner {
-	return &FrameScanner{r: r, max: MaxPayload}
+	return &FrameScanner{r: bufio.NewReaderSize(r, scanBufSize), max: MaxPayload}
 }
 
 // LimitPayload lowers the maximum accepted payload length. A frame declaring
@@ -529,6 +537,10 @@ func (s *FrameScanner) LimitPayload(n int) {
 	}
 }
 
+// Buffered returns the number of bytes read from r but not yet returned by
+// Next: zero means the next Next blocks on r.
+func (s *FrameScanner) Buffered() int { return s.r.Buffered() }
+
 // Next reads and validates the next frame. A clean end of stream at a frame
 // boundary returns io.EOF untouched (the signal a server loop exits on);
 // every other failure — truncation mid-frame included — wraps ErrInvalid.
@@ -536,11 +548,17 @@ func (s *FrameScanner) LimitPayload(n int) {
 // connection cut mid-frame (errors.Is(err, io.ErrUnexpectedEOF)) from other
 // corruption.
 func (s *FrameScanner) Next() (kind uint8, payload []byte, err error) {
-	if cap(s.buf) < headerSize {
-		s.buf = make([]byte, headerSize, 4096)
+	return readFrame(s.r, &s.buf, s.max)
+}
+
+// readFrame reads one frame of at most limit payload bytes from r into *buf,
+// growing it as needed. Its errors are Next's.
+func readFrame(r io.Reader, buf *[]byte, limit uint32) (kind uint8, payload []byte, err error) {
+	if cap(*buf) < headerSize {
+		*buf = make([]byte, headerSize, 4096)
 	}
-	head := s.buf[:headerSize]
-	if _, err := io.ReadFull(s.r, head); err != nil {
+	head := (*buf)[:headerSize]
+	if _, err := io.ReadFull(r, head); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
@@ -553,17 +571,17 @@ func (s *FrameScanner) Next() (kind uint8, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrInvalid, v, Version)
 	}
 	n := binary.LittleEndian.Uint32(head[6:10])
-	if n > s.max {
-		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrInvalid, n, s.max)
+	if n > limit {
+		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrInvalid, n, limit)
 	}
 	total := headerSize + int(n) + trailerSize
-	if cap(s.buf) < total {
+	if cap(*buf) < total {
 		grown := make([]byte, total)
 		copy(grown, head)
-		s.buf = grown
+		*buf = grown
 	}
-	frame := s.buf[:total]
-	if _, err := io.ReadFull(s.r, frame[headerSize:]); err != nil {
+	frame := (*buf)[:total]
+	if _, err := io.ReadFull(r, frame[headerSize:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: reading frame body: %w", ErrInvalid, err)
 	}
 	return ParseFrame(frame)

@@ -381,6 +381,48 @@ func TestReadFrameFragmented(t *testing.T) {
 	}
 }
 
+// TestReadFrameExact pins ReadFrame's one-frame contract: it never reads
+// past its frame, so back-to-back frames in one reader come out one call at
+// a time and nothing is left behind.
+func TestReadFrameExact(t *testing.T) {
+	stream := AppendFrame(nil, KindRBM, []byte("first"))
+	stream = AppendFrame(stream, KindDDM, []byte("second"))
+	r := bytes.NewReader(stream)
+	for i, want := range []string{"first", "second"} {
+		_, payload, err := ReadFrame(r)
+		if err != nil || string(payload) != want {
+			t.Fatalf("frame %d: payload=%q err=%v, want %q", i, payload, err, want)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left unread after two frames", r.Len())
+	}
+}
+
+// TestFrameScannerBuffered checks the flush-on-idle signal: after the first
+// Next over a multi-frame input the scanner reports the unread frames'
+// bytes, and after the last frame it reports 0.
+func TestFrameScannerBuffered(t *testing.T) {
+	first := AppendFrame(nil, KindWireOK, []byte("one"))
+	stream := AppendFrame(first, KindWireOK, []byte("two"))
+	stream = AppendFrame(stream, KindWireBusy, []byte("three"))
+	sc := NewFrameScanner(bytes.NewReader(stream))
+	next := func() {
+		if _, _, err := sc.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next()
+	if got, want := sc.Buffered(), len(stream)-len(first); got != want {
+		t.Fatalf("Buffered after the first frame = %d, want %d", got, want)
+	}
+	next()
+	next()
+	if got := sc.Buffered(); got != 0 {
+		t.Fatalf("Buffered after the last frame = %d, want 0", got)
+	}
+}
+
 // TestReaderResetAndRemaining exercises the reusable-Reader path the
 // connection loops depend on.
 func TestReaderResetAndRemaining(t *testing.T) {

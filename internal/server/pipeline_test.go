@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -678,5 +679,69 @@ func TestPipelinedAsyncAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, run)
 	if allocs > 0.5 {
 		t.Fatalf("steady-state pipelined window allocates %.2f allocs/op (process-wide), want 0", allocs)
+	}
+}
+
+// readCountingConn counts the Reads that delivered bytes.
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestClientReplyReadsBuffered pins the client's reply reader to bulk
+// reads: the server acks a pipelined window in one coalesced write, so the
+// client must read it back in far fewer Reads than replies. An unbuffered
+// frame reader pays exactly two per reply (header, then body).
+func TestClientReplyReadsBuffered(t *testing.T) {
+	srv, _, _ := newTestServer(t, monitor.Config{
+		Shards:    1,
+		QueueSize: 4096,
+		NewDetector: func(string) (detectors.Detector, error) {
+			return nullDetector{}, nil
+		},
+	}, Config{})
+	var reads atomic.Int64
+	c, err := dialClient(ClientConfig{Addrs: []string{srv.Addr()}, Window: 16},
+		func(addr string) (net.Conn, error) {
+			nc, err := net.Dial("tcp", addr)
+			return readCountingConn{Conn: nc, reads: &reads}, err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 4096
+	obs := testObs(4, 64)
+	var ring [16]Pending
+	for i := 0; i < n; i++ {
+		slot := &ring[i%len(ring)]
+		if i >= len(ring) {
+			if err := slot.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := c.IngestAsync("stream-1", obs[i%len(obs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		*slot = p
+	}
+	for _, p := range ring {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perReply := float64(reads.Load()) / n
+	t.Logf("%.3f client reads per reply", perReply)
+	if perReply > 1 {
+		t.Fatalf("client read %.3f times per reply, want at most 1", perReply)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -352,7 +351,6 @@ func (s *Server) wireSnapshot() monitor.Snapshot {
 type connHandler struct {
 	s    *Server
 	nc   net.Conn
-	br   *bufio.Reader // buffered socket read side; Buffered() drives flush-on-idle
 	rd   codec.Reader
 	out  *codec.Buffer // coalesced reply frames awaiting one socket write
 	outN int           // reply frames currently buffered in out
@@ -391,23 +389,22 @@ func (s *Server) handle(nc net.Conn) {
 	// Replies are coalesced and flushed on idle: while more requests are
 	// already buffered on the read side, their replies pile into h.out and
 	// go out in one write. A pipelined client's W-deep window then costs ~1
-	// reply syscall per drain instead of W, and the serial client is
-	// unaffected (its read side is always idle after one request, so every
-	// reply flushes immediately). This cannot deadlock: clients write whole
+	// reply write per drain instead of W, which the client's buffered frame
+	// scanner reads back in ~1 read, and the serial client is unaffected
+	// (its read side is always idle after one request, so every reply
+	// flushes immediately). This cannot deadlock: clients write whole
 	// frames before blocking on their window, so an empty read buffer means
 	// the peer is waiting on us, and that is exactly when we flush.
-	br := bufio.NewReaderSize(nc, 32<<10)
-	sc := codec.NewFrameScanner(br)
+	sc := codec.NewFrameScanner(nc)
 	sc.LimitPayload(s.cfg.MaxFrame)
 	h := &connHandler{
 		s:     s,
 		nc:    nc,
-		br:    br,
 		out:   codec.NewBuffer(nil),
 		names: make(map[string]string),
 	}
 	for {
-		if h.outN > 0 && br.Buffered() == 0 {
+		if h.outN > 0 && sc.Buffered() == 0 {
 			if !h.flushReplies() {
 				break
 			}
