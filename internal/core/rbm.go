@@ -115,12 +115,12 @@ type RBM struct {
 	c []float64 // class biases
 
 	// Per-batch transposes of w and u (wT is [Hidden][Visible], uT is
-	// [Classes][Hidden]). The Gibbs chain's h→v and z→h passes run as
-	// zero-skipping MatMul against these instead of MatMulT against w/u:
+	// [Classes][Hidden]), so every h→v and z→h pass, in training and in
+	// scoring, runs as the same zero-skipping MatMul as the forward passes:
 	// the chain's hidden input is always a sampled {0,1} state and its
-	// class input starts one-hot, so the row-level skip halves the h→v
-	// work and reduces the z→h pass to one row-add per instance. The
-	// transpose costs O(VH + HZ) once per mini-batch.
+	// class input starts one-hot, so the skip halves the chain's h→v work
+	// and reduces the z→h pass to one row-add per instance. The transpose
+	// costs O(VH + HZ) once per mini-batch.
 	wT []float64
 	uT []float64
 	// wuStale marks wT/uT as out of date (set by the weight update, cleared
@@ -574,12 +574,12 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 		// Positive phase: h ~ P(h | v = x, z = 1_y) (Eq. 25). The one-hot
 		// class rows go through the transposed MatMul, whose zero-skip
 		// reduces the z→h pass to one uT row-add per instance. The skip is
-		// exact here (and in every chain pass below) because MatMul's
-		// accumulators are seeded from the biases, which round-to-nearest
-		// addition can never drive to -0.0 — so the skipped `s += ±0.0`
-		// terms of the unskipped per-instance loops are no-ops (see the
-		// MatMul docs; the bit-identity regression tests pin this end to
-		// end).
+		// exact here (and in every chain and scoring pass below) because
+		// MatMul's accumulators are seeded from the biases, which
+		// round-to-nearest addition can never drive to -0.0 — so the
+		// skipped `s += ±0.0` terms of the unskipped per-instance loops are
+		// no-ops (see the MatMul docs; the bit-identity regression tests
+		// pin this end to end).
 		hPos := r.hPos[:tb*H]
 		kernels.Broadcast(hPos, r.b, tb)
 		kernels.MatMul(hPos, xT, r.w, tb, V, H)
@@ -636,10 +636,12 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 		// Optional pre-update scoring (Eq. 26), before the updates are
 		// applied: hPos already holds hiddenProbs(x, z0), so only the
 		// visible and class reconstructions remain; vRec/zRec are dead
-		// after the gradient pass and are reused.
+		// after the gradient pass and are reused. hPos is dense (a sigmoid
+		// is exactly 0 only below about -745), so the h→v pass through wT
+		// rarely skips a term, and a skip is exact as above.
 		if score {
 			kernels.Broadcast(vRec, r.a, tb)
-			kernels.MatMulT(vRec, hPos, r.w, tb, H, V)
+			kernels.MatMul(vRec, hPos, r.wT, tb, H, V)
 			kernels.Sigmoid(vRec)
 			kernels.Broadcast(zRec, r.c, tb)
 			kernels.MatMul(zRec, hPos, r.u, tb, H, Z)
@@ -702,7 +704,7 @@ func (r *RBM) ScoreBatch(xs [][]float64, ys []int, errs []float64) {
 		kernels.Sigmoid(hPos)
 		vRec := r.vRec[:tb*V]
 		kernels.Broadcast(vRec, r.a, tb)
-		kernels.MatMulT(vRec, hPos, r.w, tb, H, V)
+		kernels.MatMul(vRec, hPos, r.wT, tb, H, V)
 		kernels.Sigmoid(vRec)
 		zRec := r.zRec[:tb*Z]
 		kernels.Broadcast(zRec, r.c, tb)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -169,39 +170,51 @@ func paramsEqualBits(t *testing.T, label string, a, b *RBM) {
 	check("du", a.du, b.du)
 }
 
+// rbmShape is one (Visible, Hidden, Classes) configuration of the
+// bit-identity tests.
+type rbmShape struct{ V, H, Z int }
+
+// bitIdentityShapes are the RBM shapes the batch-major and batched-scoring
+// paths are pinned at: two with odd sizes (4-wide unroll tails everywhere),
+// the detector shapes the repository benchmark runs (V=20/H=40/Z=5 on
+// detect-replay and wire-batch, V=4/H=8/Z=3 on wire-single), and H=60, whose
+// hidden rows span two 48-column groups of the AVX MatMul body.
+var bitIdentityShapes = []rbmShape{{9, 13, 5}, {11, 7, 3}, {20, 40, 5}, {4, 8, 3}, {30, 60, 4}}
+
 // TestTrainBatchBitIdenticalToSequential is the tentpole contract: the
 // batch-major kernel path must produce bit-identical weights to the
 // per-instance sequential loop at CD-1 and CD-4, across batch sizes
-// including 1, for dimensions that exercise the kernels' unroll tails. The
-// RNG is only consumed in sampling, in the same per-instance order on both
-// paths, so every Bernoulli draw — and therefore every weight — must agree
-// exactly.
+// including 1, for every shape in bitIdentityShapes. The RNG is only
+// consumed in sampling, in the same per-instance order on both paths, so
+// every Bernoulli draw — and therefore every weight — must agree exactly.
 func TestTrainBatchBitIdenticalToSequential(t *testing.T) {
-	const V, H, Z = 9, 13, 5 // odd sizes: 4-wide unroll tails everywhere
-	for _, steps := range []int{1, 4} {
-		for _, bn := range []int{1, 3, 50} {
-			cfg := RBMConfig{
-				Visible: V, Hidden: H, Classes: Z,
-				LearningRate: 0.5, Momentum: 0.9, GibbsSteps: steps, Seed: 11,
-			}
-			bm, err := NewRBM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := NewRBM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			draw := seqBatchStream(int64(100*steps+bn), V, Z)
-			for batch := 0; batch < 25; batch++ {
-				xs, ys := draw(bn)
-				gotErr := bm.TrainBatch(xs, ys)
-				wantErr := seqTrainBatch(seq, xs, ys, false, true)
-				label := t.Name() + ": "
-				paramsEqualBits(t, label+"CD-"+string(rune('0'+steps)), bm, seq)
-				if math.Float64bits(gotErr) != math.Float64bits(wantErr) {
-					t.Fatalf("steps=%d bn=%d batch=%d: scored error %v batch-major vs %v sequential",
-						steps, bn, batch, gotErr, wantErr)
+	for _, sh := range bitIdentityShapes {
+		V, H, Z := sh.V, sh.H, sh.Z
+		for _, steps := range []int{1, 4} {
+			for _, bn := range []int{1, 3, 50} {
+				cfg := RBMConfig{
+					Visible: V, Hidden: H, Classes: Z,
+					LearningRate: 0.5, Momentum: 0.9, GibbsSteps: steps, Seed: 11,
+				}
+				bm, err := NewRBM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq, err := NewRBM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				draw := seqBatchStream(int64(100*steps+bn), V, Z)
+				for batch := 0; batch < 25; batch++ {
+					xs, ys := draw(bn)
+					gotErr := bm.TrainBatch(xs, ys)
+					wantErr := seqTrainBatch(seq, xs, ys, false, true)
+					label := fmt.Sprintf("%s: %v CD-%d", t.Name(), sh, steps)
+					paramsEqualBits(t, label, bm, seq)
+					if math.Float64bits(gotErr) != math.Float64bits(wantErr) {
+						t.Fatalf("shape=%v steps=%d bn=%d batch=%d: scored error %v batch-major vs %v sequential",
+							sh, steps, bn, batch, gotErr, wantErr)
+					}
 				}
 			}
 		}
@@ -209,23 +222,37 @@ func TestTrainBatchBitIdenticalToSequential(t *testing.T) {
 }
 
 // TestScoreBatchMatchesReconstructionError pins the batched scorer: every
-// entry must be bit-identical to the single-instance ReconstructionError.
+// entry must be bit-identical to the single-instance ReconstructionError,
+// for every shape in bitIdentityShapes. Hidden unit 1's bias is set to -800,
+// so its hPos is exactly 0: the h→v pass through wT skips that unit's terms,
+// which the unskipped visibleProbs reference adds as ±0 onto an accumulator
+// that is never -0 (DESIGN.md, "Kernel layer").
 func TestScoreBatchMatchesReconstructionError(t *testing.T) {
-	const V, H, Z = 11, 7, 3
-	r, err := NewRBM(RBMConfig{Visible: V, Hidden: H, Classes: Z, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	draw := seqBatchStream(9, V, Z)
-	xs, ys := draw(33)
-	r.TrainBatchUnscored(xs, ys)
-	ys[7] = -1 // out-of-range label: all-zero class row on both paths
-	errs := make([]float64, len(xs))
-	r.ScoreBatch(xs, ys, errs)
-	for i := range xs {
-		want := r.ReconstructionError(xs[i], ys[i])
-		if math.Float64bits(errs[i]) != math.Float64bits(want) {
-			t.Fatalf("instance %d: ScoreBatch %v vs ReconstructionError %v", i, errs[i], want)
+	for _, sh := range bitIdentityShapes {
+		V, H, Z := sh.V, sh.H, sh.Z
+		r, err := NewRBM(RBMConfig{Visible: V, Hidden: H, Classes: Z, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		draw := seqBatchStream(9, V, Z)
+		xs, ys := draw(33)
+		r.TrainBatchUnscored(xs, ys)
+		r.b[1] = -800
+		ys[7] = -1 // out-of-range label: all-zero class row on both paths
+		errs := make([]float64, len(xs))
+		r.ScoreBatch(xs, ys, errs)
+		for i := range xs {
+			want := r.ReconstructionError(xs[i], ys[i])
+			if math.Float64bits(errs[i]) != math.Float64bits(want) {
+				t.Fatalf("shape=%v instance %d: ScoreBatch %v vs ReconstructionError %v", sh, i, errs[i], want)
+			}
+		}
+		h := make([]float64, H)
+		z0 := make([]float64, Z)
+		z0[ys[0]] = 1
+		r.hiddenProbs(xs[0], z0, h)
+		if math.Float64bits(h[1]) != 0 {
+			t.Fatalf("shape=%v: hidden unit 1 has probability %v, want exactly +0", sh, h[1])
 		}
 	}
 }

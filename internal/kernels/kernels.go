@@ -1,8 +1,8 @@
 // Package kernels provides the dense linear-algebra micro-kernels behind the
-// RBM-IM hot path: unrolled vector primitives (Dot, Axpy, AddScaled), cache-
-// blocked matrix products (MatMul, MatMulT), element-wise activations
-// (Sigmoid, Softmax), and the fused gradient accumulators the batch-major
-// CD-k trainer uses (AccumRankK, AxpyDiff).
+// RBM-IM hot path: unrolled vector primitives (Dot, Axpy, AddScaled), the
+// zero-skipping matrix product every layer pass runs through (MatMul),
+// element-wise activations (Sigmoid, Softmax), and the fused gradient
+// accumulators the batch-major CD-k trainer uses (AccumRankK, AxpyDiff).
 //
 // # Bit-exactness contract
 //
@@ -31,12 +31,17 @@ package kernels
 
 import "math"
 
-// blockK is the accumulation-dimension block length of MatMul / MatMulT /
-// AccumRankK. 64 float64 rows of a typical (≤160-wide) operand panel stay
-// resident in L1/L2 while every output row streams past, and processing
-// blocks in increasing index order preserves each element's accumulation
-// order exactly.
+// blockK is the accumulation-dimension block length of the pure-Go MatMul
+// and of AccumRankK. 64 float64 rows of a typical (≤160-wide) operand panel
+// stay resident in L1/L2 while every output row streams past, and
+// processing blocks in increasing index order preserves each element's
+// accumulation order exactly.
 const blockK = 64
+
+// nzBlock is the accumulation-dimension block length of the AVX MatMul row
+// body: the length of its nonzero-index list. Blocks run in increasing
+// order and dst is stored and reloaded at each block edge, which is exact.
+const nzBlock = 256
 
 // Dot returns the inner product of x and y accumulated strictly left to
 // right into a single accumulator. The loop is unrolled to amortize branch
@@ -122,10 +127,10 @@ func AxpyDiff(w float64, x, v, dst []float64) {
 // Gibbs chain feeds {0,1} hidden states through it, halving the work).
 //
 // Per output element, contributions are added in increasing accumulation
-// index, matching `for i: dst[j] += a[i] * b[i][j]`. The accumulation
-// dimension is processed in blocks of blockK rows of b so the active b panel
-// stays cache-resident across all m output rows; blocks run in increasing
-// order, so the per-element accumulation order is unchanged.
+// index, matching `for i: dst[j] += a[i] * b[i][j]`. The pure-Go body
+// processes the accumulation dimension in blocks of blockK rows of b so the
+// active b panel stays cache-resident across all m output rows; blocks run
+// in increasing order, so the per-element accumulation order is unchanged.
 func MatMul(dst, a, b []float64, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
@@ -134,13 +139,15 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 	_ = a[m*k-1]
 	_ = b[k*n-1]
 	if useAVX {
-		// One micro-kernel call per output row: dst columns accumulate in
-		// register-resident chunks over the full (zero-skipping) a row,
-		// replacing per-i store/load round-trips exactly. b stays
+		// One call per output row. The body lists the row's nonzero a
+		// indices in nz without a data-dependent branch, then keeps up to
+		// 48 dst columns in registers over one walk of the list, so a
+		// sampled {0,1} row costs no mispredicted skips. b stays
 		// cache-resident across the row loop for this package's operand
 		// sizes, so no explicit blocking is needed.
+		var nz [nzBlock]int32
 		for r := 0; r < m; r++ {
-			matmulRowAVX(dst[r*n:r*n+n], a[r*k:r*k+k], b)
+			matmulRowNZAVX(dst[r*n:r*n+n], a[r*k:r*k+k], b, &nz)
 		}
 		return
 	}
@@ -158,65 +165,6 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 					continue
 				}
 				Axpy(ai, b[i*n:i*n+n], drow)
-			}
-		}
-	}
-}
-
-// MatMulT accumulates dst[m×n] += a[m×k] · b[n×k]ᵀ, all row-major: each
-// output element gains the inner product of an a-row with a b-row. Per
-// element, products are added strictly in increasing index order onto an
-// accumulator seeded from dst (matching `s := dst[j]; for l: s += a[l] *
-// b[j][l]`); instruction-level parallelism comes from computing four output
-// columns at once, each with its own sequential accumulation chain. The
-// accumulation dimension is blocked like MatMul, round-tripping the
-// accumulator through dst at exact float64 boundaries between blocks.
-// Unlike MatMul there is no zero-skip: the dot-shaped loop would pay an
-// unpredictable branch per element, and the dense activations this kernel
-// is used on (sigmoid/softmax outputs) are never zero — sparse operands
-// belong on MatMul against a transposed b.
-func MatMulT(dst, a, b []float64, m, k, n int) {
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	_ = dst[m*n-1]
-	_ = a[m*k-1]
-	_ = b[n*k-1]
-	for l0 := 0; l0 < k; l0 += blockK {
-		l1 := l0 + blockK
-		if l1 > k {
-			l1 = k
-		}
-		for r := 0; r < m; r++ {
-			arow := a[r*k+l0 : r*k+l1]
-			drow := dst[r*n : r*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0 := b[(j+0)*k+l0 : (j+0)*k+l1 : (j+0)*k+l1]
-				b1 := b[(j+1)*k+l0 : (j+1)*k+l1 : (j+1)*k+l1]
-				b2 := b[(j+2)*k+l0 : (j+2)*k+l1 : (j+2)*k+l1]
-				b3 := b[(j+3)*k+l0 : (j+3)*k+l1 : (j+3)*k+l1]
-				b0 = b0[:len(arow)]
-				b1 = b1[:len(arow)]
-				b2 = b2[:len(arow)]
-				b3 = b3[:len(arow)]
-				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-				for l, al := range arow {
-					s0 += al * b0[l]
-					s1 += al * b1[l]
-					s2 += al * b2[l]
-					s3 += al * b3[l]
-				}
-				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < n; j++ {
-				brow := b[j*k+l0 : j*k+l1]
-				brow = brow[:len(arow)]
-				s := drow[j]
-				for l, al := range arow {
-					s += al * brow[l]
-				}
-				drow[j] = s
 			}
 		}
 	}

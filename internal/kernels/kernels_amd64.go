@@ -2,9 +2,10 @@ package kernels
 
 import "math"
 
-// useAVX gates axpyAVX, gradQuadAVX and matmulRowAVX. They use only per-lane
-// IEEE mul/add/sub (no FMA), so enabling them never changes a result bit;
-// the package tests exercise both settings.
+// useAVX gates axpyAVX, gradQuadAVX and matmulRowNZAVX. Their arithmetic is
+// per-lane IEEE mul/add/sub (no FMA), so enabling them never changes a
+// result bit; the package tests exercise both settings. matmulRowNZAVX
+// also counts its nonzero lanes with POPCNT, so the gate requires it.
 var useAVX, hasAVX2FMA = cpuFeatures()
 
 // useSigmoidAVX gates sigmoidAVX, which matches 1/(1+math.Exp(-x)) only
@@ -31,13 +32,14 @@ func sigmoidProbe() bool {
 	return true
 }
 
-// cpuFeatures reports AVX with OS-enabled YMM state, and on top of it AVX2
-// and FMA, from CPUID and XGETBV.
+// cpuFeatures reports AVX and POPCNT with OS-enabled YMM state, and on top
+// of them AVX2 and FMA, from CPUID and XGETBV.
 func cpuFeatures() (avx, avx2fma bool) {
-	const osxsave, avxBit, fmaBit, avx2Bit = 1 << 27, 1 << 28, 1 << 12, 1 << 5
+	const osxsave, avxBit, popcntBit, fmaBit, avx2Bit = 1 << 27, 1 << 28, 1 << 23, 1 << 12, 1 << 5
+	const need = osxsave | avxBit | popcntBit
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&(osxsave|avxBit) != osxsave|avxBit || xgetbv0()&6 != 6 {
+	if ecx1&need != need || xgetbv0()&6 != 6 {
 		return false, false
 	}
 	if maxLeaf < 7 || ecx1&fmaBit == 0 {
@@ -60,7 +62,7 @@ func axpyAVX(alpha float64, x, y []float64)
 func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64)
 
 //go:noescape
-func matmulRowAVX(dst, a, b []float64)
+func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32)
 
 //go:noescape
 func sigmoidAVX(dst []float64) int

@@ -1,5 +1,5 @@
 // AVX bodies for the hottest kernels. Bit-exactness: axpyAVX, gradQuadAVX
-// and matmulRowAVX use only VMULPD / VADDPD / VSUBPD (and their scalar SD
+// and matmulRowNZAVX use only VMULPD / VADDPD / VSUBPD (and their scalar SD
 // forms in the tails) — each lane performs the exact IEEE-754 operation of
 // the corresponding scalar Go expression, and no FMA contraction is
 // introduced — so they produce bit-identical results to the pure-Go bodies
@@ -191,130 +191,296 @@ graddone:
 	VZEROUPPER
 	RET
 
-// func matmulRowAVX(dst, a, b []float64)
+// Constants of matmulRowNZAVX. Bytes 0-255: for each 4-bit mask m, the
+// int32 lane numbers of m's set bits in ascending order, packed to the
+// front (lanes past popcount(m) are never read). Bytes 256-383: for r = 0..3
+// a 4-lane mask whose first r lanes are all ones (r = 0 is never used).
+// Bytes 384-399: the int32 lane step 4.
+DATA mmconst<>+0(SB)/8, $0x0 // m = 0b0000: none
+DATA mmconst<>+8(SB)/8, $0x0
+DATA mmconst<>+16(SB)/8, $0x0 // 0b0001: 0
+DATA mmconst<>+24(SB)/8, $0x0
+DATA mmconst<>+32(SB)/8, $0x1 // 0b0010: 1
+DATA mmconst<>+40(SB)/8, $0x0
+DATA mmconst<>+48(SB)/8, $0x100000000 // 0b0011: 0, 1
+DATA mmconst<>+56(SB)/8, $0x0
+DATA mmconst<>+64(SB)/8, $0x2 // 0b0100: 2
+DATA mmconst<>+72(SB)/8, $0x0
+DATA mmconst<>+80(SB)/8, $0x200000000 // 0b0101: 0, 2
+DATA mmconst<>+88(SB)/8, $0x0
+DATA mmconst<>+96(SB)/8, $0x200000001 // 0b0110: 1, 2
+DATA mmconst<>+104(SB)/8, $0x0
+DATA mmconst<>+112(SB)/8, $0x100000000 // 0b0111: 0, 1, 2
+DATA mmconst<>+120(SB)/8, $0x2
+DATA mmconst<>+128(SB)/8, $0x3 // 0b1000: 3
+DATA mmconst<>+136(SB)/8, $0x0
+DATA mmconst<>+144(SB)/8, $0x300000000 // 0b1001: 0, 3
+DATA mmconst<>+152(SB)/8, $0x0
+DATA mmconst<>+160(SB)/8, $0x300000001 // 0b1010: 1, 3
+DATA mmconst<>+168(SB)/8, $0x0
+DATA mmconst<>+176(SB)/8, $0x100000000 // 0b1011: 0, 1, 3
+DATA mmconst<>+184(SB)/8, $0x3
+DATA mmconst<>+192(SB)/8, $0x300000002 // 0b1100: 2, 3
+DATA mmconst<>+200(SB)/8, $0x0
+DATA mmconst<>+208(SB)/8, $0x200000000 // 0b1101: 0, 2, 3
+DATA mmconst<>+216(SB)/8, $0x3
+DATA mmconst<>+224(SB)/8, $0x200000001 // 0b1110: 1, 2, 3
+DATA mmconst<>+232(SB)/8, $0x3
+DATA mmconst<>+240(SB)/8, $0x100000000 // 0b1111: 0, 1, 2, 3
+DATA mmconst<>+248(SB)/8, $0x300000002
+DATA mmconst<>+288(SB)/8, $-1 // r = 1
+DATA mmconst<>+320(SB)/8, $-1 // r = 2
+DATA mmconst<>+328(SB)/8, $-1
+DATA mmconst<>+352(SB)/8, $-1 // r = 3
+DATA mmconst<>+360(SB)/8, $-1
+DATA mmconst<>+368(SB)/8, $-1
+DATA mmconst<>+384(SB)/8, $0x400000004 // lane step
+DATA mmconst<>+392(SB)/8, $0x400000004
+GLOBL mmconst<>(SB), RODATA|NOPTR, $400
+
+// COMPACT4 appends to the index list at (R8)(R14*4) the indices X2+lane of
+// the lanes set in the VCMPPD result Y0, adds their count to R14 and steps
+// X2 by four. It always stores four int32s; the ones past the count are
+// overwritten by the next COMPACT4 or never read. Clobbers R10 and X1; BX
+// holds mmconst.
+#define COMPACT4 \
+	VMOVMSKPD Y0, R10; \
+	SHLQ $4, R10; \
+	VPADDD (BX)(R10*1), X2, X1; \
+	VMOVDQU X1, (R8)(R14*4); \
+	POPCNTQ R10, R10; \
+	ADDQ R10, R14; \
+	VPADDD 384(BX), X2, X2
+
+// Accumulator operations of one column group, at byte offset off from the
+// group's first column (R10 columns into the row): load from dst, add the
+// product of the broadcast a entry Y15 with the b row at AX, store to dst.
+// The M forms go through the lane mask Y13. Per lane the product is one
+// VMULPD and the sum one VADDPD, the two roundings of the scalar
+// `dst[c] += a[i] * b[i][c]`. The first sources are a[i] and the product,
+// as in the compiled axpyGeneric loop; the order only decides which
+// payload the sum of two NaNs carries.
+#define LD(off, acc) VMOVUPD off(DI)(R10*8), acc
+#define ST(off, acc) VMOVUPD acc, off(DI)(R10*8)
+#define MADD(off, acc) VMULPD off(AX), Y15, Y14; VADDPD acc, Y14, acc
+#define MLD(off, acc) VMASKMOVPD off(DI)(R10*8), Y13, acc
+#define MST(off, acc) VMASKMOVPD acc, Y13, off(DI)(R10*8)
+#define MMADD(off, acc) VMASKMOVPD off(AX), Y13, Y14; VMULPD Y14, Y15, Y14; VADDPD acc, Y14, acc
+
+// ACCn(op) applies op to the group's first n accumulators, Y0 .. Y(n-1).
+#define ACC0(op)
+#define ACC1(op) op(0, Y0)
+#define ACC2(op) ACC1(op); op(32, Y1)
+#define ACC3(op) ACC2(op); op(64, Y2)
+#define ACC4(op) ACC3(op); op(96, Y3)
+#define ACC5(op) ACC4(op); op(128, Y4)
+#define ACC6(op) ACC5(op); op(160, Y5)
+#define ACC7(op) ACC6(op); op(192, Y6)
+#define ACC8(op) ACC7(op); op(224, Y7)
+#define ACC9(op) ACC8(op); op(256, Y8)
+#define ACC10(op) ACC9(op); op(288, Y9)
+#define ACC11(op) ACC10(op); op(320, Y10)
+#define ACC12(op) ACC11(op); op(352, Y11)
+
+// NEXTROW reads list entry R13 (an index i), broadcasts a[i] into Y15 and
+// points AX at b row i of the column group (BX).
+#define NEXTROW \
+	MOVLQSX (R8)(R13*4), AX; \
+	VBROADCASTSD (SI)(AX*8), Y15; \
+	IMULQ R9, AX; \
+	ADDQ BX, AX
+
+// GROUP walks the list once for a group of n full vectors (ACCS = ACCn).
+#define GROUP(ACCS, lbl, loop) \
+lbl: \
+	ACCS(LD); \
+	XORQ R13, R13; \
+loop: \
+	NEXTROW; \
+	ACCS(MADD); \
+	INCQ R13; \
+	CMPQ R13, R14; \
+	JLT loop; \
+	ACCS(ST); \
+	JMP nextgroup
+
+// MGROUP is GROUP for the row's last group when n % 4 != 0: ACCS full
+// vectors, then the masked vector acc at byte offset off.
+#define MGROUP(ACCS, off, acc, lbl, loop) \
+lbl: \
+	ACCS(LD); \
+	MLD(off, acc); \
+	XORQ R13, R13; \
+loop: \
+	NEXTROW; \
+	ACCS(MADD); \
+	MMADD(off, acc); \
+	INCQ R13; \
+	CMPQ R13, R14; \
+	JLT loop; \
+	ACCS(ST); \
+	MST(off, acc); \
+	JMP nextgroup
+
+// func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32)
 //
 // One MatMul output row: dst[c] += Σ_i a[i]*b[i*n+c] with n = len(dst) and
-// k = len(a), skipping a[i] == 0 rows (bit test, so ±0.0 both skip, exactly
-// like the Go loop's `ai == 0`). Columns are processed in register-resident
-// chunks of 16/4/1: per element the products accumulate in ascending i with
-// one VMULPD and one VADDPD lane each — the exact roundings of the scalar
-// loop — and the chunk registers only replace exact store/load round-trips.
-TEXT ·matmulRowAVX(SB), NOSPLIT, $0-72
+// k = len(a), skipping exactly the i with a[i] == 0 (±0; NaN is kept). The
+// accumulation index runs in ascending blocks of 256 (nzBlock, the length
+// of nz), and dst is stored and reloaded at each block edge. Each block
+// first compacts the indices of its nonzero a entries into nz without a
+// data-dependent branch: VCMPPD (not-equal-or-unordered against zero) and
+// VMOVMSKPD turn four entries into a mask, whose lane list comes from
+// mmconst and whose count from POPCNT. The block then walks the list once
+// per group of up to 48 dst columns, with the group's up to twelve
+// accumulators in YMM registers; when n % 4 != 0 the row's last vector
+// loads and stores through a lane mask. Per element the products still
+// accumulate in ascending i with one VMULPD and one VADDPD, so the
+// registers and the block edges only replace exact float64 store/load
+// round-trips. Requires AVX and POPCNT.
+TEXT ·matmulRowNZAVX(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ a_base+24(FP), R11
+	MOVQ a_base+24(FP), SI
 	MOVQ a_len+32(FP), R12
-	MOVQ b_base+48(FP), DX
+	MOVQ nz+72(FP), R8
 	MOVQ CX, R9
 	SHLQ $3, R9                  // b row stride in bytes
-	XORQ R10, R10                // c0: first column of the current chunk
+	XORQ R11, R11                // k0: first index of the block
 
-chunk16:
-	LEAQ 16(R10), AX
-	CMPQ AX, CX
-	JGT  chunk4
-	LEAQ (DX)(R10*8), BX
-	VMOVUPD (DI)(R10*8), Y8
-	VMOVUPD 32(DI)(R10*8), Y9
-	VMOVUPD 64(DI)(R10*8), Y10
-	VMOVUPD 96(DI)(R10*8), Y11
-	MOVQ R11, SI
-	MOVQ R12, R13
-	TESTQ R13, R13
-	JZ   store16
-
-i16:
-	MOVQ (SI), AX
-	SHLQ $1, AX
-	JZ   skip16
-	VBROADCASTSD (SI), Y0
-	VMOVUPD (BX), Y12
-	VMULPD  Y0, Y12, Y12
-	VADDPD  Y12, Y8, Y8
-	VMOVUPD 32(BX), Y13
-	VMULPD  Y0, Y13, Y13
-	VADDPD  Y13, Y9, Y9
-	VMOVUPD 64(BX), Y14
-	VMULPD  Y0, Y14, Y14
-	VADDPD  Y14, Y10, Y10
-	VMOVUPD 96(BX), Y15
-	VMULPD  Y0, Y15, Y15
-	VADDPD  Y15, Y11, Y11
-
-skip16:
-	ADDQ $8, SI
-	ADDQ R9, BX
-	DECQ R13
-	JNZ  i16
-
-store16:
-	VMOVUPD Y8, (DI)(R10*8)
-	VMOVUPD Y9, 32(DI)(R10*8)
-	VMOVUPD Y10, 64(DI)(R10*8)
-	VMOVUPD Y11, 96(DI)(R10*8)
-	ADDQ $16, R10
-	JMP  chunk16
-
-chunk4:
-	LEAQ 4(R10), AX
-	CMPQ AX, CX
-	JGT  tail1
-	LEAQ (DX)(R10*8), BX
-	VMOVUPD (DI)(R10*8), Y8
-	MOVQ R11, SI
-	MOVQ R12, R13
-	TESTQ R13, R13
-	JZ   store4
-
-i4:
-	MOVQ (SI), AX
-	SHLQ $1, AX
-	JZ   skip4
-	VBROADCASTSD (SI), Y0
-	VMOVUPD (BX), Y12
-	VMULPD  Y0, Y12, Y12
-	VADDPD  Y12, Y8, Y8
-
-skip4:
-	ADDQ $8, SI
-	ADDQ R9, BX
-	DECQ R13
-	JNZ  i4
-
-store4:
-	VMOVUPD Y8, (DI)(R10*8)
-	ADDQ $4, R10
-	JMP  chunk4
-
-tail1:
-	CMPQ R10, CX
+block:
+	CMPQ R11, R12
 	JGE  rowdone
-	LEAQ (DX)(R10*8), BX
-	VMOVSD (DI)(R10*8), X8
-	MOVQ R11, SI
-	MOVQ R12, R13
-	TESTQ R13, R13
-	JZ   store1
+	LEAQ 256(R11), R13
+	CMPQ R13, R12
+	CMOVQGT R12, R13             // block end: min(k0+256, k)
+	LEAQ mmconst<>(SB), BX
+	VXORPD Y4, Y4, Y4
+	VMOVD R11, X2
+	VPSHUFD $0, X2, X2           // the indices of the current four entries
+	XORQ R14, R14                // list length
+	MOVQ R11, AX
 
-i1:
-	MOVQ (SI), AX
-	SHLQ $1, AX
-	JZ   skip1
-	VMOVSD (SI), X0
-	VMOVSD (BX), X12
-	VMULSD X0, X12, X12
-	VADDSD X12, X8, X8
+compact:
+	MOVQ R13, R10
+	SUBQ AX, R10
+	CMPQ R10, $4
+	JLT  compacttail
+	VCMPPD $4, (SI)(AX*8), Y4, Y0 // NEQ_UQ: a[i] != 0 or NaN
+	COMPACT4
+	ADDQ $4, AX
+	JMP  compact
 
-skip1:
-	ADDQ $8, SI
-	ADDQ R9, BX
-	DECQ R13
-	JNZ  i1
+compacttail:
+	// The last one to three entries load through a lane mask; the masked
+	// lanes read as +0 and are dropped like zero entries.
+	TESTQ R10, R10
+	JZ   accumulate
+	SHLQ $5, R10
+	VMOVUPD 256(BX)(R10*1), Y5
+	VMASKMOVPD (SI)(AX*8), Y5, Y0
+	VCMPPD $4, Y0, Y4, Y0
+	COMPACT4
 
-store1:
-	VMOVSD X8, (DI)(R10*8)
-	INCQ R10
-	JMP  tail1
+accumulate:
+	TESTQ R14, R14
+	JZ   nextblock
+	XORQ R10, R10                // c0: first column of the group
+
+group:
+	MOVQ CX, AX
+	SUBQ R10, AX                 // columns left
+	JLE  nextblock
+	MOVQ b_base+48(FP), BX
+	LEAQ (BX)(R10*8), BX
+	CMPQ AX, $48
+	JGE  g12
+	TESTQ $3, AX
+	JNZ  masked
+	CMPQ AX, $4
+	JEQ  g1
+	CMPQ AX, $8
+	JEQ  g2
+	CMPQ AX, $12
+	JEQ  g3
+	CMPQ AX, $16
+	JEQ  g4
+	CMPQ AX, $20
+	JEQ  g5
+	CMPQ AX, $24
+	JEQ  g6
+	CMPQ AX, $28
+	JEQ  g7
+	CMPQ AX, $32
+	JEQ  g8
+	CMPQ AX, $36
+	JEQ  g9
+	CMPQ AX, $40
+	JEQ  g10
+	JMP  g11
+
+masked:
+	MOVQ AX, R13
+	ANDQ $3, R13
+	SHLQ $5, R13
+	LEAQ mmconst<>(SB), DX
+	VMOVUPD 256(DX)(R13*1), Y13
+	SHRQ $2, AX                  // full vectors before the masked one
+	JEQ  m1
+	CMPQ AX, $1
+	JEQ  m2
+	CMPQ AX, $2
+	JEQ  m3
+	CMPQ AX, $3
+	JEQ  m4
+	CMPQ AX, $4
+	JEQ  m5
+	CMPQ AX, $5
+	JEQ  m6
+	CMPQ AX, $6
+	JEQ  m7
+	CMPQ AX, $7
+	JEQ  m8
+	CMPQ AX, $8
+	JEQ  m9
+	CMPQ AX, $9
+	JEQ  m10
+	CMPQ AX, $10
+	JEQ  m11
+	JMP  m12
+
+	GROUP(ACC1, g1, g1loop)
+	GROUP(ACC2, g2, g2loop)
+	GROUP(ACC3, g3, g3loop)
+	GROUP(ACC4, g4, g4loop)
+	GROUP(ACC5, g5, g5loop)
+	GROUP(ACC6, g6, g6loop)
+	GROUP(ACC7, g7, g7loop)
+	GROUP(ACC8, g8, g8loop)
+	GROUP(ACC9, g9, g9loop)
+	GROUP(ACC10, g10, g10loop)
+	GROUP(ACC11, g11, g11loop)
+	GROUP(ACC12, g12, g12loop)
+	MGROUP(ACC0, 0, Y0, m1, m1loop)
+	MGROUP(ACC1, 32, Y1, m2, m2loop)
+	MGROUP(ACC2, 64, Y2, m3, m3loop)
+	MGROUP(ACC3, 96, Y3, m4, m4loop)
+	MGROUP(ACC4, 128, Y4, m5, m5loop)
+	MGROUP(ACC5, 160, Y5, m6, m6loop)
+	MGROUP(ACC6, 192, Y6, m7, m7loop)
+	MGROUP(ACC7, 224, Y7, m8, m8loop)
+	MGROUP(ACC8, 256, Y8, m9, m9loop)
+	MGROUP(ACC9, 288, Y9, m10, m10loop)
+	MGROUP(ACC10, 320, Y10, m11, m11loop)
+	MGROUP(ACC11, 352, Y11, m12, m12loop)
+
+nextgroup:
+	ADDQ $48, R10
+	JMP  group
+
+nextblock:
+	ADDQ $256, R11
+	JMP  block
 
 rowdone:
 	VZEROUPPER

@@ -14,8 +14,8 @@ func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64) {
 	panic("kernels: gradQuadAVX without amd64 support")
 }
 
-func matmulRowAVX(dst, a, b []float64) {
-	panic("kernels: matmulRowAVX without amd64 support")
+func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32) {
+	panic("kernels: matmulRowNZAVX without amd64 support")
 }
 
 func sigmoidAVX(dst []float64) int {

@@ -92,18 +92,6 @@ func naiveMatMul(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-func naiveMatMulT(dst, a, b []float64, m, k, n int) {
-	for r := 0; r < m; r++ {
-		for j := 0; j < n; j++ {
-			s := dst[r*n+j]
-			for l := 0; l < k; l++ {
-				s += a[r*k+l] * b[j*k+l]
-			}
-			dst[r*n+j] = s
-		}
-	}
-}
-
 func naiveAccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 	for n := 0; n < m; n++ {
 		wn := w[n]
@@ -229,18 +217,95 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for round := 0; round < propRounds; round++ {
-		m, k, n := randDim(rng, 12), randDim(rng, 150), randDim(rng, 150)
-		a := randSlice(rng, m*k)
-		b := randSlice(rng, n*k)
-		dst := randSlice(rng, m*n)
-		dstRef := append([]float64(nil), dst...)
-		MatMulT(dst, a, b, m, k, n)
-		naiveMatMulT(dstRef, a, b, m, k, n)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("m=%d k=%d n=%d: MatMulT diverged from naive", m, k, n)
+// sweepRows draws the m×k left operand of TestMatMulShapeSweep in one of
+// three forms: 0, a sampled {0,1} state with about half zeros; 1, one-hot
+// rows; 2, dense rows with ±0 entries and a denormal in every row, +Inf and
+// -Inf in the second row and a NaN in the third. No row holds both a NaN
+// and an Inf: when two NaNs meet in one addition the result carries the
+// payload of whichever operand comes first, and the Go compiler picks that
+// order per loop (naiveMatMul and axpyGeneric differ), so such a row would
+// test the compiler rather than the kernels.
+func sweepRows(rng *rand.Rand, form, m, k int) []float64 {
+	a := make([]float64, m*k)
+	for r := 0; r < m; r++ {
+		row := a[r*k : r*k+k]
+		switch form {
+		case 0:
+			for i := range row {
+				row[i] = float64(rng.Intn(2))
+			}
+		case 1:
+			row[rng.Intn(k)] = 1
+		default:
+			for i := range row {
+				switch rng.Intn(6) {
+				case 0:
+					row[i] = 0
+				case 1:
+					row[i] = math.Copysign(0, -1)
+				default:
+					row[i] = 4*rng.Float64() - 2
+				}
+			}
+			row[rng.Intn(k)] = 5e-324
+			switch r {
+			case 1:
+				row[rng.Intn(k)] = math.Inf(1)
+				row[rng.Intn(k)] = math.Inf(-1)
+			case 2:
+				row[rng.Intn(k)] = math.NaN()
+			}
+		}
+	}
+	return a
+}
+
+// TestMatMulShapeSweep pins MatMul bitwise to naiveMatMul over every width
+// 1..100 (each 4-lane tail; one, two and three 48-column groups of the AVX
+// body) and accumulation lengths around its 4-wide compaction tails and
+// 256-entry block edges, on sampled, one-hot and dense left operands. Every
+// b row whose a entries are all zero holds NaNs, so a zero the kernel fails
+// to skip shows in dst; dst starts as a mix of +0 and -0. Both dispatch
+// paths run.
+func TestMatMulShapeSweep(t *testing.T) {
+	defer func(old bool) { useAVX = old }(useAVX)
+	modes := []bool{false}
+	if useAVX {
+		modes = append(modes, true)
+	}
+	const m = 3
+	rng := rand.New(rand.NewSource(21))
+	for _, k := range []int{1, 3, 4, 5, 255, 256, 257, 600} {
+		for n := 1; n <= 100; n++ {
+			for form := 0; form < 3; form++ {
+				a := sweepRows(rng, form, m, k)
+				b := randSlice(rng, k*n)
+				for i := 0; i < k; i++ {
+					if a[i] == 0 && a[k+i] == 0 && a[2*k+i] == 0 {
+						for c := 0; c < n; c++ {
+							if rng.Intn(2) == 0 {
+								b[i*n+c] = math.NaN()
+							}
+						}
+					}
+				}
+				dst0 := make([]float64, m*n)
+				for i := range dst0 {
+					if rng.Intn(2) == 0 {
+						dst0[i] = math.Copysign(0, -1)
+					}
+				}
+				want := append([]float64(nil), dst0...)
+				naiveMatMul(want, a, b, m, k, n)
+				for _, avx := range modes {
+					useAVX = avx
+					got := append([]float64(nil), dst0...)
+					MatMul(got, a, b, m, k, n)
+					if !sameBits(got, want) {
+						t.Fatalf("k=%d n=%d form=%d avx=%v: MatMul diverged from naive", k, n, form, avx)
+					}
+				}
+			}
 		}
 	}
 }
@@ -441,7 +506,6 @@ func TestEmptyAndUnitShapesExplicit(t *testing.T) {
 	}
 	AddScaled(nil, 1, nil, 1, nil)
 	MatMul(nil, nil, nil, 0, 0, 0)
-	MatMulT(nil, nil, nil, 0, 3, 0)
 	AccumRankK(nil, nil, nil, nil, nil, nil, 0, 0, 0)
 	Softmax(nil)
 	Sigmoid(nil)
@@ -451,11 +515,6 @@ func TestEmptyAndUnitShapesExplicit(t *testing.T) {
 	MatMul(d, []float64{2}, []float64{3}, 1, 1, 1)
 	if d[0] != 6.5 {
 		t.Fatalf("MatMul 1x1x1 = %v", d[0])
-	}
-	d = []float64{0.5}
-	MatMulT(d, []float64{2}, []float64{3}, 1, 1, 1)
-	if d[0] != 6.5 {
-		t.Fatalf("MatMulT 1x1x1 = %v", d[0])
 	}
 	s := []float64{4}
 	Softmax(s)

@@ -68,3 +68,53 @@ func BenchmarkSigmoid40AVX(b *testing.B)   { benchSigmoidMode(b, 40, true) }
 func BenchmarkSigmoid40Gen(b *testing.B)   { benchSigmoidMode(b, 40, false) }
 func BenchmarkSigmoid2000AVX(b *testing.B) { benchSigmoidMode(b, 2000, true) }
 func BenchmarkSigmoid2000Gen(b *testing.B) { benchSigmoidMode(b, 2000, false) }
+
+// BenchmarkMatMulRBMPasses times the detector's five MatMul shapes at a
+// 50-instance mini-batch with V=20, H=40, Z=5: the dense x→h pass, the
+// Gibbs chain's h→v and h→z passes on a sampled {0,1} hidden state, and
+// ScoreBatch's h→v and h→z passes on dense hidden probabilities.
+func BenchmarkMatMulRBMPasses(b *testing.B) {
+	const B, V, H, Z = 50, 20, 40, 5
+	rng := rand.New(rand.NewSource(1))
+	dense := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.Float64()
+		}
+		return s
+	}
+	sampled := make([]float64, B*H)
+	for i := range sampled {
+		sampled[i] = float64(rng.Intn(2))
+	}
+	x, hProb := dense(B*V), dense(B*H)
+	w, wT, u := randSlice(rng, V*H), randSlice(rng, H*V), randSlice(rng, H*Z)
+	passes := []struct {
+		name string
+		a, b []float64
+		k, n int
+	}{
+		{"x-h", x, w, V, H},
+		{"h-v-sampled", sampled, wT, H, V},
+		{"h-z-sampled", sampled, u, H, Z},
+		{"h-v-dense", hProb, wT, H, V},
+		{"h-z-dense", hProb, u, H, Z},
+	}
+	for _, p := range passes {
+		for _, mode := range []struct {
+			name string
+			avx  bool
+		}{{"AVX", true}, {"Gen", false}} {
+			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
+				old := useAVX
+				useAVX = mode.avx && old
+				defer func() { useAVX = old }()
+				dst := make([]float64, B*p.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMul(dst, p.a, p.b, B, p.k, p.n)
+				}
+			})
+		}
+	}
+}
