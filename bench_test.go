@@ -667,8 +667,7 @@ func newBenchTree() interface {
 // snapshotting every 100 ms and a filesystem store at the same cadence.
 // Snapshots are serialized on the shard goroutine into pooled buffers and
 // written by the async writer, so ns/obs should be statistically unchanged
-// and steady state stays 0 allocs/op (run with -benchmem). The ns/obs
-// metric feeds scripts/benchguard against BENCH_checkpoint.json in CI.
+// and steady state stays 0 allocs/op (run with -benchmem).
 func BenchmarkMonitorCheckpoint(b *testing.B) {
 	gen, err := synth.NewRBF(synth.Config{Features: 20, Classes: 5, Seed: 17}, 3, 0.08)
 	if err != nil {

@@ -116,7 +116,7 @@ func main() {
 	srv.Close() // drain connections, stop accepting
 	m.Close()   // drain shards, flush the checkpoint store
 	// The canonical stable-field-order snapshot encoding (the same bytes
-	// /metrics consumers and monitorbench -json see).
+	// the wire Snapshot reply carries).
 	fmt.Printf("driftserver: final snapshot %s\n", m.Snapshot().AppendJSON(nil))
 }
 

@@ -9,8 +9,7 @@
 // Usage:
 //
 //	monitorbench [-streams 256] [-instances 4000] [-features 20] [-classes 5]
-//	             [-shards 1,2,4,8|auto] [-producers 0] [-procs 1,4,8] [-drift]
-//	             [-batch 256] [-json BENCH_monitor.json]
+//	             [-shards 1,2,4,8|auto] [-producers 0] [-drift] [-batch 256]
 //	             [-checkpoint mem|DIR] [-ckptint 500ms]
 //	             [-remote ADDR] [-clients N] [-conns K] [-inflight W] [-churn S]
 //	             [-retry] [-chaosreset N] [-chaosdelay D] [-chaosdup P]
@@ -21,20 +20,14 @@
 // through, so the drift-event column should be non-zero for most streams.
 // With -batch N > 0 every shard count is swept twice — per-instance Ingest
 // and N-observation IngestBatch — and each batched row reports its speedup
-// over the per-instance row. With -json the run is appended as one record
-// to the given trajectory file (an array of runs, one per invocation).
+// over the per-instance row. "-shards auto" resolves to the monitor's
+// autotuner (one shard per schedulable core); run the sweep under
+// GOMAXPROCS=n to see it at n cores.
+//
 // With -checkpoint the monitor persists every stream's detector state on the
 // -ckptint cadence ("mem" = in-memory store, anything else = filesystem
 // store rooted at that directory, one fresh subdirectory per sweep), so the
 // throughput table shows what checkpointing costs the ingest path.
-//
-// With -procs the whole sweep repeats under each GOMAXPROCS value — the
-// multi-core scaling table: the instances/s column is aggregate throughput
-// across all producers and shards, and each row beyond the first core count
-// reports its speedup over the same shard/mode row at the first core count.
-// Each core count appends its own record to the -json trajectory (the
-// config's gomaxprocs field keys them). "-shards auto" resolves to the
-// monitor's autotuner (one shard per schedulable core at each -procs step).
 //
 // With -remote ADDR monitorbench becomes a load generator for a running
 // driftserver: the shard sweep is skipped (sharding is the server's
@@ -42,8 +35,7 @@
 // (-batch > 0) or per-observation Ingest. The run ends with a
 // FlushCheckpoints barrier and verifies through the wire snapshot that the
 // server processed every observation sent — a non-zero exit otherwise,
-// which is what the CI smoke asserts. JSON rows embed the server's
-// canonical snapshot encoding.
+// which is what the CI smoke asserts.
 //
 // The remote saturation knobs:
 //
@@ -90,7 +82,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +107,6 @@ func main() {
 	drift := flag.Bool("drift", false, "inject a sudden drift halfway through every stream")
 	queue := flag.Int("queue", 4096, "per-shard queue capacity in observations (envelopes for batch mode are sized accordingly)")
 	batch := flag.Int("batch", 0, "IngestBatch block size; > 0 additionally sweeps the batched path against per-instance Ingest")
-	jsonPath := flag.String("json", "", "append this run's rows to the given JSON trajectory file")
 	checkpoint := flag.String("checkpoint", "", `enable checkpointing: "mem" or a directory for a filesystem store`)
 	ckptInt := flag.Duration("ckptint", 500*time.Millisecond, "periodic snapshot cadence when -checkpoint is set")
 	remote := flag.String("remote", "", "drive a running driftserver at this address instead of an in-process monitor")
@@ -132,17 +122,15 @@ func main() {
 	chaosSeed := flag.Int64("chaosseed", 1, "remote mode: fault-proxy schedule seed")
 	cluster := flag.String("cluster", "", "drive a driftserver fleet at these comma-separated addresses via the consistent-hash cluster client")
 	migrateN := flag.Int("migrate", 0, "cluster mode: live-migrate this many streams to their next ring neighbor halfway through the run")
-	procsList := flag.String("procs", "", "comma-separated GOMAXPROCS values to sweep (multi-core scaling mode; default: current setting only)")
 	flag.Parse()
 
 	shardCounts := parseShards(*shardList)
-	procs := parseProcs(*procsList)
 	if *producers <= 0 {
 		*producers = runtime.NumCPU()
 	}
 
-	fmt.Printf("monitorbench: %d streams x %d instances, %d features, %d classes, %d producers (GOMAXPROCS sweep %v)\n\n",
-		*streams, *instances, *features, *classes, *producers, procs)
+	fmt.Printf("monitorbench: %d streams x %d instances, %d features, %d classes, %d producers, GOMAXPROCS %d\n\n",
+		*streams, *instances, *features, *classes, *producers, runtime.GOMAXPROCS(0))
 
 	// Pre-draw every stream's observations so the sweep measures the monitor,
 	// not the generators.
@@ -168,13 +156,7 @@ func main() {
 			opts.inflight = 1
 		}
 		addrs := splitAddrs(*cluster)
-		runClusterMode(workload, opts, addrs, *migrateN, *jsonPath, runConfig{
-			Streams: *streams, Instances: *instances, Features: *features,
-			Classes: *classes, Producers: opts.clients, Drift: *drift,
-			GOMAXPROCS: runtime.GOMAXPROCS(0), Cluster: *cluster,
-			Conns: opts.conns, Inflight: opts.inflight,
-			Retry: opts.retry, Migrate: *migrateN,
-		})
+		runClusterMode(workload, opts, addrs, *migrateN)
 		return
 	}
 
@@ -191,15 +173,7 @@ func main() {
 		if opts.inflight < 1 {
 			opts.inflight = 1
 		}
-		runRemoteMode(workload, opts, *jsonPath, runConfig{
-			Streams: *streams, Instances: *instances, Features: *features,
-			Classes: *classes, Producers: opts.clients, Drift: *drift,
-			GOMAXPROCS: runtime.GOMAXPROCS(0), Remote: *remote,
-			Conns: opts.conns, Inflight: opts.inflight, Churn: opts.churn,
-			Retry: opts.retry || opts.chaosEnabled(), ChaosReset: opts.chaosReset,
-			ChaosDelayMS: float64(opts.chaosDelay.Microseconds()) / 1000,
-			ChaosDup:     opts.chaosDup, ChaosDrop: opts.chaosDrop,
-		})
+		runRemoteMode(workload, opts)
 		return
 	}
 
@@ -207,161 +181,38 @@ func main() {
 	if *batch > 0 {
 		modes = []int{0, *batch}
 	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	// coreBase remembers the aggregate rate of each shard/mode row at the
-	// first core count, so later core counts print their scaling factor.
-	type rowKey struct{ shards, batch int }
-	coreBase := map[rowKey]float64{}
-	for pi, p := range procs {
-		runtime.GOMAXPROCS(p)
-		if len(procs) > 1 {
-			fmt.Printf("--- GOMAXPROCS=%d ---\n", p)
+	fmt.Printf("%-8s %-10s %-14s %-12s %-10s %-10s %s\n", "shards", "mode", "instances/s", "wall", "drifts", "streams", "shard balance (ingested)")
+	base := map[int]float64{} // per-instance rate per shard count
+	var firstRate float64
+	for _, shards := range shardCounts {
+		if shards == 0 { // "auto": one shard per schedulable core
+			shards = runtime.GOMAXPROCS(0)
 		}
-		fmt.Printf("%-8s %-10s %-14s %-12s %-10s %-10s %s\n", "shards", "mode", "instances/s", "wall", "drifts", "streams", "shard balance (ingested)")
-		var rows []runRow
-		base := map[int]float64{} // per-instance rate per shard count
-		var firstRate float64
-		for _, shardSel := range shardCounts {
-			shards := shardSel
-			if shards == 0 { // "auto": one shard per schedulable core
-				shards = p
-			}
-			for _, b := range modes {
-				res, err := runSweep(workload, *features, *classes, shards, *producers, *queue, b, *checkpoint, *ckptInt)
-				if err != nil {
-					fail(err)
-				}
-				mode := "single"
-				note := ""
-				if b > 0 {
-					mode = fmt.Sprintf("batch%d", b)
-					if s := base[shards]; s > 0 {
-						note = fmt.Sprintf("  (%.2fx vs single)", res.rate/s)
-					}
-				} else {
-					base[shards] = res.rate
-					if firstRate == 0 {
-						firstRate = res.rate
-					} else {
-						note = fmt.Sprintf("  (%.2fx vs 1 shard)", res.rate/firstRate)
-					}
-				}
-				k := rowKey{shardSel, b}
-				if pi == 0 {
-					coreBase[k] = res.rate
-				} else if s := coreBase[k]; s > 0 {
-					note += fmt.Sprintf("  (%.2fx vs %d cores)", res.rate/s, procs[0])
-				}
-				fmt.Printf("%-8d %-10s %-14s %-12s %-10d %-10d %s%s\n",
-					shards, mode, fmt.Sprintf("%.0f", res.rate), res.wall.Round(time.Millisecond),
-					res.drifts, res.streams, res.balance, note)
-				sn := res.sn
-				rows = append(rows, runRow{
-					Shards: shards, Batch: b, InstancesPerSec: res.rate,
-					WallMS: float64(res.wall.Microseconds()) / 1000,
-					Drifts: res.drifts, Streams: res.streams, Snapshot: &sn,
-				})
-			}
-		}
-		if *jsonPath != "" {
-			rec := runRecord{
-				Generated: time.Now().UTC().Format(time.RFC3339),
-				Config: runConfig{
-					Streams: *streams, Instances: *instances, Features: *features,
-					Classes: *classes, Producers: *producers, Queue: *queue,
-					Drift: *drift, GOMAXPROCS: p,
-					Checkpoint: *checkpoint,
-				},
-				Rows: rows,
-			}
-			if err := appendRecord(*jsonPath, rec); err != nil {
+		for _, b := range modes {
+			res, err := runSweep(workload, *features, *classes, shards, *producers, *queue, b, *checkpoint, *ckptInt)
+			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("\nappended run record to %s\n", *jsonPath)
-		}
-		if len(procs) > 1 {
-			fmt.Println()
-		}
-	}
-}
-
-// runRecord is one monitorbench invocation in the JSON trajectory file.
-type runRecord struct {
-	Generated string    `json:"generated"`
-	Config    runConfig `json:"config"`
-	Rows      []runRow  `json:"rows"`
-}
-
-type runConfig struct {
-	Streams    int  `json:"streams"`
-	Instances  int  `json:"instances"`
-	Features   int  `json:"features"`
-	Classes    int  `json:"classes"`
-	Producers  int  `json:"producers"`
-	Queue      int  `json:"queue"`
-	Drift      bool `json:"drift"`
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	// Checkpoint records the -checkpoint mode of the run ("" = disabled) so
-	// trajectory rows with and without state persistence stay comparable.
-	Checkpoint string `json:"checkpoint,omitempty"`
-	// Remote records the driftserver address of a -remote loadgen run
-	// ("" = in-process monitor).
-	Remote string `json:"remote,omitempty"`
-	// Cluster records the comma-separated fleet addresses of a -cluster run,
-	// and Migrate how many streams were live-migrated mid-run.
-	Cluster string `json:"cluster,omitempty"`
-	Migrate int    `json:"migrate,omitempty"`
-	// Conns/Inflight/Churn record the remote saturation knobs: pooled
-	// connections (0 = one per client), in-flight window per connection,
-	// and subscriber churners running alongside the load.
-	Conns    int `json:"conns,omitempty"`
-	Inflight int `json:"inflight,omitempty"`
-	Churn    int `json:"churn,omitempty"`
-	// Retry and the Chaos* fields record degraded-network runs: the client's
-	// retry policy and the fault-proxy schedule (see internal/chaos), so
-	// clean and degraded rows in the trajectory stay distinguishable.
-	Retry        bool    `json:"retry,omitempty"`
-	ChaosReset   int     `json:"chaos_reset,omitempty"`
-	ChaosDelayMS float64 `json:"chaos_delay_ms,omitempty"`
-	ChaosDup     float64 `json:"chaos_dup,omitempty"`
-	ChaosDrop    float64 `json:"chaos_drop,omitempty"`
-}
-
-type runRow struct {
-	Shards          int     `json:"shards"`
-	Batch           int     `json:"batch"` // 0 = per-instance Ingest
-	InstancesPerSec float64 `json:"instances_per_sec"`
-	WallMS          float64 `json:"wall_ms"`
-	Drifts          uint64  `json:"drifts"`
-	Streams         int     `json:"streams"`
-	// Client-observed ingest latency quantiles in milliseconds (submit to
-	// reply matched, merged across the run's connections); present on
-	// -remote and -cluster rows.
-	IngestP50MS float64 `json:"ingest_p50_ms,omitempty"`
-	IngestP95MS float64 `json:"ingest_p95_ms,omitempty"`
-	IngestP99MS float64 `json:"ingest_p99_ms,omitempty"`
-	// Snapshot is the monitor's end-of-run state in the canonical
-	// stable-field-order encoding (monitor.Snapshot.MarshalJSON) — the same
-	// bytes the server's Snapshot reply and /metrics pipeline carry.
-	Snapshot *rbmim.MonitorSnapshot `json:"snapshot,omitempty"`
-}
-
-// appendRecord appends rec to the JSON array at path (creating it when
-// missing), keeping the file a growing benchmark trajectory.
-func appendRecord(path string, rec runRecord) error {
-	var records []runRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("existing %s is not a run-record array: %w", path, err)
+			mode := "single"
+			note := ""
+			if b > 0 {
+				mode = fmt.Sprintf("batch%d", b)
+				if s := base[shards]; s > 0 {
+					note = fmt.Sprintf("  (%.2fx vs single)", res.rate/s)
+				}
+			} else {
+				base[shards] = res.rate
+				if firstRate == 0 {
+					firstRate = res.rate
+				} else {
+					note = fmt.Sprintf("  (%.2fx vs 1 shard)", res.rate/firstRate)
+				}
+			}
+			fmt.Printf("%-8d %-10s %-14s %-12s %-10d %-10d %s%s\n",
+				shards, mode, fmt.Sprintf("%.0f", res.rate), res.wall.Round(time.Millisecond),
+				res.drifts, res.streams, res.balance, note)
 		}
 	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 type workloadStream struct {
@@ -403,17 +254,16 @@ func (o remoteOpts) chaosEnabled() bool {
 }
 
 // runRemoteMode is the -remote loadgen path: it drives a running
-// driftserver over loopback/network, prints one result row, optionally
-// appends it to the JSON trajectory, and fails the process when the
-// server-side counters do not account for every observation sent.
-func runRemoteMode(workload []workloadStream, opts remoteOpts, jsonPath string, cfg runConfig) {
+// driftserver over loopback/network, prints one result row, and fails the
+// process when the server-side counters do not account for every
+// observation sent.
+func runRemoteMode(workload []workloadStream, opts remoteOpts) {
 	res, err := runRemote(workload, opts)
 	if err != nil {
 		fail(err)
 	}
 	report(res.wireResult, opts.batch, "shard balance (ingested)",
-		fmt.Sprintf("clients=%d conns=%d inflight=%d churn=%d", opts.clients, opts.conns, opts.inflight, opts.churn),
-		jsonPath, cfg)
+		fmt.Sprintf("clients=%d conns=%d inflight=%d churn=%d", opts.clients, opts.conns, opts.inflight, opts.churn))
 	if res.faults != nil {
 		f := res.faults
 		fmt.Printf("chaos: conns=%d frames=%d dropped=%d duplicated=%d resets=%d blackholed=%d  reconnects=%d dedup_hits=%d shedded=%d\n",
@@ -439,9 +289,8 @@ type wireResult struct {
 }
 
 // report prints a -remote or -cluster run's result row (wire describes the
-// client shape) and its client-observed ingest latency, and appends the
-// row to the JSON trajectory when one is given.
-func report(res wireResult, batch int, balanceCol, wire, jsonPath string, cfg runConfig) {
+// client shape) and its client-observed ingest latency.
+func report(res wireResult, batch int, balanceCol, wire string) {
 	mode := "single"
 	if batch > 0 {
 		mode = fmt.Sprintf("batch%d", batch)
@@ -450,28 +299,9 @@ func report(res wireResult, batch int, balanceCol, wire, jsonPath string, cfg ru
 	fmt.Printf("%-8d %-10s %-14s %-12s %-10d %-10d %s  [%s]\n",
 		res.sn.Shards, mode, fmt.Sprintf("%.0f", res.rate), res.wall.Round(time.Millisecond),
 		res.drifts, res.streams, res.balance, wire)
-	p50, p95, p99, haveLat := ingestLatency(res.latency)
-	if haveLat {
+	if p50, p95, p99, ok := ingestLatency(res.latency); ok {
 		fmt.Printf("ingest latency (client-observed rtt): p50=%.3fms p95=%.3fms p99=%.3fms\n", p50, p95, p99)
 	}
-	if jsonPath == "" {
-		return
-	}
-	rec := runRecord{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Config:    cfg,
-		Rows: []runRow{{
-			Shards: res.sn.Shards, Batch: batch, InstancesPerSec: res.rate,
-			WallMS: float64(res.wall.Microseconds()) / 1000,
-			Drifts: res.drifts, Streams: res.streams,
-			IngestP50MS: p50, IngestP95MS: p95, IngestP99MS: p99,
-			Snapshot: &res.sn,
-		}},
-	}
-	if err := appendRecord(jsonPath, rec); err != nil {
-		fail(err)
-	}
-	fmt.Printf("\nappended run record to %s\n", jsonPath)
 }
 
 // checkConserved is the smoke assertion: the server (or the merged fleet)
@@ -507,14 +337,13 @@ func splitAddrs(s string) []string {
 // fails the process unless the merged fleet counters account for every
 // observation sent — and, with -migrate, unless every migrated stream
 // actually rehydrated on its target.
-func runClusterMode(workload []workloadStream, opts remoteOpts, addrs []string, migrate int, jsonPath string, cfg runConfig) {
+func runClusterMode(workload []workloadStream, opts remoteOpts, addrs []string, migrate int) {
 	res, err := runCluster(workload, opts, addrs, migrate)
 	if err != nil {
 		fail(err)
 	}
 	report(res.wireResult, opts.batch, "member balance (ingested)",
-		fmt.Sprintf("members=%d clients=%d conns=%d inflight=%d migrated=%d", len(addrs), opts.clients, opts.conns, opts.inflight, res.migrated),
-		jsonPath, cfg)
+		fmt.Sprintf("members=%d clients=%d conns=%d inflight=%d migrated=%d", len(addrs), opts.clients, opts.conns, opts.inflight, res.migrated))
 	checkConserved(workload, res.wireResult)
 	// Every handoff installs via the rehydration path on its target, so a
 	// migrating run must show at least as many rehydrations as migrations —
@@ -1055,23 +884,6 @@ func parseShards(s string) []int {
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
 			fail(fmt.Errorf("bad -shards entry %q", part))
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// parseProcs expands the -procs flag into the GOMAXPROCS sweep; empty means
-// a single pass at the current setting.
-func parseProcs(s string) []int {
-	if s == "" {
-		return []int{runtime.GOMAXPROCS(0)}
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fail(fmt.Errorf("bad -procs entry %q", part))
 		}
 		out = append(out, n)
 	}

@@ -14,10 +14,10 @@ import (
 // the full detector pipeline live: every parallel worker owns one stream and
 // pushes IngestBatch blocks through the shard rings while the autotuned
 // shard pool (one per GOMAXPROCS) trains real RBM-IM detectors. Run with
-// `go test -cpu 1,4,8` for the multi-core scaling series; the ns/obs metric
-// is gated per parallelism level by scripts/benchguard -percpu, so a
-// regression that only appears under contention cannot hide behind the
-// single-proc number. The closing FlushCheckpoints barrier keeps queued work
+// `go test -cpu 1,4,8` for the multi-core scaling series; compare the ns/obs
+// metric across parallelism levels of one run, since a regression that
+// only appears under contention can hide behind the single-proc number.
+// The closing FlushCheckpoints barrier keeps queued work
 // inside the timed region — the metric is end-to-end applied observations,
 // not enqueue rate.
 func BenchmarkMonitorParallelIngest(b *testing.B) {

@@ -9,8 +9,8 @@ import (
 )
 
 // Snapshot has two canonical text encodings, shared by every consumer
-// (the server's Snapshot reply and /metrics endpoint, monitorbench -json,
-// driftserver's shutdown report) instead of each printing its own:
+// (the server's Snapshot reply and /metrics endpoint, driftserver's
+// shutdown report) instead of each printing its own:
 //
 //   - AppendJSON / MarshalJSON: one JSON object whose keys are the Go field
 //     names in declaration order, so the encoding is byte-stable for a given

@@ -16,8 +16,7 @@ import (
 // client encode, TCP, server decode into pooled slabs, monitor enqueue,
 // batched RBM-IM detection — at the acceptance batch size (256) and a
 // smaller block for comparison. ns/op is per block; the ns/obs metric is
-// what scripts/benchguard gates against BENCH_server.json in CI. Steady
-// state is 0 allocs/op on the client ingest path (run with -benchmem; the
+// comparable across block sizes. Steady state is 0 allocs/op on the client ingest path (run with -benchmem; the
 // residue reported here is the server side's rare event/bookkeeping work
 // divided across iterations).
 func BenchmarkServerIngestBatch(b *testing.B) {
@@ -219,10 +218,9 @@ func BenchmarkServerPipelined(b *testing.B) {
 		srv.Close()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(block), "ns/obs")
 	}
-	// The gated series (Single, B256) runs at the default telemetry level —
-	// full stage timing is the production configuration, so that is what
-	// benchguard holds against BENCH_server.json. The /off variants exist
-	// for the telemetry-overhead table in EXPERIMENTS.md and are not gated.
+	// The main series (Single, B256) runs at the default telemetry level —
+	// full stage timing is the production configuration. The /off variants
+	// exist for the telemetry-overhead table in EXPERIMENTS.md.
 	b.Run("Single", func(b *testing.B) { run(b, 1, 16, 1, 4096, telemetry.Full) })
 	b.Run("B256", func(b *testing.B) { run(b, 256, 8, 4, 16, telemetry.Full) })
 	b.Run("Single/off", func(b *testing.B) { run(b, 1, 16, 1, 4096, telemetry.Off) })

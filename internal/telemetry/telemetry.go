@@ -53,8 +53,8 @@ var epoch = time.Now()
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // Level selects how much of the serving stack is instrumented. The zero
-// value is Full: telemetry is on by default, and the benchguard bars are
-// enforced with it on.
+// value is Full: telemetry is on by default, and the perf A/B gate measures
+// the serving path with it on.
 type Level uint8
 
 const (
