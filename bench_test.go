@@ -1,22 +1,17 @@
 package rbmim
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section, plus micro-benchmarks of the core primitives.
-// The table/figure benches run the same code paths as the cmd/ tools at a
-// reduced scale (BENCH_SCALE below), printing the reproduced rows/series via
-// b.Log when run with -v:
+// Benchmarks of the core primitives, the detector ablations and the
+// monitor:
 //
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkTable3 -v          # also prints the table
+//	go test -run xxx -bench=. -benchmem
 //
-// Full-size regeneration is the cmd/ tools' job (e.g. cmd/driftbench
-// -scale 1.0); the benches exist to (a) keep every experiment executable
-// under `go test -bench`, and (b) measure the cost of each experiment's
-// inner loops.
+// The paper's tables and figures are reproduced by cmd/driftbench, whose
+// tier-1 test (cmd/driftbench/main_test.go) runs every -run mode at a tiny
+// scale; allocation claims are pinned by testing.AllocsPerRun tests, not by
+// the -benchmem columns here.
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,139 +21,12 @@ import (
 	"rbmim/internal/eval"
 	"rbmim/internal/monitor"
 	"rbmim/internal/realworld"
-	"rbmim/internal/stats"
 	"rbmim/internal/synth"
 )
 
-// benchScale keeps the per-iteration work of the experiment benches around a
-// few seconds on a laptop.
+// benchScale keeps each ablation pipeline at the 3000-instance minimum
+// length.
 const benchScale = 0.002
-
-// BenchmarkTableI regenerates the benchmark-properties table (Table I): it
-// measures full construction and a 2k-instance draw of every one of the 24
-// streams.
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, bench := range eval.AllBenchmarks() {
-			s, _, err := bench.Build(benchScale, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < 2000; j++ {
-				s.Next()
-			}
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Experiment 1 (Table III) on a stream subset:
-// all six detectors over a mixed real/artificial pair of benchmarks, with
-// Friedman ranks.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := eval.RunTable3(eval.Table3Config{
-			Scale:        benchScale,
-			Seed:         42,
-			MetricWindow: 500,
-			Benchmarks:   []string{"EEG", "RBF5"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			eval.WriteTable3(logWriter{b}, out)
-		}
-	}
-}
-
-// BenchmarkFig4Ranks regenerates the Bonferroni-Dunn rank analysis of
-// Figures 4-5 from a Table III run.
-func BenchmarkFig4Ranks(b *testing.B) {
-	out, err := eval.RunTable3(eval.Table3Config{
-		Scale:        benchScale,
-		Seed:         42,
-		MetricWindow: 500,
-		Benchmarks:   []string{"EEG", "RBF5", "Hyperplane5", "Aggrawal5"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scores := make([][]float64, len(out.Rows))
-		for r, row := range out.Rows {
-			scores[r] = make([]float64, len(row.Results))
-			for c, res := range row.Results {
-				scores[r][c] = res.PMAUC
-			}
-		}
-		fr := stats.Friedman(scores)
-		cd := stats.BonferroniDunnCD(len(out.Detectors), len(out.Rows), 0.05)
-		if i == 0 && testing.Verbose() {
-			b.Logf("ranks=%v chi2=%.3f CD=%.3f", fr.AvgRanks, fr.ChiSquare, cd)
-		}
-	}
-}
-
-// BenchmarkFig6Bayes regenerates the Bayesian signed test of Figures 6-7
-// (RBM-IM vs PerfSim under pmAUC).
-func BenchmarkFig6Bayes(b *testing.B) {
-	out, err := eval.RunTable3(eval.Table3Config{
-		Scale:        benchScale,
-		Seed:         42,
-		MetricWindow: 500,
-		Benchmarks:   []string{"EEG", "RBF5", "Hyperplane5", "Aggrawal5"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eval.WriteBayesianComparison(io.Discard, out, "PerfSim", "RBM-IM", "pmauc", 1.0, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8LocalDrift regenerates one panel of Experiment 2 (Figure 8):
-// the local-drift sweep on RBF10 with 1 and 10 drifted classes.
-func BenchmarkFig8LocalDrift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := eval.RunLocalDriftSweep(eval.SweepConfig{
-			Scale:        benchScale,
-			Seed:         42,
-			MetricWindow: 500,
-			Benchmarks:   []string{"RBF10"},
-			Values:       []int{1, 10},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			eval.WriteSweep(logWriter{b}, out, "classes")
-		}
-	}
-}
-
-// BenchmarkFig9Imbalance regenerates one panel of Experiment 3 (Figure 9):
-// the imbalance-ratio sweep on Hyperplane10 at IR 50 and 500.
-func BenchmarkFig9Imbalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := eval.RunImbalanceSweep(eval.SweepConfig{
-			Scale:        benchScale,
-			Seed:         42,
-			MetricWindow: 500,
-			Benchmarks:   []string{"Hyperplane10"},
-			Values:       []int{50, 500},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			eval.WriteSweep(logWriter{b}, out, "IR")
-		}
-	}
-}
 
 // BenchmarkDetectorUpdate measures the per-instance cost of every detector
 // (the "test time" row of Table III) on a 20-feature 5-class stream.
@@ -541,8 +409,9 @@ func (d *benchCountDetector) Name() string { return "count" }
 // variants host a near-free detector, isolating the monitor path that
 // batching amortizes (one queue hop, one pooled slab, and one shard
 // dispatch per block instead of 256); the "RBM-IM" variants show the same
-// comparison under a real detector load. Steady state is 0 allocs/op (run
-// with -benchmem; the first iterations warm the pools).
+// comparison under a real detector load. The -benchmem columns are per
+// block and gate nothing; TestClientIngestAllocs (internal/server) pins the
+// ingest path at zero allocations.
 func BenchmarkMonitorIngestBatch(b *testing.B) {
 	const (
 		streams  = 64
@@ -644,14 +513,6 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 	}
 }
 
-// logWriter adapts b.Log to io.Writer for the report helpers.
-type logWriter struct{ b *testing.B }
-
-func (w logWriter) Write(p []byte) (int, error) {
-	w.b.Log(string(p))
-	return len(p), nil
-}
-
 // newBenchTree builds the base classifier via the internal package (the
 // façade intentionally does not re-export the classifier).
 func newBenchTree() interface {
@@ -666,8 +527,9 @@ func newBenchTree() interface {
 // per-observation floor) with checkpointing off, against an in-memory store
 // snapshotting every 100 ms and a filesystem store at the same cadence.
 // Snapshots are serialized on the shard goroutine into pooled buffers and
-// written by the async writer, so ns/obs should be statistically unchanged
-// and steady state stays 0 allocs/op (run with -benchmem).
+// written by the async writer, so ns/obs should be statistically unchanged.
+// The timed region includes Close, so B/op carries a fixed cost that falls
+// with -benchtime.
 func BenchmarkMonitorCheckpoint(b *testing.B) {
 	gen, err := synth.NewRBF(synth.Config{Features: 20, Classes: 5, Seed: 17}, 3, 0.08)
 	if err != nil {

@@ -1,14 +1,18 @@
-// Command driftbench orchestrates the full reproduction: Table I
-// properties, the Table III detector comparison with Friedman /
-// Bonferroni-Dunn rank analysis (Figures 4-5), the Bayesian signed tests
-// (Figures 6-7), the local-drift sweep (Figure 8), and the imbalance-ratio
-// robustness sweep (Figure 9). Each experiment honours the shared -scale
-// and -seed flags; individual experiments can be selected with -run.
+// Command driftbench is the one command that reproduces the paper's
+// artefacts: Tables I-II (benchmark streams and detector grids), the Table
+// III detector comparison with Friedman / Bonferroni-Dunn rank analysis
+// (Figures 4-5), the Bayesian signed tests (Figures 6-7), the local-drift
+// sweep (Figure 8), and the imbalance-ratio robustness sweep (Figure 9).
+// Each experiment honours the shared -scale and -seed flags; individual
+// experiments can be selected with -run, and -benchmarks restricts Table
+// III and both sweeps to a stream subset (the sweeps skip real-world names,
+// as Figures 8-9 use the artificial streams only).
 //
 // Usage:
 //
-//	driftbench [-run all|table3|ranks|bayes|fig8|fig9|resume] [-scale 0.02]
-//	           [-seed 42] [-block 1] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	driftbench [-run all|tables|table3|ranks|bayes|fig8|fig9|resume] [-scale 0.02]
+//	           [-seed 42] [-benchmarks EEG,RBF5] [-extras] [-block 1]
+//	           [-cpuprofile cpu.out] [-memprofile mem.out]
 //	           [-checkpoint ck.bin] [-resume ck.bin]
 //
 // A full run at -scale 0.02 finishes in a few minutes on a laptop; use
@@ -32,11 +36,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,143 +51,182 @@ import (
 	"rbmim/internal/eval"
 )
 
+// modes lists the -run experiment names in the order they are printed.
+var modes = []string{"resume", "tables", "table3", "ranks", "bayes", "fig8", "fig9"}
+
 func main() {
-	run := flag.String("run", "all", "experiments: all, table3, ranks, bayes, fig8, fig9")
-	scale := flag.Float64("scale", 0.02, "fraction of each benchmark's full length (1.0 = Table I size)")
-	seed := flag.Int64("seed", 42, "random seed")
-	window := flag.Int("window", 1000, "prequential metric window")
-	parallel := flag.Int("parallel", 0, "worker goroutines (default: NumCPU)")
-	rope := flag.Float64("rope", 1.0, "Bayesian signed test rope (metric points)")
-	blockSize := flag.Int("block", 1, "prequential block length fed to every pipeline (1 = classic per-instance loop)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	checkpoint := flag.String("checkpoint", "", "with -run resume: save the detector mid-stream to this file and stop")
-	resume := flag.String("resume", "", "with -run resume: load the detector from this file and run the second half")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "driftbench:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// run parses args and runs the selected experiments, writing every report
+// to stdout. Profiles are written on every return path, so a failed run
+// still leaves its truncated CPU profile behind.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("driftbench", flag.ContinueOnError)
+	runList := fs.String("run", "all", "experiments: all, or a comma list of "+strings.Join(modes, ", "))
+	scale := fs.Float64("scale", 0.02, "fraction of each benchmark's full length (1.0 = Table I size)")
+	seed := fs.Int64("seed", 42, "random seed")
+	window := fs.Int("window", 1000, "prequential metric window")
+	parallel := fs.Int("parallel", 0, "worker goroutines (default: NumCPU)")
+	rope := fs.Float64("rope", 1.0, "Bayesian signed test rope (metric points)")
+	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark subset for table3 and the sweeps (default: all)")
+	extras := fs.Bool("extras", false, "include the DDM/EDDM/ADWIN/HDDM-A extra baselines in table3")
+	blockSize := fs.Int("block", 1, "prequential block length fed to every pipeline (1 = classic per-instance loop)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	checkpoint := fs.String("checkpoint", "", "with -run resume: save the detector mid-stream to this file and stop")
+	resume := fs.String("resume", "", "with -run resume: load the detector from this file and run the second half")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	want := map[string]bool{}
+	for _, r := range splitList(*runList) {
+		if r != "all" && !slices.Contains(modes, r) {
+			return fmt.Errorf("unknown -run experiment %q (want all or %s)", r, strings.Join(modes, ", "))
+		}
+		want[r] = true
+	}
+	if want["all"] {
+		for _, m := range modes {
+			want[m] = true
+		}
+	}
+	subset := splitList(*benchmarks)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			f.Close()
+			return err
 		}
-		stopCPUProfile = func() {
+		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "driftbench:", err)
-				return
-			}
-			fmt.Printf("wrote CPU profile to %s\n", *cpuprofile)
-		}
-		defer flushProfiles()
-	}
-	if *memprofile != "" {
-		writeHeapProfile = func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "driftbench:", err)
-				return
-			}
-			runtime.GC() // materialize the steady-state live set
-			err = pprof.WriteHeapProfile(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "driftbench:", err)
-				return
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if herr := writeHeapProfile(*memprofile); err == nil {
+				err = herr
 			}
-			fmt.Printf("wrote heap profile to %s\n", *memprofile)
-		}
-		defer flushProfiles()
+		}()
 	}
 
-	want := map[string]bool{}
-	for _, r := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
-	all := want["all"]
 	started := time.Now()
-
 	if want["resume"] {
-		if err := runResumeDemo(*seed, *checkpoint, *resume); err != nil {
-			fail(err)
+		if err := runResumeDemo(stdout, *seed, *checkpoint, *resume); err != nil {
+			return err
 		}
-		if !all && len(want) == 1 {
-			fmt.Printf("done in %s\n", time.Since(started).Round(time.Millisecond))
-			return
-		}
+	}
+	if want["tables"] {
+		fmt.Fprintf(stdout, "== Tables I-II: benchmark streams and parameter grids, scale=%.3f ==\n", *scale)
+		eval.WriteTables(stdout, *scale)
+		fmt.Fprintln(stdout)
 	}
 
 	var table3 *eval.Table3Output
-	needTable3 := all || want["table3"] || want["ranks"] || want["bayes"]
-	if needTable3 {
-		fmt.Printf("== Experiment 1 (Table III), scale=%.3f ==\n", *scale)
+	if want["table3"] || want["ranks"] || want["bayes"] {
+		fmt.Fprintf(stdout, "== Experiment 1 (Table III), scale=%.3f ==\n", *scale)
 		out, err := eval.RunTable3(eval.Table3Config{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
+			Scale:         *scale,
+			Seed:          *seed,
+			MetricWindow:  *window,
+			Parallelism:   *parallel,
+			Benchmarks:    subset,
+			IncludeExtras: *extras,
+			BlockSize:     *blockSize,
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		table3 = out
-		eval.WriteTable3(os.Stdout, out)
-		fmt.Println()
+		eval.WriteTable3(stdout, out)
+		fmt.Fprintln(stdout)
 	}
-	if all || want["ranks"] {
-		fmt.Println("== Figures 4-5: Bonferroni-Dunn rank analysis ==")
-		eval.WriteRankAnalysis(os.Stdout, table3, "pmauc")
-		fmt.Println()
-		eval.WriteRankAnalysis(os.Stdout, table3, "pmgm")
-		fmt.Println()
+	if want["ranks"] {
+		fmt.Fprintln(stdout, "== Figures 4-5: Bonferroni-Dunn rank analysis ==")
+		eval.WriteRankAnalysis(stdout, table3, "pmauc")
+		fmt.Fprintln(stdout)
+		eval.WriteRankAnalysis(stdout, table3, "pmgm")
+		fmt.Fprintln(stdout)
 	}
-	if all || want["bayes"] {
-		fmt.Println("== Figures 6-7: Bayesian signed tests ==")
+	if want["bayes"] {
+		fmt.Fprintln(stdout, "== Figures 6-7: Bayesian signed tests ==")
 		for _, metric := range []string{"pmauc", "pmgm"} {
 			for _, baseline := range []string{"PerfSim", "DDM-OCI"} {
-				if err := eval.WriteBayesianComparison(os.Stdout, table3, baseline, "RBM-IM", metric, *rope, *seed); err != nil {
-					fail(err)
+				if err := eval.WriteBayesianComparison(stdout, table3, baseline, "RBM-IM", metric, *rope, *seed); err != nil {
+					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
 	}
-	if all || want["fig8"] {
-		fmt.Printf("== Experiment 2 (Figure 8): local drift sweep, scale=%.3f ==\n", *scale)
-		out, err := eval.RunLocalDriftSweep(eval.SweepConfig{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
-		})
-		if err != nil {
-			fail(err)
-		}
-		eval.WriteSweep(os.Stdout, out, "classes")
-		fmt.Println()
+	sweep := eval.SweepConfig{
+		Scale:        *scale,
+		Seed:         *seed,
+		MetricWindow: *window,
+		Parallelism:  *parallel,
+		Benchmarks:   subset,
+		BlockSize:    *blockSize,
 	}
-	if all || want["fig9"] {
-		fmt.Printf("== Experiment 3 (Figure 9): imbalance-ratio sweep, scale=%.3f ==\n", *scale)
-		out, err := eval.RunImbalanceSweep(eval.SweepConfig{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
-		})
+	if want["fig8"] {
+		fmt.Fprintf(stdout, "== Experiment 2 (Figure 8): local drift sweep, scale=%.3f ==\n", *scale)
+		out, err := eval.RunLocalDriftSweep(sweep)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		eval.WriteSweep(os.Stdout, out, "IR")
-		fmt.Println()
+		eval.WriteSweep(stdout, out, "classes")
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("done in %s\n", time.Since(started).Round(time.Second))
+	if want["fig9"] {
+		fmt.Fprintf(stdout, "== Experiment 3 (Figure 9): imbalance-ratio sweep, scale=%.3f ==\n", *scale)
+		out, err := eval.RunImbalanceSweep(sweep)
+		if err != nil {
+			return err
+		}
+		eval.WriteSweep(stdout, out, "IR")
+		fmt.Fprintln(stdout)
+	}
+	fmt.Fprintf(stdout, "done in %s\n", time.Since(started).Round(time.Millisecond))
+	return nil
+}
+
+// splitList splits a comma-separated flag value into its trimmed entries
+// (nil for an empty value).
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}
+
+// writeHeapProfile writes the steady-state live set to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize the steady-state live set
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // resumeDemo parameters: a drifting stream long enough for several
@@ -211,8 +257,8 @@ func resumeStream(seed int64) (rbmim.Stream, error) {
 
 // runResumeDemo is the -run resume experiment (kill-and-resume mid-stream);
 // see the package comment for the three-invocation walkthrough.
-func runResumeDemo(seed int64, checkpointPath, resumePath string) error {
-	fmt.Println("== Kill-and-resume demo (checkpointable detector state) ==")
+func runResumeDemo(w io.Writer, seed int64, checkpointPath, resumePath string) error {
+	fmt.Fprintln(w, "== Kill-and-resume demo (checkpointable detector state) ==")
 	s, err := resumeStream(seed)
 	if err != nil {
 		return err
@@ -246,7 +292,7 @@ func runResumeDemo(seed int64, checkpointPath, resumePath string) error {
 			s.Next()
 		}
 		start = resumeCut
-		fmt.Printf("resumed from %s (%d bytes) at observation %d\n", resumePath, len(data), resumeCut)
+		fmt.Fprintf(w, "resumed from %s (%d bytes) at observation %d\n", resumePath, len(data), resumeCut)
 	}
 
 	if checkpointPath != "" && resumePath == "" {
@@ -263,7 +309,7 @@ func runResumeDemo(seed int64, checkpointPath, resumePath string) error {
 			return err
 		}
 		info, _ := os.Stat(checkpointPath)
-		fmt.Printf("trained %d/%d observations, saved checkpoint to %s (%d bytes); rerun with -resume %s\n",
+		fmt.Fprintf(w, "trained %d/%d observations, saved checkpoint to %s (%d bytes); rerun with -resume %s\n",
 			resumeCut, resumeTotal, checkpointPath, info.Size(), checkpointPath)
 		return nil
 	}
@@ -275,34 +321,10 @@ func runResumeDemo(seed int64, checkpointPath, resumePath string) error {
 		drifts = feed(0, resumeCut, drifts)
 	}
 	post := feed(resumeCut, resumeTotal, 0)
-	fmt.Printf("finished at observation %d: drifts after the cut %d (total %d), final weight checksum %#016x\n",
+	fmt.Fprintf(w, "finished at observation %d: drifts after the cut %d (total %d), final weight checksum %#016x\n",
 		resumeTotal, post, drifts+post, det.RBM().WeightChecksum())
 	if resumePath != "" {
-		fmt.Println("compare against `driftbench -run resume` (uninterrupted): post-cut drifts and checksum match bit for bit")
+		fmt.Fprintln(w, "compare against `driftbench -run resume` (uninterrupted): post-cut drifts and checksum match bit for bit")
 	}
 	return nil
-}
-
-// stopCPUProfile / writeHeapProfile are installed by main when the
-// corresponding flags are set; flushProfiles runs each at most once, both
-// on the normal defer path and from fail — os.Exit skips defers, and a
-// truncated CPU profile of a failed run is exactly the artifact one wants
-// most.
-var stopCPUProfile, writeHeapProfile func()
-
-func flushProfiles() {
-	if stopCPUProfile != nil {
-		stopCPUProfile()
-		stopCPUProfile = nil
-	}
-	if writeHeapProfile != nil {
-		writeHeapProfile()
-		writeHeapProfile = nil
-	}
-}
-
-func fail(err error) {
-	flushProfiles()
-	fmt.Fprintln(os.Stderr, "driftbench:", err)
-	os.Exit(1)
 }

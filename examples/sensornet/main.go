@@ -70,6 +70,6 @@ func main() {
 		fmt.Println("monitoring is unaffected by which nodes currently dominate.")
 	default:
 		fmt.Println("results vary by seed at this horizon; sweep seeds or raise")
-		fmt.Println("the horizon for the paper-scale comparison (cmd/table3).")
+		fmt.Println("the horizon for the paper-scale comparison (driftbench -run table3).")
 	}
 }

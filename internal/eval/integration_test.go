@@ -98,8 +98,8 @@ func TestRBMIMDetectsAllLocalDriftsAtMEquals1(t *testing.T) {
 	}
 	// A single seed is too noisy for a detector-vs-detector assertion here;
 	// the comparative claim (standard detectors missing local minority
-	// drifts) is exercised by the Figure 8 sweep (cmd/localdrift,
-	// BenchmarkFig8LocalDrift) across 12 benchmarks.
+	// drifts) is exercised by the Figure 8 sweep (driftbench -run fig8)
+	// across 12 benchmarks.
 }
 
 // TestRBMIMGlobalDriftDetection asserts RQ1-level behavior on a sudden

@@ -7,8 +7,34 @@ import (
 	"sort"
 	"strings"
 
+	"rbmim/internal/realworld"
 	"rbmim/internal/stats"
 )
+
+// WriteTables renders Table I (the 24 benchmark streams, with the length
+// each one is built with at the given scale) and Table II (the examined
+// detectors' hyper-parameter grids).
+func WriteTables(w io.Writer, scale float64) {
+	fmt.Fprintln(w, "Table I: properties of real-world-surrogate (top) and artificial (bottom) streams")
+	const rowFormat = "%-14s %12v %12v %9v %8v %8.2f  %s\n"
+	fmt.Fprintf(w, "%-14s %12s %12s %9s %8s %8s  %s\n",
+		"Dataset", "Instances", "(scaled)", "Features", "Classes", "IR", "Drift")
+	for _, s := range realworld.All() {
+		fmt.Fprintf(w, rowFormat, s.Name, s.Instances, s.ScaledInstances(scale), s.Features, s.Classes, s.IR, s.Drift)
+	}
+	for _, s := range Artificial() {
+		scaled := BuildOptions{Scale: scale}.scaled(s.Instances)
+		fmt.Fprintf(w, rowFormat, s.Name, s.Instances, scaled, s.Features, s.Classes, s.IR, s.Drift)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Table II: examined detectors and their parameter grids")
+	for _, g := range DefaultGrids() {
+		fmt.Fprintf(w, "%-8s\n", g.Detector)
+		for _, p := range g.Params {
+			fmt.Fprintf(w, "    %-18s %v\n", p.Name, p.Values)
+		}
+	}
+}
 
 // WriteTable3 renders the Experiment 1 output in the layout of Table III:
 // one row per stream with pmAUC and pmGM per detector, then average ranks

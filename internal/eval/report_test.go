@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,33 @@ func TestWriteSweepRenders(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("sweep output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestWriteTablesScaledColumnMatchesBuild checks that Table I's "(scaled)"
+// column is the length each benchmark is actually built with at that scale,
+// and that Table II follows it.
+func TestWriteTablesScaledColumnMatchesBuild(t *testing.T) {
+	const scale = 0.002
+	var sb strings.Builder
+	WriteTables(&sb, scale)
+	scaled := map[string]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 7 {
+			scaled[f[0]] = f[2]
+		}
+	}
+	for _, b := range AllBenchmarks() {
+		_, n, err := b.Build(scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := scaled[b.Name], strconv.Itoa(n); got != want {
+			t.Errorf("%s: Table I shows %q instances at scale %v, Build uses %s", b.Name, got, scale, want)
+		}
+	}
+	if !strings.Contains(sb.String(), "Table II") || !strings.Contains(sb.String(), "DDM-OCI") {
+		t.Fatalf("Table II missing:\n%s", sb.String())
 	}
 }
 

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+
+	"rbmim/internal/realworld"
 )
 
 // SweepPoint is one (x, detector) cell of a sweep figure: the pmAUC achieved
@@ -53,21 +56,26 @@ func (c *SweepConfig) fill() {
 	}
 }
 
-// selectedArtificial resolves the benchmark subset.
-func selectedArtificial(names []string) []ArtificialSpec {
-	all := Artificial()
+// selectedArtificial resolves the benchmark subset. Figures 8-9 are defined
+// on the artificial streams only, so a real-world name is skipped; a name
+// that is not a benchmark at all, or a selection that leaves no artificial
+// stream, is an error.
+func selectedArtificial(names []string) ([]ArtificialSpec, error) {
 	if names == nil {
-		return all
+		return Artificial(), nil
 	}
 	var out []ArtificialSpec
 	for _, want := range names {
-		for _, s := range all {
-			if s.Name == want {
-				out = append(out, s)
-			}
+		if spec, err := ArtificialByName(want); err == nil {
+			out = append(out, spec)
+		} else if _, err := realworld.ByName(want); err != nil {
+			return nil, fmt.Errorf("eval: unknown benchmark %q", want)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil, fmt.Errorf("eval: no artificial benchmark in %q (the sweeps run on the artificial streams only)", names)
+	}
+	return out, nil
 }
 
 // RunLocalDriftSweep reproduces Experiment 2 (Figure 8): for each artificial
@@ -76,7 +84,10 @@ func selectedArtificial(names []string) []ArtificialSpec {
 // detection.
 func RunLocalDriftSweep(cfg SweepConfig) ([]SweepOutput, error) {
 	cfg.fill()
-	specs := selectedArtificial(cfg.Benchmarks)
+	specs, err := selectedArtificial(cfg.Benchmarks)
+	if err != nil {
+		return nil, err
+	}
 	return runSweep(cfg, specs, func(spec ArtificialSpec) []int {
 		if cfg.Values != nil {
 			var vals []int
@@ -115,7 +126,10 @@ func RunLocalDriftSweep(cfg SweepConfig) ([]SweepOutput, error) {
 // 300, 400, 500} and measure each detector's pmAUC.
 func RunImbalanceSweep(cfg SweepConfig) ([]SweepOutput, error) {
 	cfg.fill()
-	specs := selectedArtificial(cfg.Benchmarks)
+	specs, err := selectedArtificial(cfg.Benchmarks)
+	if err != nil {
+		return nil, err
+	}
 	return runSweep(cfg, specs, func(spec ArtificialSpec) []int {
 		if cfg.Values != nil {
 			return cfg.Values

@@ -92,11 +92,19 @@ func (a *ADWIN) insert(x float64) {
 			break
 		}
 		if i+1 == len(a.rows) {
-			a.rows = append(a.rows, adwinRow{size: a.rows[i].size * 2})
+			// Reuse the slot (and bucket array) a cut trimmed, if any, so a
+			// window that shrinks and grows back allocates nothing.
+			if len(a.rows) < cap(a.rows) {
+				a.rows = a.rows[:i+2]
+				a.rows[i+1].buckets = a.rows[i+1].buckets[:0]
+			} else {
+				a.rows = append(a.rows, adwinRow{})
+			}
+			a.rows[i+1].size = a.rows[i].size * 2
 		}
-		b0 := a.rows[i].buckets[0]
-		b1 := a.rows[i].buckets[1]
-		n := float64(a.rows[i].size)
+		row, next := &a.rows[i], &a.rows[i+1]
+		b0, b1 := row.buckets[0], row.buckets[1]
+		n := float64(row.size)
 		mu0, mu1 := b0.sum/n, b1.sum/n
 		d := mu0 - mu1
 		merged := adwinBucket{
@@ -104,9 +112,16 @@ func (a *ADWIN) insert(x float64) {
 			varSq: b0.varSq + b1.varSq + n*n/(2*n)*d*d,
 		}
 		a.varSq += n * n / (2 * n) * d * d
-		a.rows[i].buckets = a.rows[i].buckets[2:]
-		a.rows[i+1].buckets = append(a.rows[i+1].buckets, merged)
+		row.buckets = shiftOut(row.buckets, 2)
+		next.buckets = append(next.buckets, merged)
 	}
+}
+
+// shiftOut drops the k oldest buckets by copying the rest down in place:
+// re-slicing from the front would shrink the row's capacity and make every
+// later append reallocate it.
+func shiftOut(b []adwinBucket, k int) []adwinBucket {
+	return b[:copy(b, b[k:])]
 }
 
 // checkCut scans split points from oldest to newest and drops the oldest
@@ -178,12 +193,13 @@ func (a *ADWIN) windowVariance() float64 {
 // dropOldest removes the oldest bucket from the window.
 func (a *ADWIN) dropOldest() {
 	for i := len(a.rows) - 1; i >= 0; i-- {
-		if len(a.rows[i].buckets) == 0 {
+		row := &a.rows[i]
+		if len(row.buckets) == 0 {
 			continue
 		}
-		b := a.rows[i].buckets[0]
-		a.rows[i].buckets = a.rows[i].buckets[1:]
-		a.width -= a.rows[i].size
+		b := row.buckets[0]
+		row.buckets = shiftOut(row.buckets, 1)
+		a.width -= row.size
 		a.total -= b.sum
 		a.varSq -= b.varSq
 		if a.varSq < 0 {
@@ -199,7 +215,8 @@ func (a *ADWIN) dropOldest() {
 
 // Reset clears the window.
 func (a *ADWIN) Reset() {
-	a.rows = []adwinRow{{size: 1}}
+	a.rows = a.rows[:1]
+	a.rows[0].buckets = a.rows[0].buckets[:0]
 	a.total, a.varSq = 0, 0
 	a.width, a.ticks = 0, 0
 	a.detected = false

@@ -85,3 +85,39 @@ func TestADWINInvalidDeltaDefaults(t *testing.T) {
 		t.Fatalf("invalid delta should default to 0.002, got %v", a.delta)
 	}
 }
+
+// TestADWINAddAllocationFree pins the steady state of Add: once the window
+// has grown to its largest width, compressing rows, cutting the window and
+// growing it back must reuse the rows' bucket arrays. Each measured run is a
+// whole cycle of a two-level stream, so it includes a cut, and an allocation
+// anywhere in the cycle reads as at least 1 (AllocsPerRun truncates the mean).
+func TestADWINAddAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cycle := make([]float64, 8000)
+	for i := range cycle {
+		level := 0.2
+		if i >= len(cycle)/2 {
+			level = 0.8
+		}
+		cycle[i] = level + rng.NormFloat64()*0.1
+	}
+	a := NewADWIN(0.002)
+	cuts := 0
+	addCycle := func() {
+		for _, x := range cycle {
+			if a.Add(x) {
+				cuts++
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		addCycle()
+	}
+	cuts = 0
+	if allocs := testing.AllocsPerRun(1, addCycle); allocs != 0 {
+		t.Fatalf("Add allocated %v times per %d-point cycle in steady state", allocs, len(cycle))
+	}
+	if cuts == 0 {
+		t.Fatal("the measured cycle never cut the window; the pin would be vacuous")
+	}
+}
