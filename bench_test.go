@@ -1,7 +1,9 @@
 package rbmim
 
 // Benchmarks of the core primitives, the detector ablations and the
-// monitor:
+// detector's checkpoint serialization (the monitor's multi-stream ingest is
+// measured by BenchmarkMonitorParallelIngest in internal/monitor and by
+// perfbench's wire workloads):
 //
 //	go test -run xxx -bench=. -benchmem
 //
@@ -12,14 +14,11 @@ package rbmim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"rbmim/internal/core"
 	"rbmim/internal/detectors"
 	"rbmim/internal/eval"
-	"rbmim/internal/monitor"
 	"rbmim/internal/realworld"
 	"rbmim/internal/synth"
 )
@@ -306,213 +305,6 @@ func BenchmarkAblationSkewInsensitiveLoss(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorIngest measures multi-stream throughput of the sharded
-// Monitor at increasing shard counts: 64 independent streams fed from
-// GOMAXPROCS producers via RunParallel. Throughput (ns/op = ns/observation)
-// should improve with shards until the producer count or memory bandwidth
-// saturates; cmd/monitorbench runs the same sweep at full scale with
-// per-shard balance reporting.
-func BenchmarkMonitorIngest(b *testing.B) {
-	const (
-		streams  = 64
-		features = 20
-		classes  = 5
-	)
-	gen, err := synth.NewRBF(synth.Config{Features: features, Classes: classes, Seed: 17}, 3, 0.08)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]detectors.Observation, 4096)
-	for i := range obs {
-		in := gen.Next()
-		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
-	}
-	ids := make([]string, streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("stream-%02d", i)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("%dshards", shards), func(b *testing.B) {
-			m, err := monitor.New(monitor.Config{
-				Detector:  core.Config{Features: features, Classes: classes, Seed: 7},
-				Shards:    shards,
-				QueueSize: 4096,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(next.Add(1))
-				for pb.Next() {
-					i++
-					if err := m.Ingest(ids[i%streams], obs[i%len(obs)]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			m.Close()
-		})
-	}
-}
-
-// BenchmarkMonitorIngestSingleStream measures the per-observation overhead
-// the Monitor adds over a bare detector (hashing, copy, channel hop) in the
-// degenerate single-stream single-shard case.
-func BenchmarkMonitorIngestSingleStream(b *testing.B) {
-	gen, err := synth.NewRBF(synth.Config{Features: 20, Classes: 5, Seed: 17}, 3, 0.08)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]detectors.Observation, 4096)
-	for i := range obs {
-		in := gen.Next()
-		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
-	}
-	m, err := monitor.New(monitor.Config{
-		Detector:  core.Config{Features: 20, Classes: 5, Seed: 7},
-		Shards:    1,
-		QueueSize: 4096,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	m.Close()
-}
-
-// benchCountDetector is a near-free detector isolating the monitor's own
-// ingestion path (hash, lock, slab copy, queue hop, shard dispatch) from
-// detector cost.
-type benchCountDetector struct{ n uint64 }
-
-func (d *benchCountDetector) Update(detectors.Observation) detectors.State {
-	d.n++
-	return detectors.None
-}
-func (d *benchCountDetector) Reset()       {}
-func (d *benchCountDetector) Name() string { return "count" }
-
-// BenchmarkMonitorIngestBatch compares per-instance Ingest against
-// IngestBatch at block 256 across 64 streams. ns/op is per 256-observation
-// block; the ns/obs metric is comparable across sub-benches. The "overhead"
-// variants host a near-free detector, isolating the monitor path that
-// batching amortizes (one queue hop, one pooled slab, and one shard
-// dispatch per block instead of 256); the "RBM-IM" variants show the same
-// comparison under a real detector load. The -benchmem columns are per
-// block and gate nothing; TestClientIngestAllocs (internal/server) pins the
-// ingest path at zero allocations.
-func BenchmarkMonitorIngestBatch(b *testing.B) {
-	const (
-		streams  = 64
-		features = 20
-		classes  = 5
-		block    = 256
-	)
-	gen, err := synth.NewRBF(synth.Config{Features: features, Classes: classes, Seed: 17}, 3, 0.08)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]detectors.Observation, 4096)
-	for i := range obs {
-		in := gen.Next()
-		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
-	}
-	ids := make([]string, streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("stream-%02d", i)
-	}
-	newConfig := func(name string, queue int) monitor.Config {
-		if name == "overhead" {
-			return monitor.Config{
-				NewDetector: func(string) (detectors.Detector, error) { return &benchCountDetector{}, nil },
-				Shards:      4,
-				QueueSize:   queue,
-			}
-		}
-		cfg := monitor.Config{
-			Detector:  core.Config{Features: features, Classes: classes, Seed: 7},
-			Shards:    4,
-			QueueSize: queue,
-		}
-		// The tele-off variant isolates the stage-histogram cost (queue-wait
-		// stamps + detector timing) for the overhead table in EXPERIMENTS.md;
-		// the default variants run at full telemetry, the production level.
-		if name == "RBM-IM-tele-off" {
-			cfg.Telemetry = TelemetryOff
-		}
-		return cfg
-	}
-	perObs := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/block, "ns/obs")
-	}
-	for _, name := range []string{"overhead", "RBM-IM", "RBM-IM-tele-off"} {
-		name := name
-		// Both modes bound the same number of in-flight observations (4096),
-		// so backpressure engages identically and the pooled slabs actually
-		// recycle; the timed region includes the Close drain, making ns/obs
-		// a true end-to-end throughput figure rather than producer-side cost.
-		b.Run(name+"/perInstance", func(b *testing.B) {
-			m, err := monitor.New(newConfig(name, 4096))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm pools and detectors before measuring steady state.
-			for s := 0; s < streams; s++ {
-				for j := 0; j < block; j++ {
-					if err := m.Ingest(ids[s], obs[j]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := ids[i%streams]
-				base := (i * block) % len(obs)
-				for j := 0; j < block; j++ {
-					if err := m.Ingest(id, obs[base+j]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			m.Close()
-			b.StopTimer()
-			perObs(b)
-		})
-		b.Run(name+"/batch256", func(b *testing.B) {
-			m, err := monitor.New(newConfig(name, 4096/block))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for s := 0; s < streams; s++ {
-				if err := m.IngestBatch(ids[s], obs[:block]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := (i * block) % len(obs)
-				if err := m.IngestBatch(ids[i%streams], obs[base:base+block]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.Close()
-			b.StopTimer()
-			perObs(b)
-		})
-	}
-}
-
 // newBenchTree builds the base classifier via the internal package (the
 // façade intentionally does not re-export the classifier).
 func newBenchTree() interface {
@@ -520,73 +312,6 @@ func newBenchTree() interface {
 	Train([]float64, int)
 } {
 	return benchTreeFactory()
-}
-
-// BenchmarkMonitorCheckpoint measures what state persistence costs the
-// ingest path: the single-stream single-shard Ingest loop (the monitor's
-// per-observation floor) with checkpointing off, against an in-memory store
-// snapshotting every 100 ms and a filesystem store at the same cadence.
-// Snapshots are serialized on the shard goroutine into pooled buffers and
-// written by the async writer, so ns/obs should be statistically unchanged.
-// The timed region includes Close, so B/op carries a fixed cost that falls
-// with -benchtime.
-func BenchmarkMonitorCheckpoint(b *testing.B) {
-	gen, err := synth.NewRBF(synth.Config{Features: 20, Classes: 5, Seed: 17}, 3, 0.08)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]detectors.Observation, 4096)
-	for i := range obs {
-		in := gen.Next()
-		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
-	}
-	modes := []struct {
-		name  string
-		store func(b *testing.B) monitor.Store
-	}{
-		{"off", func(*testing.B) monitor.Store { return nil }},
-		{"mem", func(*testing.B) monitor.Store { return monitor.NewMemStore() }},
-		{"fs", func(b *testing.B) monitor.Store {
-			store, err := monitor.NewFSStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return store
-		}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			m, err := monitor.New(monitor.Config{
-				Detector:   core.Config{Features: 20, Classes: 5, Seed: 7},
-				Shards:     1,
-				QueueSize:  4096,
-				Checkpoint: monitor.CheckpointConfig{Store: mode.store(b), Interval: 100 * time.Millisecond},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm the detector, pools, and checkpoint scratch.
-			for i := 0; i < 512; i++ {
-				if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.Close() // the drain is part of the measured throughput
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/obs")
-			if sn := m.Snapshot(); sn.CheckpointErrors != 0 {
-				b.Fatalf("checkpoint errors during bench: %d", sn.CheckpointErrors)
-			}
-		})
-	}
 }
 
 // BenchmarkDetectorSaveState measures one full RBM-IM snapshot: the

@@ -98,6 +98,14 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 	subset := splitList(*benchmarks)
+	// The sweeps' subset rule, checked before any experiment runs, so a
+	// selection with no artificial stream fails before Table III does its
+	// work, not after.
+	if want["fig8"] || want["fig9"] {
+		if _, err := eval.SelectArtificial(subset); err != nil {
+			return err
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -53,17 +53,22 @@ func TestRunEveryArtefact(t *testing.T) {
 }
 
 // TestRunRejectsUnknownNames checks that a typo fails instead of running
-// nothing and exiting cleanly.
+// nothing and exiting cleanly, and that it fails before Table III starts.
 func TestRunRejectsUnknownNames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "tabel3"},
 		{"-run", "table3,fig10", "-scale", "0.002", "-benchmarks", "RBF5"},
 		{"-run", "fig8", "-scale", "0.002", "-benchmarks", "RBFX"},
 		{"-run", "fig9", "-scale", "0.002", "-benchmarks", "EEG"},
+		{"-run", "table3,fig8", "-scale", "0.002", "-benchmarks", "EEG"},
+		{"-run", "all", "-scale", "0.002", "-benchmarks", "EEG"},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("driftbench %s succeeded, want an error:\n%s", strings.Join(args, " "), out.String())
+		}
+		if strings.Contains(out.String(), "== Experiment 1") {
+			t.Errorf("driftbench %s ran Table III before rejecting its arguments", strings.Join(args, " "))
 		}
 	}
 }

@@ -245,18 +245,24 @@ func (d *Detector) DriftClasses() []int { return d.drifted }
 // re-initialized by the harness.
 func (d *Detector) Reset() {
 	for _, m := range d.monitor {
-		m.trend = stats.NewSlidingTrend(d.cfg.TrendWindow)
-		m.adwin = stats.NewADWIN(0.002)
-		m.history = m.history[:0]
-		m.batches = 0
+		d.resetClass(m)
 		m.lastErr = 0
 		m.accSum, m.accCount = 0, 0
-		m.pending = false
 	}
 	d.drifted = nil
 	d.batchN = 0
 	d.recHead, d.recLen = 0, 0
 	d.lastDrift = nil
+}
+
+// resetClass restarts one class's detection statistics in place, reusing
+// their arrays: after Reset and after each of the class's confirmed drifts.
+func (d *Detector) resetClass(m *classMonitor) {
+	m.trend.Reset(d.cfg.TrendWindow)
+	m.adwin.Reset()
+	m.history = m.history[:0]
+	m.batches = 0
+	m.pending = false
 }
 
 // Update consumes one observation; detection work happens when a mini-batch
@@ -355,11 +361,7 @@ func (d *Detector) processBatch() detectors.State {
 				d.drifted = append(d.drifted, k)
 				// Restart this class's detection statistics; the RBM itself
 				// keeps training online.
-				m.trend = stats.NewSlidingTrend(d.cfg.TrendWindow)
-				m.adwin = stats.NewADWIN(0.002)
-				m.history = m.history[:0]
-				m.batches = 0
-				m.pending = false
+				d.resetClass(m)
 				continue
 			}
 			// Causality holds: treat the escapes as explained variation and

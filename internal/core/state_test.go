@@ -331,6 +331,24 @@ func TestSaveStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDetectorResetAllocationFree pins that Reset restarts every class's
+// trend and ADWIN in place: once the monitors exist, it performs no heap
+// allocations (the post-drift restart of one class shares the same code).
+func TestDetectorResetAllocationFree(t *testing.T) {
+	cfg := stateTestConfig(1)
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := stateObsDraw(9, cfg.Features, cfg.Classes)
+	for i := 0; i < 1200; i++ {
+		det.Update(draw(i))
+	}
+	if allocs := testing.AllocsPerRun(20, det.Reset); allocs != 0 {
+		t.Fatalf("Reset allocates %.1f per call", allocs)
+	}
+}
+
 // FuzzDetectorLoadState feeds arbitrary bytes to the loader: it must never
 // panic, and whenever it reports success the detector must still be usable.
 func FuzzDetectorLoadState(f *testing.F) {

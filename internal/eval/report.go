@@ -22,7 +22,7 @@ func WriteTables(w io.Writer, scale float64) {
 	for _, s := range realworld.All() {
 		fmt.Fprintf(w, rowFormat, s.Name, s.Instances, s.ScaledInstances(scale), s.Features, s.Classes, s.IR, s.Drift)
 	}
-	for _, s := range Artificial() {
+	for _, s := range artificial() {
 		scaled := BuildOptions{Scale: scale}.scaled(s.Instances)
 		fmt.Fprintf(w, rowFormat, s.Name, s.Instances, scaled, s.Features, s.Classes, s.IR, s.Drift)
 	}

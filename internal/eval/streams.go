@@ -23,8 +23,9 @@ type ArtificialSpec struct {
 	Drift stream.DriftKind
 }
 
-// Artificial returns the 12 artificial benchmarks in Table I order.
-func Artificial() []ArtificialSpec {
+// artificial returns the 12 artificial benchmarks in Table I order
+// (SelectArtificial(nil) outside this package).
+func artificial() []ArtificialSpec {
 	return []ArtificialSpec{
 		{Name: "Aggrawal5", Family: "agrawal", Instances: 1000000, Features: 20, Classes: 5, IR: 50, Drift: stream.Incremental},
 		{Name: "Aggrawal10", Family: "agrawal", Instances: 1000000, Features: 40, Classes: 10, IR: 80, Drift: stream.Incremental},
@@ -43,7 +44,7 @@ func Artificial() []ArtificialSpec {
 
 // ArtificialByName returns the named artificial spec.
 func ArtificialByName(name string) (ArtificialSpec, error) {
-	for _, s := range Artificial() {
+	for _, s := range artificial() {
 		if s.Name == name {
 			return s, nil
 		}
@@ -203,7 +204,7 @@ func AllBenchmarks() []BenchmarkStream {
 			},
 		})
 	}
-	for _, spec := range Artificial() {
+	for _, spec := range artificial() {
 		spec := spec
 		out = append(out, BenchmarkStream{
 			Name: spec.Name,

@@ -56,13 +56,14 @@ func (c *SweepConfig) fill() {
 	}
 }
 
-// selectedArtificial resolves the benchmark subset. Figures 8-9 are defined
-// on the artificial streams only, so a real-world name is skipped; a name
-// that is not a benchmark at all, or a selection that leaves no artificial
-// stream, is an error.
-func selectedArtificial(names []string) ([]ArtificialSpec, error) {
+// SelectArtificial resolves the benchmark subset (nil = all 12). Figures
+// 8-9 are defined on the artificial streams only, so a real-world name is
+// skipped; a name that is not a benchmark at all, or a selection that
+// leaves no artificial stream, is an error. The sweep runners apply it
+// first; cmd/driftbench applies it before any experiment starts.
+func SelectArtificial(names []string) ([]ArtificialSpec, error) {
 	if names == nil {
-		return Artificial(), nil
+		return artificial(), nil
 	}
 	var out []ArtificialSpec
 	for _, want := range names {
@@ -84,7 +85,7 @@ func selectedArtificial(names []string) ([]ArtificialSpec, error) {
 // detection.
 func RunLocalDriftSweep(cfg SweepConfig) ([]SweepOutput, error) {
 	cfg.fill()
-	specs, err := selectedArtificial(cfg.Benchmarks)
+	specs, err := SelectArtificial(cfg.Benchmarks)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func RunLocalDriftSweep(cfg SweepConfig) ([]SweepOutput, error) {
 // 300, 400, 500} and measure each detector's pmAUC.
 func RunImbalanceSweep(cfg SweepConfig) ([]SweepOutput, error) {
 	cfg.fill()
-	specs, err := selectedArtificial(cfg.Benchmarks)
+	specs, err := SelectArtificial(cfg.Benchmarks)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func TestSweepBenchmarkSelection(t *testing.T) {
 		{names: []string{}, wantErr: "no artificial benchmark"},
 	}
 	for _, c := range cases {
-		specs, err := selectedArtificial(c.names)
+		specs, err := SelectArtificial(c.names)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("%q: err = %v, want %q", c.names, err, c.wantErr)
@@ -48,7 +48,7 @@ func TestSweepBenchmarkSelection(t *testing.T) {
 		}
 		want := c.want
 		if want == nil {
-			for _, s := range Artificial() {
+			for _, s := range artificial() {
 				want = append(want, s.Name)
 			}
 		}

@@ -71,8 +71,7 @@ func BenchmarkServerIngestBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// The monitor drain is part of the measured throughput, exactly
-			// like BenchmarkMonitorIngestBatch.
+			// The monitor drain is part of the measured throughput.
 			m.Close()
 			b.StopTimer()
 			c.Close()
@@ -135,8 +134,7 @@ func BenchmarkServerIngest(b *testing.B) {
 // batches frames into vector writes, the server batches acks into one flush
 // per socket drain. Single is the per-observation case that is latency-bound
 // serially (compare BenchmarkServerIngest); B256 is the acceptance batch
-// size (compare BenchmarkServerIngestBatch/B256 and the in-process
-// BenchmarkMonitorIngestBatch).
+// size (compare BenchmarkServerIngestBatch/B256).
 func BenchmarkServerPipelined(b *testing.B) {
 	const (
 		streams  = 64

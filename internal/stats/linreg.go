@@ -56,6 +56,23 @@ func NewSlidingTrend(w int) *SlidingTrend {
 	return &SlidingTrend{w: w, hist: make([]float64, w)}
 }
 
+// Reset empties the tracker and sets its window capacity to w (>= 2),
+// leaving it equal to NewSlidingTrend(w). The history array is kept when its
+// capacity suffices, so a detector restarting a class after a drift does
+// not allocate.
+func (s *SlidingTrend) Reset(w int) {
+	if w < 2 {
+		w = 2
+	}
+	hist := s.hist[:0]
+	if cap(hist) < w {
+		hist = make([]float64, w)
+	}
+	hist = hist[:w]
+	clear(hist)
+	*s = SlidingTrend{w: w, hist: hist}
+}
+
 // SetWindow resizes the window capacity. Shrinking drops the oldest
 // observations; growing keeps history and simply allows more. Used by the
 // self-adaptive window mechanism.

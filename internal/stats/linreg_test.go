@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rbmim/internal/codec"
 )
 
 func TestOLSExactLine(t *testing.T) {
@@ -105,6 +107,44 @@ func TestSlidingTrendSetWindow(t *testing.T) {
 	st.SetWindow(16)
 	if st.Window() != 16 || st.Count() != 4 {
 		t.Fatalf("grow should retain history: window=%d count=%d", st.Window(), st.Count())
+	}
+}
+
+// TestSlidingTrendResetMatchesFresh pins that Reset leaves a tracker equal
+// to NewSlidingTrend on the same window, bit for bit, whether SetWindow had
+// grown its history array (kept) or shrunk it (replaced).
+func TestSlidingTrendResetMatchesFresh(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		set, reset int
+	}{{"grown", 12, 6}, {"shrunk", 3, 6}, {"grown-reset-smaller", 12, 4}} {
+		rng := rand.New(rand.NewSource(5))
+		used := NewSlidingTrend(6)
+		for i := 0; i < 20; i++ {
+			used.Add(rng.Float64())
+		}
+		used.SetWindow(c.set)
+		for i := 0; i < 5; i++ {
+			used.Add(rng.Float64())
+		}
+		used.Reset(c.reset)
+		fresh := NewSlidingTrend(c.reset)
+		for i := 0; i < 30; i++ {
+			v := rng.NormFloat64()
+			used.Add(v)
+			fresh.Add(v)
+			if math.Float64bits(used.Slope()) != math.Float64bits(fresh.Slope()) ||
+				math.Float64bits(used.Mean()) != math.Float64bits(fresh.Mean()) {
+				t.Fatalf("%s: after %d adds slope/mean %v/%v, fresh %v/%v",
+					c.name, i+1, used.Slope(), used.Mean(), fresh.Slope(), fresh.Mean())
+			}
+		}
+		a, b := codec.NewBuffer(nil), codec.NewBuffer(nil)
+		used.EncodeState(a)
+		fresh.EncodeState(b)
+		if string(a.Bytes()) != string(b.Bytes()) {
+			t.Fatalf("%s: reset tracker's state differs from a fresh one's", c.name)
+		}
 	}
 }
 
