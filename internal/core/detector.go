@@ -136,7 +136,11 @@ type Detector struct {
 	batchN   int
 	monitor  []*classMonitor
 	batches  int
+	// drifted is DriftClasses: nil, or the last drift record's Classes.
+	// driftBuf collects a batch's drifted classes before the record is
+	// built.
 	drifted  []int
+	driftBuf []int
 	// historyCap bounds the retained per-class trend history: two Granger
 	// windows.
 	historyCap int
@@ -148,6 +152,8 @@ type Detector struct {
 	errCounts []int
 	xsScratch []float64
 	vScratch  []float64
+	// granger is grangerConfirms' regression scratch.
+	granger stats.Granger
 	// tcrit caches the prediction-interval critical value of
 	// trendCandidate by degrees of freedom (0 = not computed yet). It is a
 	// function of Config alone, so it is neither checkpointed nor cleared
@@ -214,6 +220,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	rbm.ensureBatch(cfg.BatchSize)
 	d.errSums = make([]float64, cfg.Classes)
 	d.errCounts = make([]int, cfg.Classes)
+	d.driftBuf = make([]int, 0, cfg.Classes)
 	// The adaptive window is clamped to 4*TrendWindow (and LoadState
 	// rejects wider ones), so these never grow after construction.
 	d.xsScratch = make([]float64, 0, 4*cfg.TrendWindow)
@@ -222,11 +229,16 @@ func NewDetector(cfg Config) (*Detector, error) {
 	d.recorder = make([]DriftSample, flightRecorderDepth)
 	d.monitor = make([]*classMonitor, cfg.Classes)
 	for k := range d.monitor {
-		d.monitor[k] = &classMonitor{
-			trend:   stats.NewSlidingTrend(cfg.TrendWindow),
+		// The trend history is sized for the widest window the clamp
+		// allows, so adapting the window never reallocates it; resetClass
+		// then starts it at TrendWindow.
+		m := &classMonitor{
+			trend:   stats.NewSlidingTrend(4 * cfg.TrendWindow),
 			adwin:   stats.NewADWIN(0.002),
 			history: make([]float64, 0, d.historyCap),
 		}
+		d.resetClass(m)
+		d.monitor[k] = m
 	}
 	return d, nil
 }
@@ -238,6 +250,8 @@ func (d *Detector) Name() string { return "RBM-IM" }
 func (d *Detector) Config() Config { return d.cfg }
 
 // DriftClasses lists the classes attributed to the most recent drift signal.
+// After a confirmed drift it is the Classes slice of LastDriftRecord, so it
+// must not be modified.
 func (d *Detector) DriftClasses() []int { return d.drifted }
 
 // Reset clears the detection statistics. The trained RBM is retained: the
@@ -303,6 +317,7 @@ func (d *Detector) processBatch() detectors.State {
 		return detectors.None
 	}
 	d.drifted = nil
+	drifted := d.driftBuf[:0]
 	warning := false
 	// Per-class mean reconstruction error over the instances of the class
 	// in this mini-batch (Eq. 27). Classes absent from the batch get no
@@ -358,7 +373,7 @@ func (d *Detector) processBatch() detectors.State {
 			// history on first differences. A rejected causality hypothesis
 			// (past no longer forecasts present) confirms the drift.
 			if d.grangerConfirms(m) {
-				d.drifted = append(d.drifted, k)
+				drifted = append(drifted, k)
 				// Restart this class's detection statistics; the RBM itself
 				// keeps training online.
 				d.resetClass(m)
@@ -393,8 +408,9 @@ func (d *Detector) processBatch() detectors.State {
 		}
 		m.history = append(m.history, m.trend.Slope())
 	}
-	if len(d.drifted) > 0 {
-		d.lastDrift = d.buildDriftRecord()
+	if len(drifted) > 0 {
+		d.lastDrift = d.buildDriftRecord(drifted)
+		d.drifted = d.lastDrift.Classes
 		return detectors.Drift
 	}
 	if warning {
@@ -484,7 +500,7 @@ func (d *Detector) grangerConfirms(m *classMonitor) bool {
 	}
 	prev := h[:half]
 	cur := h[len(h)-half:]
-	res, err := stats.GrangerCausality(prev, cur, d.cfg.GrangerLags, d.cfg.Alpha)
+	res, err := d.granger.Test(prev, cur, d.cfg.GrangerLags, d.cfg.Alpha)
 	if err != nil {
 		return true
 	}

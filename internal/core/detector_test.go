@@ -203,3 +203,57 @@ func TestTcritTableMatchesQuantile(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorUpdateAllocationFree pins the steady-state update loop over a
+// stream that drifts: a cycle of two concept switches allocates three times
+// per confirmed drift (the immutable DriftRecord, its Classes and its
+// Samples) and nothing else. Every confirmation runs a Granger test, so the
+// test may not allocate either. The warm-up first runs the first concept
+// long enough for every class's ADWIN to grow its histogram past the widths
+// the cycles reach (ADWIN keeps its arrays across resets), then three
+// cycles. One measured run is a whole cycle, which keeps AllocsPerRun's
+// truncated mean exact.
+func TestDetectorUpdateAllocationFree(t *testing.T) {
+	const features, classes, period = 8, 3, 6000
+	var cycle []detectors.Observation
+	for _, seed := range []int64{5, 99} {
+		gen, err := synth.NewRBF(synth.Config{Features: features, Classes: classes, Seed: seed}, 3, 0.07)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < period; i++ {
+			in := gen.Next()
+			cycle = append(cycle, detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y})
+		}
+	}
+	d, err := NewDetector(testConfig(features, classes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifts := 0 // in the last cycle run
+	run := func() {
+		drifts = 0
+		for _, o := range cycle {
+			if d.Update(o) == detectors.Drift {
+				drifts++
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		for _, o := range cycle[:period] {
+			d.Update(o)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	for round := 0; round < 4; round++ {
+		allocs := testing.AllocsPerRun(1, run)
+		if drifts == 0 {
+			t.Fatal("no drift confirmed: the pin needs a stream that drifts")
+		}
+		if allocs != float64(3*drifts) {
+			t.Fatalf("round %d: %.0f allocations in a cycle with %d drifts, want 3 per drift", round, allocs, drifts)
+		}
+	}
+}

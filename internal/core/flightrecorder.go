@@ -60,13 +60,15 @@ func (d *Detector) recordSample(k int, r float64, m *classMonitor) {
 	}
 }
 
-// buildDriftRecord snapshots the ring into a fresh record. Only called when
-// a drift is confirmed (cold path), so the copies are off the ingest fast
-// path.
-func (d *Detector) buildDriftRecord() *DriftRecord {
+// buildDriftRecord snapshots the ring and the drifted classes into a fresh
+// record. Only called when a drift is confirmed (cold path), so the copies
+// are off the ingest fast path; they are the detector's only steady-state
+// allocations: three per confirmed drift (the record, its Classes and its
+// Samples).
+func (d *Detector) buildDriftRecord(classes []int) *DriftRecord {
 	rec := &DriftRecord{
 		Batch:   d.batches,
-		Classes: append([]int(nil), d.drifted...),
+		Classes: append([]int(nil), classes...),
 		Samples: make([]DriftSample, d.recLen),
 	}
 	start := d.recHead - d.recLen

@@ -101,9 +101,9 @@ const countRescaleFloor = 1e-12
 type RBM struct {
 	cfg RBMConfig
 	rng *rand.Rand
-	// src is the counted source behind rng: it passes every value through
-	// unchanged (so all pinned randomness is untouched) while tracking how
-	// many raw draws have been consumed since the seed. That count is the
+	// src is the source behind rng: math/rand's own sequence (so all pinned
+	// randomness is untouched), owned so it counts the raw draws consumed
+	// since the seed and fills the CD-k uniforms in bulk. That count is the
 	// RBM's entire RNG state for checkpointing — a restore re-seeds and
 	// replays the source forward (see state.go).
 	src *countedSource
@@ -156,9 +156,11 @@ type RBM struct {
 	zProb  []float64
 	zLabel []float64 // class-input scratch (one-hot / uniform)
 
-	// TrainBatch gradient scratch (same layouts as the parameters).
+	// TrainBatch gradient scratch (same layouts as the parameters), and
+	// U's gradient as trainBatch accumulates it: transposed, [Z×H].
 	gw, gu     []float64
 	ga, gb, gc []float64
+	guT        []float64
 
 	// Batch-major matrices, grown once to the largest mini-batch seen. The
 	// inputs, one-hot labels and pre-drawn CD-k uniforms hold the whole
@@ -171,10 +173,11 @@ type RBM struct {
 	xMat       []float64 // [B×V]
 	z0Mat      []float64 // [B×Z]
 	hPos       []float64 // [tile×H] P(h | v=x, z=1_y)
-	hSt        []float64 // [tile×H] sampled positive states
+	hSt        []float64 // [tile×H] sampled positive states, then w_n·hPos
 	hRec       []float64 // [tile×H] chain hidden layer
 	vRec       []float64 // [tile×V] chain visible layer
 	zRec       []float64 // [tile×Z] chain class layer
+	ones       []float64 // [tile] unit weights of the transposed U gradient
 	uRand      []float64 // [B×GibbsSteps×H] pre-drawn uniforms
 	trainSteps int       // GibbsSteps snapshot backing uRand's layout
 }
@@ -213,6 +216,7 @@ func NewRBM(cfg RBMConfig) (*RBM, error) {
 	r.ga = make([]float64, V)
 	r.gb = make([]float64, H)
 	r.gc = make([]float64, Z)
+	r.guT = make([]float64, Z*H)
 	r.trainSteps = cfg.GibbsSteps
 	return r, nil
 }
@@ -254,6 +258,10 @@ func (r *RBM) ensureBatch(bn int) {
 	r.hRec = make([]float64, tile*H)
 	r.vRec = make([]float64, tile*V)
 	r.zRec = make([]float64, tile*Z)
+	r.ones = make([]float64, tile)
+	for i := range r.ones {
+		r.ones[i] = 1
+	}
 	r.uRand = make([]float64, bn*r.trainSteps*H)
 	r.wVec = make([]float64, bn)
 	r.batchCap = bn
@@ -367,8 +375,8 @@ func (r *RBM) classProbs(h []float64, dst []float64) {
 
 // sampleBinary draws Bernoulli states from probabilities, consuming one
 // uniform per element from the RBM's generator. (Kept for the sequential
-// reference path in tests; trainBatch pre-draws the identical uniforms via
-// sampleBinaryPre.)
+// reference path in tests; trainBatch pre-draws the identical uniforms and
+// samples with kernels.SampleBinary, the same u < p comparison.)
 func (r *RBM) sampleBinary(p []float64, dst []float64) {
 	for i, pi := range p {
 		if r.rng.Float64() < pi {
@@ -376,21 +384,6 @@ func (r *RBM) sampleBinary(p []float64, dst []float64) {
 		} else {
 			dst[i] = 0
 		}
-	}
-}
-
-// sampleBinaryPre draws Bernoulli states from probabilities using pre-drawn
-// uniforms: dst[i] = 1 iff u[i] < p[i], the exact comparison sampleBinary
-// performs against a fresh draw. The comparison is computed branchlessly
-// from the sign of u-p (for finite operands u < p iff u-p is strictly
-// negative: IEEE gradual underflow keeps u-p nonzero whenever u != p, and
-// u == p yields +0.0) — the data-dependent branch would mispredict half the
-// time on well-trained probabilities.
-func sampleBinaryPre(u, p, dst []float64) {
-	u = u[:len(p)]
-	dst = dst[:len(p)]
-	for i, pi := range p {
-		dst[i] = float64(math.Float64bits(u[i]-pi) >> 63)
 	}
 }
 
@@ -541,15 +534,13 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 	steps := r.cfg.GibbsSteps
 	kH := steps * H
 	ur := r.uRand[:B*kH]
-	for i := range ur {
-		ur[i] = r.rng.Float64()
-	}
+	r.src.fillFloat64(ur)
 
 	// Gradient accumulators, filled tile by tile below.
-	gw, gu := r.gw, r.gu
+	gw, gu, guT := r.gw, r.gu, r.guT
 	ga, gb, gc := r.ga, r.gb, r.gc
 	clear(gw)
-	clear(gu)
+	clear(guT)
 	clear(ga)
 	clear(gb)
 	clear(gc)
@@ -588,7 +579,7 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 		hSt := r.hSt[:tb*H]
 		for n := 0; n < tb; n++ {
 			off := (t0 + n) * kH
-			sampleBinaryPre(ur[off:off+H], hPos[n*H:n*H+H], hSt[n*H:n*H+H])
+			kernels.SampleBinary(hSt[n*H:n*H+H], ur[off:off+H], hPos[n*H:n*H+H])
 		}
 
 		// Gibbs chain (CD-k): alternate reconstruction of (v, z) and h, one
@@ -615,23 +606,28 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 			if step < steps-1 {
 				for n := 0; n < tb; n++ {
 					off := (t0+n)*kH + (step+1)*H
-					sampleBinaryPre(ur[off:off+H], hRec[n*H:n*H+H], hRec[n*H:n*H+H])
+					kernels.SampleBinary(hRec[n*H:n*H+H], ur[off:off+H], hRec[n*H:n*H+H])
 				}
 			}
 			hCur = hRec
 		}
 
 		// Accumulate weighted gradients, E_data[..] - E_recon[..]: the bias
-		// gradients instance by instance, the two weight matrices as
-		// blocked rank-tb updates.
-		for n := 0; n < tb; n++ {
-			wn := wTile[n]
-			kernels.AxpyDiff(wn, xT[n*V:n*V+V], vRec[n*V:n*V+V], ga)
-			kernels.AxpyDiff(wn, hPos[n*H:n*H+H], hRec[n*H:n*H+H], gb)
-			kernels.AxpyDiff(wn, z0T[n*Z:n*Z+Z], zRec[n*Z:n*Z+Z], gc)
-		}
+		// gradients as weighted tile differences, the two weight matrices
+		// as blocked rank-tb updates. U's gradient accumulates transposed,
+		// [Z×H], so its rows are H wide instead of Z: with the instance
+		// weights folded into the hidden rows (w_n·hPos into the dead
+		// sampled states hSt, w_n·hRec over hRec, which nothing reads
+		// afterwards) and unit weights on the class rows, each term is
+		// (1·z)·(w·h) where the [H×Z] form computes (w·h)·z — the same
+		// value, since 1·z == z and multiplication commutes.
+		kernels.AccumDiffK(ga, wTile, xT, vRec, tb)
+		kernels.AccumDiffK(gb, wTile, hPos, hRec, tb)
+		kernels.AccumDiffK(gc, wTile, z0T, zRec, tb)
 		kernels.AccumRankK(gw, wTile, xT, vRec, hPos, hRec, tb, V, H)
-		kernels.AccumRankK(gu, wTile, hPos, hRec, z0T, zRec, tb, H, Z)
+		kernels.ScaleRows(hSt, wTile, hPos, tb)
+		kernels.ScaleRows(hRec, wTile, hRec, tb)
+		kernels.AccumRankK(guT, r.ones[:tb], z0T, zRec, hSt, hRec, tb, Z, H)
 
 		// Optional pre-update scoring (Eq. 26), before the updates are
 		// applied: hPos already holds hiddenProbs(x, z0), so only the
@@ -651,6 +647,12 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 			for n := 0; n < tb; n++ {
 				totalErr += reconErrorRow(xT[n*V:n*V+V], vRec[n*V:n*V+V], z0T[n*Z:n*Z+Z], zRec[n*Z:n*Z+Z], V, Z)
 			}
+		}
+	}
+
+	for k := 0; k < Z; k++ {
+		for j, g := range guT[k*H : k*H+H] {
+			gu[j*Z+k] = g
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 
 	"rbmim/internal/codec"
 	"rbmim/internal/detectors"
@@ -31,48 +32,146 @@ import (
 // after the entire snapshot decoded and validated, so a corrupt or truncated
 // snapshot leaves the detector exactly as it was.
 
-// countedSource wraps the math/rand source with a pass-through draw counter.
-// Values are unchanged, so every pinned random sequence in the repository is
-// preserved; the counter is what makes the RNG serializable without access
-// to the generator's internal state.
+// countedSource is math/rand's lagged-Fibonacci generator, owned here so
+// the RBM can count its draws and fill the CD-k uniforms in one tight loop.
+// It yields exactly the sequence of rand.NewSource(seed) — every pinned
+// random sequence in the repository is unchanged — and its draw count is
+// what makes the RNG serializable: a snapshot stores the count, a restore
+// re-seeds and replays that many draws.
+//
+// math/rand's source emits y[n] = y[n-607] + y[n-273] (mod 2^64) from a
+// 607-word register it does not expose. Seeding therefore draws the first
+// 607 outputs from a rand.NewSource(seed) and serves them as they are; each
+// later output follows from the recurrence over the ring of the last 607.
 type countedSource struct {
-	src   rand.Source64
+	// ring[n%rngLen] holds output n for the last rngLen outputs n, and the
+	// seeded outputs 0..rngLen-1 until they are served.
+	ring  [rngLen]uint64
+	pos   int // calls % rngLen: the ring slot of the next output
 	calls uint64
 }
 
+const (
+	rngLen  = 607 // math/rand's register length: the long lag
+	rngTap  = 273 // its short lag
+	rngMask = 1<<63 - 1
+)
+
 func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := new(countedSource)
+	c.Seed(seed)
+	return c
 }
 
-func (c *countedSource) Int63() int64 {
-	c.calls++
-	return c.src.Int63()
+// seeders recycles the math/rand sources that seed countedSource: a fresh
+// one allocates a register as large as the ring it fills, once per RBM
+// construction and restore.
+var seeders sync.Pool
+
+// Seed resets the stream to the start of rand.NewSource(seed)'s sequence.
+func (c *countedSource) Seed(seed int64) {
+	std, ok := seeders.Get().(rand.Source64)
+	if ok {
+		std.Seed(seed)
+	} else {
+		std = rand.NewSource(seed).(rand.Source64)
+	}
+	for i := range c.ring {
+		c.ring[i] = std.Uint64()
+	}
+	seeders.Put(std)
+	c.pos, c.calls = 0, 0
 }
+
+func (c *countedSource) Int63() int64 { return int64(c.Uint64() & rngMask) }
 
 func (c *countedSource) Uint64() uint64 {
+	i := c.pos
+	y := c.ring[i]
+	if c.calls >= rngLen {
+		y += c.ring[tapSlot(i)]
+		c.ring[i] = y
+	}
 	c.calls++
-	return c.src.Uint64()
+	if c.pos = i + 1; c.pos == rngLen {
+		c.pos = 0
+	}
+	return y
 }
 
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.calls = 0
+// tapSlot is the ring slot of output n-rngTap when slot i holds output
+// n-rngLen.
+func tapSlot(i int) int {
+	if i < rngTap {
+		return i + rngLen - rngTap
+	}
+	return i - rngTap
+}
+
+// uniform is rand.Rand.Float64's map from one raw draw y to [0, 1], before
+// its redraw rule: values of y&rngMask within 512 of 2^63 round to 1.0, and
+// Float64 discards those and draws again.
+func uniform(y uint64) float64 {
+	return float64(int64(y&rngMask)) / (1 << 63)
+}
+
+// fillFloat64 fills dst with the values len(dst) successive calls of
+// rand.Rand.Float64 over c would return, consuming the same raw draws (one
+// per value, plus one per 1.0 redrawn). Past the seeded outputs it walks the
+// ring in runs over which neither lag wraps, so each draw is one add, one
+// store and one conversion.
+func (c *countedSource) fillFloat64(dst []float64) {
+	k := 0
+	for k < len(dst) && c.calls < rngLen {
+		if f := uniform(c.Uint64()); f != 1 {
+			dst[k] = f
+			k++
+		}
+	}
+	i := c.pos
+	for k < len(dst) {
+		end, tap := rngTap, rngLen-rngTap
+		if i >= rngTap {
+			end, tap = rngLen, -rngTap
+		}
+		// m draws write at most m values, so d never overflows; a 1.0 is
+		// written and then overwritten by the next draw's value.
+		m := min(end-i, len(dst)-k)
+		a := c.ring[i : i+m]
+		b := c.ring[i+tap : i+tap+m]
+		d := dst[k : k+m]
+		kk := 0
+		for t := range a {
+			y := a[t] + b[t]
+			a[t] = y
+			f := uniform(y)
+			d[kk] = f
+			if f != 1 {
+				kk++
+			}
+		}
+		k += kk
+		c.calls += uint64(m)
+		if i += m; i == rngLen {
+			i = 0
+		}
+	}
+	c.pos = i
 }
 
 // skipTo re-seeds the source and replays it forward to the given draw count.
-// Both Int63 and Uint64 advance the underlying generator by exactly one
-// step, so replaying with Uint64 lands on the identical state regardless of
-// which mix of calls produced the count.
+// Int63, Uint64 and fillFloat64 all advance the stream by one output per raw
+// draw, so the replay lands on the identical state regardless of which mix
+// of calls produced the count.
 func (c *countedSource) skipTo(seed int64, calls uint64) {
-	c.src.Seed(seed)
-	for i := uint64(0); i < calls; i++ {
-		c.src.Uint64()
+	c.Seed(seed)
+	for c.calls < calls {
+		c.Uint64()
 	}
-	c.calls = calls
 }
 
 // maxRNGReplay bounds the RNG position a snapshot may carry, because a
-// restore replays that many raw draws (~1-2 ns each). 2^32 draws replay in
+// restore replays that many raw draws (~2 ns each). 2^32 draws replay in
 // roughly ten seconds and cover ~10^8 observations per stream at typical
 // CD-k draw rates — far beyond the paper's stream lengths. Snapshots past
 // the ceiling fail loudly rather than hang the loader; see DESIGN.md

@@ -2,7 +2,8 @@
 // RBM-IM hot path: unrolled vector primitives (Dot, Axpy, AddScaled), the
 // zero-skipping matrix product every layer pass runs through (MatMul),
 // element-wise activations (Sigmoid, Softmax), and the fused gradient
-// accumulators the batch-major CD-k trainer uses (AccumRankK, AxpyDiff).
+// accumulators, row scaling and Bernoulli sampler the batch-major CD-k
+// trainer uses (AccumRankK, AccumDiffK, ScaleRows, SampleBinary).
 //
 // # Bit-exactness contract
 //
@@ -110,15 +111,85 @@ func AddScaled(dst []float64, a float64, x []float64, b float64, y []float64) {
 	}
 }
 
-// AxpyDiff computes dst[i] += w*(x[i] - v[i]) — the bias-gradient
-// accumulation of one weighted instance. x and v must be at least as long as
-// dst.
-func AxpyDiff(w float64, x, v, dst []float64) {
+// AccumDiffK accumulates the weighted rank-m difference
+//
+//	g[j] += w[n] * (x[n][j] - v[n][j])   for n = 0..m-1
+//
+// with x and v row-major [m×len(g)]: CD-k's bias gradients over a tile of
+// instances. Per element the instances contribute in increasing n with
+// exactly the per-instance expression, so the result is bit-identical to
+// adding one instance at a time. The AVX body keeps up to 48 columns of g in
+// registers across all m instances, which only replaces exact store/load
+// round-trips.
+func AccumDiffK(g, w, x, v []float64, m int) {
+	cols := len(g)
+	if m == 0 || cols == 0 {
+		return
+	}
+	w = w[:m]
+	x = x[:m*cols]
+	v = v[:m*cols]
+	if useAVX {
+		accumDiffAVX(g, w, x, v)
+		return
+	}
+	for n, wn := range w {
+		xr := x[n*cols : n*cols+cols]
+		vr := v[n*cols : n*cols+cols]
+		for j := range g {
+			g[j] += wn * (xr[j] - vr[j])
+		}
+	}
+}
+
+// ScaleRows sets dst[n][j] = w[n] * src[n][j] for the m rows of the
+// row-major [m×cols] src, cols = len(src)/m: one multiply per element,
+// four lanes at a time on amd64. dst may alias src.
+func ScaleRows(dst, w, src []float64, m int) {
+	if m == 0 || len(src) == 0 {
+		return
+	}
+	cols := len(src) / m
+	w = w[:m]
+	src = src[:m*cols]
+	dst = dst[:m*cols]
+	if useAVX {
+		scaleRowsAVX(dst, w, src)
+		return
+	}
+	for n, wn := range w {
+		sr := src[n*cols : n*cols+cols]
+		dr := dst[n*cols : n*cols+cols]
+		for j, s := range sr {
+			dr[j] = wn * s
+		}
+	}
+}
+
+// SampleBinary draws Bernoulli states from probabilities using pre-drawn
+// uniforms: dst[i] = 1 iff u[i] < p[i], else 0. The comparison is computed
+// branchlessly from the sign of u-p (for finite operands u < p iff u-p is
+// strictly negative: IEEE gradual underflow keeps u-p nonzero whenever
+// u != p, and u == p yields +0.0), because a data-dependent branch would
+// mispredict half the time on well-trained probabilities. The AVX body
+// takes the same sign bit with VBLENDVPD. dst may alias p; u and p must be
+// at least as long as dst.
+func SampleBinary(dst, u, p []float64) {
 	n := len(dst)
-	x = x[:n]
-	v = v[:n]
+	u = u[:n]
+	p = p[:n]
+	if useAVX && n >= 4 {
+		sampleBinaryAVX(dst, u, p)
+		return
+	}
+	sampleBinaryGeneric(dst, u, p)
+}
+
+func sampleBinaryGeneric(dst, u, p []float64) {
+	u = u[:len(dst)]
+	p = p[:len(dst)]
 	for i := range dst {
-		dst[i] += w * (x[i] - v[i])
+		dst[i] = float64(math.Float64bits(u[i]-p[i]) >> 63)
 	}
 }
 

@@ -2,10 +2,11 @@ package kernels
 
 import "math"
 
-// useAVX gates axpyAVX, gradQuadAVX and matmulRowNZAVX. Their arithmetic is
-// per-lane IEEE mul/add/sub (no FMA), so enabling them never changes a
-// result bit; the package tests exercise both settings. matmulRowNZAVX
-// also counts its nonzero lanes with POPCNT, so the gate requires it.
+// useAVX gates axpyAVX, gradQuadAVX, matmulRowNZAVX, accumDiffAVX,
+// scaleRowsAVX and sampleBinaryAVX. Their arithmetic is per-lane IEEE mul/add/sub (no FMA)
+// and sign-bit selection, so enabling them never changes a result bit; the
+// package tests exercise both settings. matmulRowNZAVX also counts its
+// nonzero lanes with POPCNT, so the gate requires it.
 var useAVX, hasAVX2FMA = cpuFeatures()
 
 // useSigmoidAVX gates sigmoidAVX, which matches 1/(1+math.Exp(-x)) only
@@ -66,3 +67,12 @@ func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32)
 
 //go:noescape
 func sigmoidAVX(dst []float64) int
+
+//go:noescape
+func accumDiffAVX(g, w, x, v []float64)
+
+//go:noescape
+func scaleRowsAVX(dst, w, src []float64)
+
+//go:noescape
+func sampleBinaryAVX(dst, u, p []float64)

@@ -630,3 +630,259 @@ sigdone:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// Accumulator operations of accumDiffAVX, at byte offset off from the
+// group's first column in the x row at R11 and the v row at R12: add the
+// broadcast weight Y15 times the difference of the rows into acc. Per lane
+// that is one VSUBPD, one VMULPD and one VADDPD, the three roundings of the
+// scalar `g[j] += w * (x[j] - v[j])`. The M form goes through the lane mask
+// Y13; its masked lanes read +0 and are never stored.
+#define DADD(off, acc) VMOVUPD off(R11), Y14; VSUBPD off(R12), Y14, Y14; VMULPD Y14, Y15, Y14; VADDPD acc, Y14, acc
+#define MDADD(off, acc) VMASKMOVPD off(R11), Y13, Y14; VMASKMOVPD off(R12), Y13, Y12; VSUBPD Y12, Y14, Y14; VMULPD Y14, Y15, Y14; VADDPD acc, Y14, acc
+
+// DGROUP walks the m instances once for a group of n full vectors of g
+// (ACCS = ACCn), the group's accumulators held in Y0 .. Y(n-1).
+#define DGROUP(ACCS, lbl, loop) \
+lbl: \
+	ACCS(LD); \
+	XORQ R13, R13; \
+	MOVQ SI, R11; \
+	MOVQ DX, R12; \
+loop: \
+	VBROADCASTSD (R8)(R13*8), Y15; \
+	ACCS(DADD); \
+	ADDQ R9, R11; \
+	ADDQ R9, R12; \
+	INCQ R13; \
+	CMPQ R13, R14; \
+	JLT loop; \
+	ACCS(ST); \
+	JMP dnext
+
+// DMGROUP is DGROUP for the last group when len(g) % 4 != 0: ACCS full
+// vectors, then the masked vector acc at byte offset off.
+#define DMGROUP(ACCS, off, acc, lbl, loop) \
+lbl: \
+	ACCS(LD); \
+	MLD(off, acc); \
+	XORQ R13, R13; \
+	MOVQ SI, R11; \
+	MOVQ DX, R12; \
+loop: \
+	VBROADCASTSD (R8)(R13*8), Y15; \
+	ACCS(DADD); \
+	MDADD(off, acc); \
+	ADDQ R9, R11; \
+	ADDQ R9, R12; \
+	INCQ R13; \
+	CMPQ R13, R14; \
+	JLT loop; \
+	ACCS(ST); \
+	MST(off, acc); \
+	JMP dnext
+
+// func accumDiffAVX(g, w, x, v []float64)
+//
+// g[j] += w[n] * (x[n*len(g)+j] - v[n*len(g)+j]) for n = 0 .. len(w)-1, in
+// increasing n. Requires len(w) >= 1, len(g) >= 1 and x, v of len(w) rows.
+// The columns of g go in groups of up to 48; each group's up to twelve
+// accumulators stay in YMM registers over one walk of all the instances,
+// and when len(g) % 4 != 0 the last vector loads and stores through a lane
+// mask, as in matmulRowNZAVX. Per element the instances still add in
+// increasing n with the scalar expression's three roundings, so the
+// registers only replace exact float64 store/load round-trips. Requires AVX.
+TEXT ·accumDiffAVX(SB), NOSPLIT, $0-96
+	MOVQ g_base+0(FP), DI
+	MOVQ g_len+8(FP), CX
+	MOVQ w_base+24(FP), R8
+	MOVQ w_len+32(FP), R14       // m
+	MOVQ CX, R9
+	SHLQ $3, R9                  // x and v row stride in bytes
+	XORQ R10, R10                // c0: first column of the group
+
+dgroup:
+	MOVQ CX, AX
+	SUBQ R10, AX                 // columns left
+	JLE  ddone
+	MOVQ x_base+48(FP), SI
+	LEAQ (SI)(R10*8), SI
+	MOVQ v_base+72(FP), DX
+	LEAQ (DX)(R10*8), DX
+	CMPQ AX, $48
+	JGE  d12
+	TESTQ $3, AX
+	JNZ  dmasked
+	CMPQ AX, $4
+	JEQ  d1
+	CMPQ AX, $8
+	JEQ  d2
+	CMPQ AX, $12
+	JEQ  d3
+	CMPQ AX, $16
+	JEQ  d4
+	CMPQ AX, $20
+	JEQ  d5
+	CMPQ AX, $24
+	JEQ  d6
+	CMPQ AX, $28
+	JEQ  d7
+	CMPQ AX, $32
+	JEQ  d8
+	CMPQ AX, $36
+	JEQ  d9
+	CMPQ AX, $40
+	JEQ  d10
+	JMP  d11
+
+dmasked:
+	MOVQ AX, R13
+	ANDQ $3, R13
+	SHLQ $5, R13
+	LEAQ mmconst<>(SB), BX
+	VMOVUPD 256(BX)(R13*1), Y13
+	SHRQ $2, AX                  // full vectors before the masked one
+	JEQ  dm1
+	CMPQ AX, $1
+	JEQ  dm2
+	CMPQ AX, $2
+	JEQ  dm3
+	CMPQ AX, $3
+	JEQ  dm4
+	CMPQ AX, $4
+	JEQ  dm5
+	CMPQ AX, $5
+	JEQ  dm6
+	CMPQ AX, $6
+	JEQ  dm7
+	CMPQ AX, $7
+	JEQ  dm8
+	CMPQ AX, $8
+	JEQ  dm9
+	CMPQ AX, $9
+	JEQ  dm10
+	CMPQ AX, $10
+	JEQ  dm11
+	JMP  dm12
+
+	DGROUP(ACC1, d1, d1loop)
+	DGROUP(ACC2, d2, d2loop)
+	DGROUP(ACC3, d3, d3loop)
+	DGROUP(ACC4, d4, d4loop)
+	DGROUP(ACC5, d5, d5loop)
+	DGROUP(ACC6, d6, d6loop)
+	DGROUP(ACC7, d7, d7loop)
+	DGROUP(ACC8, d8, d8loop)
+	DGROUP(ACC9, d9, d9loop)
+	DGROUP(ACC10, d10, d10loop)
+	DGROUP(ACC11, d11, d11loop)
+	DGROUP(ACC12, d12, d12loop)
+	DMGROUP(ACC0, 0, Y0, dm1, dm1loop)
+	DMGROUP(ACC1, 32, Y1, dm2, dm2loop)
+	DMGROUP(ACC2, 64, Y2, dm3, dm3loop)
+	DMGROUP(ACC3, 96, Y3, dm4, dm4loop)
+	DMGROUP(ACC4, 128, Y4, dm5, dm5loop)
+	DMGROUP(ACC5, 160, Y5, dm6, dm6loop)
+	DMGROUP(ACC6, 192, Y6, dm7, dm7loop)
+	DMGROUP(ACC7, 224, Y7, dm8, dm8loop)
+	DMGROUP(ACC8, 256, Y8, dm9, dm9loop)
+	DMGROUP(ACC9, 288, Y9, dm10, dm10loop)
+	DMGROUP(ACC10, 320, Y10, dm11, dm11loop)
+	DMGROUP(ACC11, 352, Y11, dm12, dm12loop)
+
+dnext:
+	ADDQ $48, R10
+	JMP  dgroup
+
+ddone:
+	VZEROUPPER
+	RET
+
+// func sampleBinaryAVX(dst, u, p []float64)
+//
+// dst[i] = 1.0 if the sign bit of u[i]-p[i] is set, else 0.0: VSUBPD then
+// VBLENDVPD, which selects by exactly that bit, four elements at a time and
+// VEX scalar forms in the tail. dst may alias p. Requires AVX.
+TEXT ·sampleBinaryAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ u_base+24(FP), SI
+	MOVQ p_base+48(FP), DX
+	VXORPD  Y1, Y1, Y1           // 0.0
+	VMOVUPD sigc<>+384(SB), Y2   // 1.0
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+sbloop4:
+	CMPQ AX, BX
+	JGE  sbtail
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD  (DX)(AX*8), Y0, Y0   // u - p
+	VBLENDVPD Y0, Y2, Y1, Y0     // sign set: 1.0, else 0.0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sbloop4
+
+sbtail:
+	CMPQ AX, CX
+	JGE  sbdone
+	VMOVSD (SI)(AX*8), X0
+	VSUBSD (DX)(AX*8), X0, X0
+	VBLENDVPD X0, X2, X1, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    sbtail
+
+sbdone:
+	VZEROUPPER
+	RET
+
+// func scaleRowsAVX(dst, w, src []float64)
+//
+// dst[n*c+j] = w[n] * src[n*c+j] with c = len(dst)/len(w): one VMULPD lane
+// (VMULSD in each row's tail) per element. Requires len(w) >= 1 and
+// len(src) == len(dst), a multiple of len(w). Requires AVX.
+TEXT ·scaleRowsAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), AX
+	MOVQ w_base+24(FP), R8
+	MOVQ w_len+32(FP), R9
+	MOVQ src_base+48(FP), SI
+	XORQ DX, DX
+	DIVQ R9                      // AX = c (DX = 0: the length is a multiple)
+	MOVQ AX, CX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	XORQ R10, R10                // n
+
+srrow:
+	CMPQ R10, R9
+	JGE  srdone
+	VBROADCASTSD (R8)(R10*8), Y0
+	XORQ AX, AX
+
+srloop4:
+	CMPQ AX, BX
+	JGE  srtail
+	VMULPD (SI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  srloop4
+
+srtail:
+	CMPQ AX, CX
+	JGE  srnext
+	VMULSD (SI)(AX*8), X0, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  srtail
+
+srnext:
+	LEAQ (SI)(CX*8), SI
+	LEAQ (DI)(CX*8), DI
+	INCQ R10
+	JMP  srrow
+
+srdone:
+	VZEROUPPER
+	RET

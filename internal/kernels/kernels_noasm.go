@@ -21,3 +21,15 @@ func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32) {
 func sigmoidAVX(dst []float64) int {
 	panic("kernels: sigmoidAVX without amd64 support")
 }
+
+func accumDiffAVX(g, w, x, v []float64) {
+	panic("kernels: accumDiffAVX without amd64 support")
+}
+
+func scaleRowsAVX(dst, w, src []float64) {
+	panic("kernels: scaleRowsAVX without amd64 support")
+}
+
+func sampleBinaryAVX(dst, u, p []float64) {
+	panic("kernels: sampleBinaryAVX without amd64 support")
+}

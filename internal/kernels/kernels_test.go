@@ -50,6 +50,16 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// kernelModes lists the dispatch settings the host can run: the generic
+// body, and the AVX body where the CPU has it. Call it before a test
+// changes useAVX.
+func kernelModes() []bool {
+	if useAVX {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // --- naive references (the contract, written as the obvious loops) ---
 
 func naiveDot(x, y []float64) float64 {
@@ -72,9 +82,22 @@ func naiveAddScaled(dst []float64, a float64, x []float64, b float64, y []float6
 	}
 }
 
-func naiveAxpyDiff(w float64, x, v, dst []float64) {
+func naiveAccumDiffK(g, w, x, v []float64, m int) {
+	cols := len(g)
+	for n := 0; n < m; n++ {
+		for j := range g {
+			g[j] += w[n] * (x[n*cols+j] - v[n*cols+j])
+		}
+	}
+}
+
+func naiveSampleBinary(dst, u, p []float64) {
 	for i := range dst {
-		dst[i] += w * (x[i] - v[i])
+		if u[i] < p[i] {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
+		}
 	}
 }
 
@@ -185,18 +208,119 @@ func TestAddScaledMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAxpyDiffMatchesNaive(t *testing.T) {
+// TestAccumDiffKSweep pins AccumDiffK bitwise to the one-instance-at-a-time
+// loop at every width 0..67 (each 4-lane tail, one and two 48-column groups
+// of the AVX body) and tile lengths 0..5 and 64, on both dispatch paths.
+// The operands hold exact zeros and equal x and v entries, whose differences
+// are +0, and g starts as a mix of +0 and -0.
+func TestAccumDiffKSweep(t *testing.T) {
+	defer func(old bool) { useAVX = old }(useAVX)
+	modes := kernelModes()
 	rng := rand.New(rand.NewSource(4))
-	for round := 0; round < propRounds; round++ {
-		n := randDim(rng, 200)
-		w := 4*rng.Float64() - 2
-		x, v := randSlice(rng, n), randSlice(rng, n)
-		dst := randSlice(rng, n)
-		dstRef := append([]float64(nil), dst...)
-		AxpyDiff(w, x, v, dst)
-		naiveAxpyDiff(w, x, v, dstRef)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("n=%d: AxpyDiff diverged from naive", n)
+	for cols := 0; cols <= 67; cols++ {
+		for _, m := range []int{0, 1, 2, 3, 4, 5, 64} {
+			w := randSlice(rng, m)
+			x, v := randSlice(rng, m*cols), randSlice(rng, m*cols)
+			for i := range v {
+				if rng.Intn(6) == 0 {
+					v[i] = x[i]
+				}
+			}
+			g0 := randSlice(rng, cols)
+			for i := range g0 {
+				if g0[i] == 0 && rng.Intn(2) == 0 {
+					g0[i] = math.Copysign(0, -1)
+				}
+			}
+			want := append([]float64(nil), g0...)
+			naiveAccumDiffK(want, w, x, v, m)
+			for _, avx := range modes {
+				useAVX = avx
+				got := append([]float64(nil), g0...)
+				AccumDiffK(got, w, x, v, m)
+				if !sameBits(got, want) {
+					t.Fatalf("cols=%d m=%d avx=%v: AccumDiffK diverged from naive", cols, m, avx)
+				}
+			}
+		}
+	}
+}
+
+// TestScaleRowsSweep pins ScaleRows to one multiply per element at every
+// row width 0..67 and row counts 1..5 and 64, on both dispatch paths, in
+// place and not.
+func TestScaleRowsSweep(t *testing.T) {
+	defer func(old bool) { useAVX = old }(useAVX)
+	modes := kernelModes()
+	rng := rand.New(rand.NewSource(23))
+	for cols := 0; cols <= 67; cols++ {
+		for _, m := range []int{1, 2, 3, 4, 5, 64} {
+			w, src := randSlice(rng, m), randSlice(rng, m*cols)
+			want := make([]float64, m*cols)
+			for n := 0; n < m; n++ {
+				for j := 0; j < cols; j++ {
+					want[n*cols+j] = w[n] * src[n*cols+j]
+				}
+			}
+			for _, avx := range modes {
+				useAVX = avx
+				got := make([]float64, m*cols)
+				ScaleRows(got, w, src, m)
+				inPlace := append([]float64(nil), src...)
+				ScaleRows(inPlace, w, inPlace, m)
+				if !sameBits(got, want) || !sameBits(inPlace, want) {
+					t.Fatalf("cols=%d m=%d avx=%v: ScaleRows diverged from naive", cols, m, avx)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleBinarySweep pins SampleBinary to the comparison u < p at every
+// length 0..67 on both dispatch paths, in place (dst aliasing p, as the
+// Gibbs chain calls it) and not. The draws include u == p, neighbours one
+// ulp apart, 0 and 1 on either side, and probabilities whose difference
+// with u is subnormal.
+func TestSampleBinarySweep(t *testing.T) {
+	defer func(old bool) { useAVX = old }(useAVX)
+	modes := kernelModes()
+	rng := rand.New(rand.NewSource(22))
+	draw := func() (u, p float64) {
+		u, p = rng.Float64(), rng.Float64()
+		switch rng.Intn(8) {
+		case 0:
+			p = u
+		case 1:
+			p = math.Nextafter(u, 2)
+		case 2:
+			p = math.Nextafter(u, -1)
+		case 3:
+			u, p = 0, []float64{0, 1, 5e-324}[rng.Intn(3)]
+		case 4:
+			p = []float64{0, 1}[rng.Intn(2)]
+		case 5:
+			u, p = 1e-308, 1e-308+5e-324*float64(rng.Intn(3))
+		}
+		return u, p
+	}
+	for n := 0; n <= 67; n++ {
+		for round := 0; round < 20; round++ {
+			u, p := make([]float64, n), make([]float64, n)
+			for i := range u {
+				u[i], p[i] = draw()
+			}
+			want := make([]float64, n)
+			naiveSampleBinary(want, u, p)
+			for _, avx := range modes {
+				useAVX = avx
+				got := make([]float64, n)
+				SampleBinary(got, u, p)
+				inPlace := append([]float64(nil), p...)
+				SampleBinary(inPlace, u, inPlace)
+				if !sameBits(got, want) || !sameBits(inPlace, want) {
+					t.Fatalf("n=%d avx=%v: SampleBinary diverged from u < p", n, avx)
+				}
+			}
 		}
 	}
 }
@@ -269,10 +393,7 @@ func sweepRows(rng *rand.Rand, form, m, k int) []float64 {
 // paths run.
 func TestMatMulShapeSweep(t *testing.T) {
 	defer func(old bool) { useAVX = old }(useAVX)
-	modes := []bool{false}
-	if useAVX {
-		modes = append(modes, true)
-	}
+	modes := kernelModes()
 	const m = 3
 	rng := rand.New(rand.NewSource(21))
 	for _, k := range []int{1, 3, 4, 5, 255, 256, 257, 600} {
@@ -507,6 +628,9 @@ func TestEmptyAndUnitShapesExplicit(t *testing.T) {
 	AddScaled(nil, 1, nil, 1, nil)
 	MatMul(nil, nil, nil, 0, 0, 0)
 	AccumRankK(nil, nil, nil, nil, nil, nil, 0, 0, 0)
+	AccumDiffK(nil, nil, nil, nil, 0)
+	ScaleRows(nil, nil, nil, 0)
+	SampleBinary(nil, nil, nil)
 	Softmax(nil)
 	Sigmoid(nil)
 	Broadcast(nil, nil, 0)

@@ -25,8 +25,35 @@ type GrangerResult struct {
 // requested lag order.
 var ErrGrangerInsufficient = errors.New("stats: series too short for Granger test")
 
+// Granger is the reusable scratch of a Granger causality test: the
+// differenced series, the two regression design matrices and the normal
+// equations. A detector that tests on every trend escape keeps one and
+// calls Test, which allocates nothing once the buffers have grown to the
+// largest series seen. The zero value is ready to use; a Granger is not
+// safe for concurrent use.
+type Granger struct {
+	dx, dy, target []float64
+	xr, xu         []float64   // row-major design matrices
+	xtx            []float64   // row-major normal matrix
+	xtxRows        [][]float64 // its rows, which SolveLinear's pivoting swaps
+	xty, rhs, b    []float64
+}
+
+var (
+	errGrangerMismatch = errors.New("stats: Granger series length mismatch")
+	errGrangerSingular = errors.New("stats: Granger design matrix is singular")
+)
+
 // GrangerCausality tests whether x Granger-causes y at the given lag order
-// and significance level. Following the paper's citation of first-difference
+// and significance level, with fresh scratch: Granger.Test on a zero
+// Granger.
+func GrangerCausality(x, y []float64, lags int, alpha float64) (GrangerResult, error) {
+	var g Granger
+	return g.Test(x, y, lags, alpha)
+}
+
+// Test tests whether x Granger-causes y at the given lag order and
+// significance level. Following the paper's citation of first-difference
 // Granger testing for non-stationary processes, both series are first
 // differenced before the lagged regressions are fit.
 //
@@ -36,15 +63,16 @@ var ErrGrangerInsufficient = errors.New("stats: series too short for Granger tes
 //	F = ((RSS_r - RSS_u)/p) / (RSS_u/(n - 2p - 1))
 //
 // is compared against the F(p, n-2p-1) distribution.
-func GrangerCausality(x, y []float64, lags int, alpha float64) (GrangerResult, error) {
+func (g *Granger) Test(x, y []float64, lags int, alpha float64) (GrangerResult, error) {
 	if lags < 1 {
 		lags = 1
 	}
 	if len(x) != len(y) {
-		return GrangerResult{}, errors.New("stats: Granger series length mismatch")
+		return GrangerResult{}, errGrangerMismatch
 	}
-	dx := Diff(x)
-	dy := Diff(y)
+	g.dx = diffInto(g.dx, x)
+	g.dy = diffInto(g.dy, y)
+	dx, dy := g.dx, g.dy
 	n := len(dy) - lags
 	minRows := 2*lags + 2
 	if n < minRows {
@@ -53,28 +81,29 @@ func GrangerCausality(x, y []float64, lags int, alpha float64) (GrangerResult, e
 	// Build the regression rows.
 	rows := n
 	// Restricted: intercept + p lags of dy.
-	xr := make([][]float64, rows)
+	kr := 1 + lags
+	g.xr = grow(g.xr, rows*kr)
 	// Unrestricted: intercept + p lags of dy + p lags of dx.
-	xu := make([][]float64, rows)
-	target := make([]float64, rows)
+	ku := 1 + 2*lags
+	g.xu = grow(g.xu, rows*ku)
+	g.target = grow(g.target, rows)
+	xr, xu, target := g.xr, g.xu, g.target
 	for t := 0; t < rows; t++ {
 		ti := t + lags
 		target[t] = dy[ti]
-		r := make([]float64, 1+lags)
-		u := make([]float64, 1+2*lags)
+		r := xr[t*kr : t*kr+kr]
+		u := xu[t*ku : t*ku+ku]
 		r[0], u[0] = 1, 1
 		for l := 1; l <= lags; l++ {
 			r[l] = dy[ti-l]
 			u[l] = dy[ti-l]
 			u[lags+l] = dx[ti-l]
 		}
-		xr[t] = r
-		xu[t] = u
 	}
-	rssR, okR := regressRSS(xr, target)
-	rssU, okU := regressRSS(xu, target)
+	rssR, okR := g.regressRSS(xr, kr, target)
+	rssU, okU := g.regressRSS(xu, ku, target)
 	if !okR || !okU {
-		return GrangerResult{}, errors.New("stats: Granger design matrix is singular")
+		return GrangerResult{}, errGrangerSingular
 	}
 	dfDen := float64(rows - 2*lags - 1)
 	if dfDen <= 0 {
@@ -110,12 +139,30 @@ func GrangerCausality(x, y []float64, lags int, alpha float64) (GrangerResult, e
 	}, nil
 }
 
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are not preserved.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // Diff returns the first differences of s (length len(s)-1).
 func Diff(s []float64) []float64 {
 	if len(s) < 2 {
 		return nil
 	}
-	d := make([]float64, len(s)-1)
+	return diffInto(nil, s)
+}
+
+// diffInto writes the first differences of s into dst's backing array when
+// it is large enough and returns them (empty when len(s) < 2).
+func diffInto(dst, s []float64) []float64 {
+	if len(s) < 2 {
+		return dst[:0]
+	}
+	d := grow(dst, len(s)-1)
 	for i := 1; i < len(s); i++ {
 		d[i-1] = s[i] - s[i-1]
 	}
@@ -124,24 +171,32 @@ func Diff(s []float64) []float64 {
 
 // regressRSS solves the least-squares problem min ||Xb - y||^2 via the
 // normal equations with a tiny ridge for numerical safety, returning the
-// residual sum of squares. ok is false when the system is unsolvable.
-func regressRSS(x [][]float64, y []float64) (rss float64, ok bool) {
-	if len(x) == 0 {
+// residual sum of squares. x is row-major with k columns and len(y) rows.
+// ok is false when the system is unsolvable.
+func (g *Granger) regressRSS(x []float64, k int, y []float64) (rss float64, ok bool) {
+	if len(y) == 0 {
 		return 0, false
 	}
-	k := len(x[0])
 	// Normal equations: (X'X) b = X'y.
-	xtx := make([][]float64, k)
-	for i := range xtx {
-		xtx[i] = make([]float64, k)
+	g.xtx = grow(g.xtx, k*k)
+	clear(g.xtx)
+	if cap(g.xtxRows) < k {
+		g.xtxRows = make([][]float64, k)
 	}
-	xty := make([]float64, k)
-	for r := range x {
+	xtx := g.xtxRows[:k]
+	for i := range xtx {
+		xtx[i] = g.xtx[i*k : i*k+k]
+	}
+	g.xty = grow(g.xty, k)
+	xty := g.xty
+	clear(xty)
+	for r := range y {
+		row := x[r*k : r*k+k]
 		for i := 0; i < k; i++ {
-			xi := x[r][i]
+			xi := row[i]
 			xty[i] += xi * y[r]
 			for j := i; j < k; j++ {
-				xtx[i][j] += xi * x[r][j]
+				xtx[i][j] += xi * row[j]
 			}
 		}
 	}
@@ -151,14 +206,17 @@ func regressRSS(x [][]float64, y []float64) (rss float64, ok bool) {
 		}
 		xtx[i][i] += 1e-10 // ridge jitter keeps near-singular systems solvable
 	}
-	b, solved := SolveLinear(xtx, xty)
-	if !solved {
+	g.rhs = grow(g.rhs, k)
+	g.b = grow(g.b, k)
+	b := g.b
+	if !solveLinear(xtx, xty, g.rhs, b) {
 		return 0, false
 	}
-	for r := range x {
+	for r := range y {
+		row := x[r*k : r*k+k]
 		pred := 0.0
 		for i := 0; i < k; i++ {
-			pred += x[r][i] * b[i]
+			pred += row[i] * b[i]
 		}
 		d := y[r] - pred
 		rss += d * d
@@ -173,8 +231,19 @@ func SolveLinear(a [][]float64, y []float64) (b []float64, ok bool) {
 	if n == 0 || len(y) != n {
 		return nil, false
 	}
-	// Augment.
 	rhs := make([]float64, n)
+	b = make([]float64, n)
+	if !solveLinear(a, y, rhs, b) {
+		return nil, false
+	}
+	return b, true
+}
+
+// solveLinear is SolveLinear writing the solution into b, with rhs as the
+// eliminated right-hand side's scratch; both have len(y) == len(a) entries.
+func solveLinear(a [][]float64, y, rhs, b []float64) bool {
+	n := len(a)
+	// Augment.
 	copy(rhs, y)
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -186,7 +255,7 @@ func SolveLinear(a [][]float64, y []float64) (b []float64, ok bool) {
 			}
 		}
 		if best < 1e-14 {
-			return nil, false
+			return false
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
@@ -202,7 +271,6 @@ func SolveLinear(a [][]float64, y []float64) (b []float64, ok bool) {
 			rhs[r] -= f * rhs[col]
 		}
 	}
-	b = make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		sum := rhs[r]
 		for c := r + 1; c < n; c++ {
@@ -210,5 +278,5 @@ func SolveLinear(a [][]float64, y []float64) (b []float64, ok bool) {
 		}
 		b[r] = sum / a[r][r]
 	}
-	return b, true
+	return true
 }

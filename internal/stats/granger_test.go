@@ -153,3 +153,41 @@ func TestGrangerPValueRange(t *testing.T) {
 		}
 	}
 }
+
+// TestGrangerScratchReuse runs one Granger over series of varying length
+// and lag order, so its buffers grow and shrink, and checks every result
+// bit for bit against GrangerCausality's fresh scratch. A warmed Granger
+// then tests without allocating.
+func TestGrangerScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var g Granger
+	for round := 0; round < 2000; round++ {
+		n, lags := 3+rng.Intn(40), 1+rng.Intn(3)
+		x, y := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			y[i] = 0.1 * rng.NormFloat64()
+			if i >= 2 && round%3 == 0 {
+				y[i] += 0.9 * x[i-2]
+			}
+		}
+		if round%11 == 0 {
+			for i := range y {
+				y[i] = 1 // a singular design
+			}
+		}
+		want, wantErr := GrangerCausality(x, y, lags, 0.05)
+		got, err := g.Test(x, y, lags, 0.05)
+		if err != wantErr || math.Float64bits(got.F) != math.Float64bits(want.F) ||
+			math.Float64bits(got.PValue) != math.Float64bits(want.PValue) || got != want {
+			t.Fatalf("round %d (n=%d lags=%d): reused scratch gave %+v, %v; fresh %+v, %v", round, n, lags, got, err, want, wantErr)
+		}
+	}
+	x, y := make([]float64, 32), make([]float64, 32)
+	for i := range x {
+		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = g.Test(x, y, 1, 0.05) }); allocs != 0 {
+		t.Fatalf("Granger.Test allocates %.1f per call on warm scratch", allocs)
+	}
+}

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // OLS fits y = alpha + beta*x by ordinary least squares and returns the
 // intercept, slope, and residual sum of squares. Inputs must have equal,
@@ -75,7 +78,9 @@ func (s *SlidingTrend) Reset(w int) {
 
 // SetWindow resizes the window capacity. Shrinking drops the oldest
 // observations; growing keeps history and simply allows more. Used by the
-// self-adaptive window mechanism.
+// self-adaptive window mechanism. The rebuild runs in place, so it
+// allocates only when the window grows past the history's capacity (see
+// Reset).
 func (s *SlidingTrend) SetWindow(w int) {
 	if w < 2 {
 		w = 2
@@ -83,19 +88,32 @@ func (s *SlidingTrend) SetWindow(w int) {
 	if w == s.w {
 		return
 	}
-	// Rebuild from retained history (cheap: windows are small).
-	vals := s.Values()
-	if len(vals) > w {
-		vals = vals[len(vals)-w:]
+	// Rotate the ring into chronological order, keep the newest w values
+	// at the front, and rebuild the sums by re-adding them: each Add writes
+	// its value back into the slot it is read from.
+	h := s.hist[:s.w]
+	n := s.Count()
+	if s.full {
+		slices.Reverse(h[:s.head])
+		slices.Reverse(h[s.head:])
+		slices.Reverse(h)
 	}
-	ns := NewSlidingTrend(w)
+	if n > w {
+		copy(h, h[n-w:n])
+		n = w
+	}
+	hist := s.hist[:cap(s.hist)]
+	if len(hist) < w {
+		hist = make([]float64, w)
+		copy(hist, h[:n])
+	}
+	hist = hist[:w]
+	clear(hist[n:])
 	// Preserve the absolute clock so trends remain comparable.
-	startT := s.t - len(vals)
-	ns.t = startT
-	for _, v := range vals {
-		ns.Add(v)
+	*s = SlidingTrend{w: w, t: s.t - n, hist: hist}
+	for _, v := range hist[:n] {
+		s.Add(v)
 	}
-	*s = *ns
 }
 
 // Add appends the next observation R(M_t) at the next time index.

@@ -148,6 +148,72 @@ func TestSlidingTrendResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// rebuiltTrend is SetWindow's specification for a window w >= 2 other
+// than the current one: a fresh tracker on window w, its clock set back by
+// the retained count, fed the newest w values of s.
+func rebuiltTrend(s *SlidingTrend, w int) *SlidingTrend {
+	vals := s.Values()
+	if len(vals) > w {
+		vals = vals[len(vals)-w:]
+	}
+	ns := NewSlidingTrend(w)
+	ns.t = s.t - len(vals)
+	for _, v := range vals {
+		ns.Add(v)
+	}
+	return ns
+}
+
+// TestSlidingTrendSetWindowMatchesRebuild drives a tracker through random
+// adds, window changes (shrinking, growing within and past its capacity)
+// and resets, and checks every in-place SetWindow against rebuiltTrend:
+// slope, mean, clock and encoded state, bit for bit. Once the history's
+// capacity covers the window, SetWindow allocates nothing.
+func TestSlidingTrendSetWindowMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	st := NewSlidingTrend(16)
+	for op := 0; op < 20000; op++ {
+		switch rng.Intn(8) {
+		case 0:
+			w := 2 + rng.Intn(70)
+			if w == st.Window() {
+				continue
+			}
+			want := rebuiltTrend(st, w)
+			st.SetWindow(w)
+			a, b := codec.NewBuffer(nil), codec.NewBuffer(nil)
+			st.EncodeState(a)
+			want.EncodeState(b)
+			if math.Float64bits(st.Slope()) != math.Float64bits(want.Slope()) ||
+				math.Float64bits(st.Mean()) != math.Float64bits(want.Mean()) ||
+				st.t != want.t || string(a.Bytes()) != string(b.Bytes()) {
+				t.Fatalf("op %d: SetWindow(%d) differs from the rebuild", op, w)
+			}
+		case 1:
+			if rng.Intn(10) == 0 {
+				st.Reset(2 + rng.Intn(20))
+			}
+		default:
+			st.Add(rng.NormFloat64())
+		}
+	}
+	st = NewSlidingTrend(64)
+	st.Reset(16)
+	for i := 0; i < 100; i++ {
+		st.Add(float64(i % 7))
+	}
+	ws := []int{5, 64, 16, 40}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		st.SetWindow(ws[i%len(ws)])
+		st.Add(float64(i))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("SetWindow within capacity allocates %.1f per call", allocs)
+	}
+}
+
 func TestSlidingTrendValuesOrder(t *testing.T) {
 	st := NewSlidingTrend(3)
 	for _, v := range []float64{1, 2, 3, 4, 5} {
