@@ -235,10 +235,15 @@ func (p *Proxy) serve(cli net.Conn, idx int64) {
 			writes = 2
 		}
 		for ; writes > 0; writes-- {
+			// Count the frame before writing it: once it is written, the
+			// backend's reply can reach the client, and a Stats call after
+			// it, before this goroutine runs on. A failed write takes the
+			// count back.
+			p.frames.Add(1)
 			if !p.writeFrame(srv, buf) {
+				p.frames.Add(^uint64(0))
 				return
 			}
-			p.frames.Add(1)
 			forwarded++
 		}
 		if resetAt > 0 && forwarded >= resetAt {

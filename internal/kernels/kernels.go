@@ -23,6 +23,18 @@
 // float64 store/load boundary — both of which leave each element's value
 // bit-identical.
 //
+// On hosts with AVX-512 (F and VL, with the opmask and ZMM state enabled in
+// XCR0), MatMul, AccumRankK's gradient quad and Sigmoid run eight-lane
+// bodies under the same contract. A row's last partial vector loads and
+// stores through an opmask instead of a lane-mask table: its masked lanes
+// load as +0 and are never stored. MatMul's zero-skip stays exact: each
+// row's nonzero (or NaN) entries are compacted with VCMPPD into an opmask
+// and VPCOMPRESSD/VCOMPRESSPD, so the product of a ±0 entry is never
+// added; when two or four narrow rows are walked together, the steps past
+// a shorter row's list add under an opmask that is off for its padding.
+// The eight-lane sigmoid runs math.Exp's FMA branch like the four-lane one
+// and shares its probe. Only CPUID and XCR0 choose the bodies.
+//
 // This contract is what lets core.RBM run its Gibbs layer passes as one
 // blocked product over a whole mini-batch while remaining bit-identical to a
 // per-instance matvec loop (the property-based tests in this package assert
@@ -43,6 +55,18 @@ const blockK = 64
 // body: the length of its nonzero-index list. Blocks run in increasing
 // order and dst is stored and reloaded at each block edge, which is exact.
 const nzBlock = 256
+
+// nzBlock512 is the accumulation-dimension block length of the AVX-512
+// MatMul body, and nzLists its scratch: for each of up to four rows walked
+// together, the b row byte offsets and the a values of the block's nonzero
+// entries. The assembly addresses the lists by fixed byte offsets (off at
+// 0 + 256*row, val at 1024 + 512*row).
+const nzBlock512 = 64
+
+type nzLists struct {
+	off [4][nzBlock512]int32
+	val [4][nzBlock512]float64
+}
 
 // Dot returns the inner product of x and y accumulated strictly left to
 // right into a single accumulator. The loop is unrolled to amortize branch
@@ -209,6 +233,13 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 	_ = dst[m*n-1]
 	_ = a[m*k-1]
 	_ = b[k*n-1]
+	if useAVX512 && k*n < 1<<28 {
+		// The eight-lane body walks all m rows itself, two or four at a
+		// time when a row is narrow, so the short rows' add chains overlap.
+		var nz nzLists
+		matmulAVX512(dst, a, b, m, k, n, &nz)
+		return
+	}
 	if useAVX {
 		// One call per output row. The body lists the row's nonzero a
 		// indices in nz without a data-dependent branch, then keeps up to
@@ -276,6 +307,10 @@ func AccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 				w0, w1, w2, w3 := w[n], w[n+1], w[n+2], w[n+3]
 				wx := [4]float64{w0 * x[(n+0)*rows+i], w1 * x[(n+1)*rows+i], w2 * x[(n+2)*rows+i], w3 * x[(n+3)*rows+i]}
 				wv := [4]float64{w0 * v[(n+0)*rows+i], w1 * v[(n+1)*rows+i], w2 * v[(n+2)*rows+i], w3 * v[(n+3)*rows+i]}
+				if useAVX512 {
+					gradQuadAVX512(grow, p[n*cols:(n+4)*cols], q[n*cols:(n+4)*cols], &wx, &wv)
+					continue
+				}
 				if useAVX {
 					gradQuadAVX(grow, p[n*cols:(n+4)*cols], q[n*cols:(n+4)*cols], &wx, &wv)
 					continue
@@ -328,11 +363,23 @@ func Broadcast(dst, row []float64, m int) {
 
 // Sigmoid applies the logistic function element-wise in place, computing
 // exactly 1/(1+math.Exp(-x)) per element. On amd64 hosts where the gate
-// holds, four-element groups run sigmoidAVX; a group it refuses (a lane
-// whose exponential is not finite and normal) and the tail run the scalar
-// expression.
+// holds, eight-element groups (the last one masked) run sigmoidAVX512, or
+// four-element groups sigmoidAVX without AVX-512; a group the body refuses
+// (a lane whose exponential is not finite and normal) and the AVX tail run
+// the scalar expression.
 func Sigmoid(dst []float64) {
 	i := 0
+	if useSigmoidAVX512 {
+		for {
+			i += sigmoidAVX512(dst[i:])
+			if i == len(dst) {
+				return
+			}
+			j := min(i+8, len(dst))
+			sigmoidGeneric(dst[i:j])
+			i = j
+		}
+	}
 	if useSigmoidAVX {
 		for i+4 <= len(dst) {
 			i += sigmoidAVX(dst[i:])

@@ -1,11 +1,12 @@
-// AVX bodies for the hottest kernels. Bit-exactness: axpyAVX, gradQuadAVX
-// and matmulRowNZAVX use only VMULPD / VADDPD / VSUBPD (and their scalar SD
-// forms in the tails) — each lane performs the exact IEEE-754 operation of
-// the corresponding scalar Go expression, and no FMA contraction is
-// introduced — so they produce bit-identical results to the pure-Go bodies
-// (asserted by the package's property tests, which run both paths on
-// amd64). sigmoidAVX uses FMA exactly where math.Exp's own FMA branch does;
-// see its comment.
+// AVX and AVX-512 bodies for the hottest kernels. Bit-exactness: axpyAVX,
+// gradQuadAVX, matmulRowNZAVX and their eight-lane counterparts use only
+// VMULPD / VADDPD / VSUBPD (and their scalar SD forms in the AVX tails) —
+// each lane performs the exact IEEE-754 operation of the corresponding
+// scalar Go expression, and no FMA contraction is introduced — so they
+// produce bit-identical results to the pure-Go bodies (asserted by the
+// package's property tests, which run every path the host has).
+// sigmoidAVX and sigmoidAVX512 use FMA exactly where math.Exp's own FMA
+// branch does; see sigmoidAVX's comment.
 
 #include "textflag.h"
 
@@ -884,5 +885,509 @@ srnext:
 	JMP  srrow
 
 srdone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// AVX-512 bodies. They keep the contract of the AVX bodies above — per lane
+// only VMULPD / VADDPD / VSUBPD, FMA only in the sigmoid where math.Exp's
+// FMA branch has it — and replace the mmconst lane-mask table by opmasks:
+// a vector's lanes past the end of a row load as +0 through a zeroing mask
+// (EVEX masking also suppresses faults on those lanes) and are never
+// stored.
+
+// The int32 lane numbers 0..7.
+DATA lanes<>+0(SB)/8, $0x100000000
+DATA lanes<>+8(SB)/8, $0x300000002
+DATA lanes<>+16(SB)/8, $0x500000004
+DATA lanes<>+24(SB)/8, $0x700000006
+GLOBL lanes<>(SB), RODATA|NOPTR, $32
+
+// LANESBELOW sets opmask k to the lanes whose number is below the count in
+// GPR r (all eight when r >= 8). Y23 holds lanes<>; clobbers Y22.
+#define LANESBELOW(r, k) \
+	VPBROADCASTD r, Y22; \
+	VPCMPD $1, Y22, Y23, k
+
+// func gradQuadAVX512(g, p, q []float64, wx, wv *[4]float64)
+//
+// gradQuadAVX eight lanes wide: the same four instances, the same mul, mul,
+// sub, add per element and instance in instance order. The last one to
+// seven columns run once more through the lane mask K1. Requires AVX-512 F
+// and VL.
+TEXT ·gradQuadAVX512(SB), NOSPLIT, $0-88
+	MOVQ g_base+0(FP), DI
+	MOVQ g_len+8(FP), CX
+	MOVQ p_base+24(FP), SI
+	MOVQ q_base+48(FP), DX
+	MOVQ wx+72(FP), R8
+	MOVQ wv+80(FP), R9
+
+	VBROADCASTSD 0(R8), Z0
+	VBROADCASTSD 8(R8), Z1
+	VBROADCASTSD 16(R8), Z2
+	VBROADCASTSD 24(R8), Z3
+	VBROADCASTSD 0(R9), Z4
+	VBROADCASTSD 8(R9), Z5
+	VBROADCASTSD 16(R9), Z6
+	VBROADCASTSD 24(R9), Z7
+
+	// Row pointers as in gradQuadAVX.
+	MOVQ CX, R10
+	SHLQ $3, R10
+	LEAQ (SI)(R10*1), R8
+	LEAQ (R8)(R10*1), R9
+	LEAQ (R9)(R10*1), R11
+	LEAQ (DX)(R10*1), R12
+	LEAQ (R12)(R10*1), R13
+	LEAQ (R13)(R10*1), R10
+
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+zgradloop8:
+	CMPQ AX, BX
+	JGE  zgradtail
+	VMOVUPD (DI)(AX*8), Z8
+
+	VMOVUPD (SI)(AX*8), Z9
+	VMULPD  Z0, Z9, Z9
+	VMOVUPD (DX)(AX*8), Z10
+	VMULPD  Z4, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD (R8)(AX*8), Z9
+	VMULPD  Z1, Z9, Z9
+	VMOVUPD (R12)(AX*8), Z10
+	VMULPD  Z5, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD (R9)(AX*8), Z9
+	VMULPD  Z2, Z9, Z9
+	VMOVUPD (R13)(AX*8), Z10
+	VMULPD  Z6, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD (R11)(AX*8), Z9
+	VMULPD  Z3, Z9, Z9
+	VMOVUPD (R10)(AX*8), Z10
+	VMULPD  Z7, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD Z8, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  zgradloop8
+
+zgradtail:
+	SUBQ AX, CX                  // columns left: 0..7
+	JZ   zgraddone
+	VMOVDQU32 lanes<>(SB), Y23
+	LANESBELOW(CX, K1)
+	VMOVUPD.Z (DI)(AX*8), K1, Z8
+
+	VMOVUPD.Z (SI)(AX*8), K1, Z9
+	VMULPD  Z0, Z9, Z9
+	VMOVUPD.Z (DX)(AX*8), K1, Z10
+	VMULPD  Z4, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD.Z (R8)(AX*8), K1, Z9
+	VMULPD  Z1, Z9, Z9
+	VMOVUPD.Z (R12)(AX*8), K1, Z10
+	VMULPD  Z5, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD.Z (R9)(AX*8), K1, Z9
+	VMULPD  Z2, Z9, Z9
+	VMOVUPD.Z (R13)(AX*8), K1, Z10
+	VMULPD  Z6, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD.Z (R11)(AX*8), K1, Z9
+	VMULPD  Z3, Z9, Z9
+	VMOVUPD.Z (R10)(AX*8), K1, Z10
+	VMULPD  Z7, Z10, Z10
+	VSUBPD  Z10, Z9, Z9
+	VADDPD  Z9, Z8, Z8
+
+	VMOVUPD Z8, K1, (DI)(AX*8)
+
+zgraddone:
+	VZEROUPPER
+	RET
+
+// Accumulator operations of matmulAVX512, at byte offset off from the
+// group's first column. ZLD and ZST load and store a full vector of the dst
+// row at DX; ZLDM and ZSTM do it for the group's last vector through the
+// lane mask K1. ZMA adds the product of the broadcast a value Z30 with the b
+// row at BX+AX into acc; ZMAM is ZMA for the last vector, whose b lanes load
+// through K1. ZMK and ZMKM are ZMA and ZMAM with the add merge-masked by K2,
+// so a padding step leaves acc untouched. Per lane the product is one
+// VMULPD and the sum one VADDPD whose first sources are the a value and the
+// product, as in matmulRowNZAVX.
+#define ZLD(off, acc) VMOVUPD off(DX), acc
+#define ZST(off, acc) VMOVUPD acc, off(DX)
+#define ZLDM(off, acc) VMOVUPD.Z off(DX), K1, acc
+#define ZSTM(off, acc) VMOVUPD acc, K1, off(DX)
+#define ZMA(off, acc) VMULPD off(BX)(AX*1), Z30, Z29; VADDPD acc, Z29, acc
+#define ZMAM(off, acc) VMULPD.Z off(BX)(AX*1), Z30, K1, Z29; VADDPD acc, Z29, acc
+#define ZMK(off, acc) VMULPD off(BX)(AX*1), Z30, Z29; VADDPD acc, Z29, K2, acc
+#define ZMKM(off, acc) VMULPD.Z off(BX)(AX*1), Z30, K1, Z29; VADDPD acc, Z29, K2, acc
+
+// ZVn(op, opm, ...) applies op to the first n-1 of a row's n accumulators
+// and opm to its last one.
+#define ZV1(op, opm, a0) opm(0, a0)
+#define ZV2(op, opm, a0, a1) op(0, a0); opm(64, a1)
+#define ZV3(op, opm, a0, a1, a2) op(0, a0); op(64, a1); opm(128, a2)
+#define ZV4(op, opm, a0, a1, a2, a3) op(0, a0); op(64, a1); op(128, a2); opm(192, a3)
+#define ZV5(op, opm, a0, a1, a2, a3, a4) op(0, a0); op(64, a1); op(128, a2); op(192, a3); opm(256, a4)
+#define ZV6(op, opm, a0, a1, a2, a3, a4, a5) op(0, a0); op(64, a1); op(128, a2); op(192, a3); op(256, a4); opm(320, a5)
+
+// ZENTRY reads entry R13 of one row's lists, whose b row byte offsets start
+// at ooff(R8) and a values at voff(R8): AX gets the offset and Z30 the
+// broadcast value. ZENTRYK also sets K2 to whether the entry is real; the
+// padding past a shorter list's end carries the value +0, and every real
+// entry is nonzero or NaN.
+#define ZENTRY(ooff, voff) MOVLQSX ooff(R8)(R13*4), AX; VBROADCASTSD voff(R8)(R13*8), Z30
+#define ZENTRYK(ooff, voff) ZENTRY(ooff, voff); VCMPPD $4, Z31, Z30, K2
+
+// The row-group shapes: RrGg is r rows of g vectors, row j's accumulators
+// after row j-1's. L loads them from the dst rows at SI, SI+n8, ...; S
+// stores them; A is one step of every row's list; K one padded step.
+#define R1G1L MOVQ SI, DX; ZV1(ZLD, ZLDM, Z0)
+#define R1G1S MOVQ SI, DX; ZV1(ZST, ZSTM, Z0)
+#define R1G1A ZENTRY(0, 1024); ZV1(ZMA, ZMAM, Z0)
+#define R1G2L MOVQ SI, DX; ZV2(ZLD, ZLDM, Z0, Z1)
+#define R1G2S MOVQ SI, DX; ZV2(ZST, ZSTM, Z0, Z1)
+#define R1G2A ZENTRY(0, 1024); ZV2(ZMA, ZMAM, Z0, Z1)
+#define R1G3L MOVQ SI, DX; ZV3(ZLD, ZLDM, Z0, Z1, Z2)
+#define R1G3S MOVQ SI, DX; ZV3(ZST, ZSTM, Z0, Z1, Z2)
+#define R1G3A ZENTRY(0, 1024); ZV3(ZMA, ZMAM, Z0, Z1, Z2)
+#define R1G4L MOVQ SI, DX; ZV4(ZLD, ZLDM, Z0, Z1, Z2, Z3)
+#define R1G4S MOVQ SI, DX; ZV4(ZST, ZSTM, Z0, Z1, Z2, Z3)
+#define R1G4A ZENTRY(0, 1024); ZV4(ZMA, ZMAM, Z0, Z1, Z2, Z3)
+#define R1G5L MOVQ SI, DX; ZV5(ZLD, ZLDM, Z0, Z1, Z2, Z3, Z4)
+#define R1G5S MOVQ SI, DX; ZV5(ZST, ZSTM, Z0, Z1, Z2, Z3, Z4)
+#define R1G5A ZENTRY(0, 1024); ZV5(ZMA, ZMAM, Z0, Z1, Z2, Z3, Z4)
+#define R1G6L MOVQ SI, DX; ZV6(ZLD, ZLDM, Z0, Z1, Z2, Z3, Z4, Z5)
+#define R1G6S MOVQ SI, DX; ZV6(ZST, ZSTM, Z0, Z1, Z2, Z3, Z4, Z5)
+#define R1G6A ZENTRY(0, 1024); ZV6(ZMA, ZMAM, Z0, Z1, Z2, Z3, Z4, Z5)
+#define R2G2L MOVQ SI, DX; ZV2(ZLD, ZLDM, Z0, Z1); ADDQ CX, DX; ZV2(ZLD, ZLDM, Z2, Z3)
+#define R2G2S MOVQ SI, DX; ZV2(ZST, ZSTM, Z0, Z1); ADDQ CX, DX; ZV2(ZST, ZSTM, Z2, Z3)
+#define R2G2A ZENTRY(0, 1024); ZV2(ZMA, ZMAM, Z0, Z1); ZENTRY(256, 1536); ZV2(ZMA, ZMAM, Z2, Z3)
+#define R2G2K ZENTRYK(0, 1024); ZV2(ZMK, ZMKM, Z0, Z1); ZENTRYK(256, 1536); ZV2(ZMK, ZMKM, Z2, Z3)
+#define R2G3L MOVQ SI, DX; ZV3(ZLD, ZLDM, Z0, Z1, Z2); ADDQ CX, DX; ZV3(ZLD, ZLDM, Z3, Z4, Z5)
+#define R2G3S MOVQ SI, DX; ZV3(ZST, ZSTM, Z0, Z1, Z2); ADDQ CX, DX; ZV3(ZST, ZSTM, Z3, Z4, Z5)
+#define R2G3A ZENTRY(0, 1024); ZV3(ZMA, ZMAM, Z0, Z1, Z2); ZENTRY(256, 1536); ZV3(ZMA, ZMAM, Z3, Z4, Z5)
+#define R2G3K ZENTRYK(0, 1024); ZV3(ZMK, ZMKM, Z0, Z1, Z2); ZENTRYK(256, 1536); ZV3(ZMK, ZMKM, Z3, Z4, Z5)
+#define R4G1L MOVQ SI, DX; ZV1(ZLD, ZLDM, Z0); ADDQ CX, DX; ZV1(ZLD, ZLDM, Z1); ADDQ CX, DX; ZV1(ZLD, ZLDM, Z2); ADDQ CX, DX; ZV1(ZLD, ZLDM, Z3)
+#define R4G1S MOVQ SI, DX; ZV1(ZST, ZSTM, Z0); ADDQ CX, DX; ZV1(ZST, ZSTM, Z1); ADDQ CX, DX; ZV1(ZST, ZSTM, Z2); ADDQ CX, DX; ZV1(ZST, ZSTM, Z3)
+#define R4G1A ZENTRY(0, 1024); ZV1(ZMA, ZMAM, Z0); ZENTRY(256, 1536); ZV1(ZMA, ZMAM, Z1); ZENTRY(512, 2048); ZV1(ZMA, ZMAM, Z2); ZENTRY(768, 2560); ZV1(ZMA, ZMAM, Z3)
+#define R4G1K ZENTRYK(0, 1024); ZV1(ZMK, ZMKM, Z0); ZENTRYK(256, 1536); ZV1(ZMK, ZMKM, Z1); ZENTRYK(512, 2048); ZV1(ZMK, ZMKM, Z2); ZENTRYK(768, 2560); ZV1(ZMK, ZMKM, Z3)
+
+// ZGROUP1 walks a single row's list (length R12) once for one column group.
+#define ZGROUP1(L, A, S, lbl, loop) \
+lbl: \
+	L; \
+	XORQ R13, R13; \
+loop: \
+	A; \
+	INCQ R13; \
+	CMPQ R13, R12; \
+	JLT loop; \
+	S; \
+	JMP znextgroup
+
+// ZGROUPN walks the lists of a multi-row group in lockstep: every row's
+// step up to the shortest length R12, then padded steps up to the longest
+// length R11, in which a row whose list has ended adds nothing.
+#define ZGROUPN(L, A, K, S, lbl, loop, kloop, store) \
+lbl: \
+	L; \
+	XORQ R13, R13; \
+	TESTQ R12, R12; \
+	JZ kloop; \
+loop: \
+	A; \
+	INCQ R13; \
+	CMPQ R13, R12; \
+	JLT loop; \
+kloop: \
+	CMPQ R13, R11; \
+	JGE store; \
+	K; \
+	INCQ R13; \
+	JMP kloop; \
+store: \
+	S; \
+	JMP znextgroup
+
+// func matmulAVX512(dst, a, b []float64, m, k, n int, nz *nzLists)
+//
+// MatMul's row body eight lanes wide, over all m rows: dst[r*n+c] +=
+// Σ_i a[r*k+i]*b[i*n+c], skipping exactly the i with a[r*k+i] == 0 (±0;
+// NaN is kept). Rows go in groups of R: four when a row is one vector
+// (n <= 8), two when it is two or three (n <= 24), else one; the last
+// m mod R rows go one at a time. Two or four rows walked together give the
+// short rows independent add chains. For each block of up to 64 (nzBlock512)
+// accumulation indices, in ascending order, each row of the group first
+// compacts its nonzero entries into its lists in nz without a
+// data-dependent branch: VCMPPD (not-equal-or-unordered against zero) makes
+// an opmask of eight entries, VPCOMPRESSD packs their b row byte offsets
+// and VCOMPRESSPD their a values, and POPCNT counts them. The block then
+// walks the lists once per group of up to 48 dst columns (all of a row when
+// R > 1), with the group's accumulators in ZMM registers and the last vector
+// of a row through the lane mask K1. Lists of a multi-row group run in
+// lockstep to the shortest; the longer ones then continue with the add
+// merge-masked by their entry being real, and each list is padded with +0
+// values (chunk by chunk, before the chunk's compressed entries are stored)
+// so that the padded steps read valid offsets. Per element the products
+// still accumulate in ascending index with one VMULPD and one VADDPD, and
+// dst is stored and reloaded only at block edges, which is exact. Requires
+// k*n < 2^28 (int32 byte offsets) and AVX-512 F and VL and POPCNT.
+TEXT ·matmulAVX512(SB), NOSPLIT, $32-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), AX
+	MOVQ AX, arow-8(SP)          // the group's first a row
+	MOVQ m+72(FP), AX
+	MOVQ AX, left-16(SP)         // rows left
+	MOVQ n+88(FP), CX
+	MOVQ $1, AX
+	MOVQ $2, R9
+	CMPQ CX, $24
+	CMOVQLE R9, AX
+	MOVQ $4, R9
+	CMPQ CX, $8
+	CMOVQLE R9, AX
+	MOVQ AX, rows-24(SP)         // R
+	SHLQ $3, CX                  // n8: dst and b row stride in bytes
+	MOVQ nz+96(FP), R8
+	VPXORQ Z31, Z31, Z31
+	VMOVDQU32 lanes<>(SB), Y23
+	VPBROADCASTD CX, Y27
+	VPMULLD Y23, Y27, Y26        // lane * n8
+	VPSLLD $3, Y27, Y27          // eight b rows
+
+zrowgroup:
+	MOVQ left-16(SP), AX
+	TESTQ AX, AX
+	JLE  zdone
+	MOVQ rows-24(SP), R9
+	CMPQ AX, R9
+	JGE  zrows
+	MOVQ $1, R9
+
+zrows:
+	MOVQ $0, k0-32(SP)
+
+zblock:
+	MOVQ k0-32(SP), R10
+	MOVQ k+80(FP), R13
+	SUBQ R10, R13                // entries left in each row
+	JLE  znextrows
+	MOVQ $64, AX
+	CMPQ R13, AX
+	CMOVQGT AX, R13              // block length: min(k-k0, 64)
+	MOVQ R10, AX
+	IMULQ CX, AX
+	VPBROADCASTD AX, Y24
+	VPADDD Y26, Y24, Y24         // b row byte offsets of the block's first eight entries
+	MOVQ arow-8(SP), SI
+	LEAQ (SI)(R10*8), SI         // the block in the group's first row
+	MOVQ R8, DX                  // row 0 offset list
+	LEAQ 1024(R8), BX            // row 0 value list
+	MOVQ $64, R12                // shortest list
+	XORQ R11, R11                // longest list
+
+zcrow:
+	XORQ R10, R10                // entry within the block
+	XORQ R14, R14                // list length
+	VMOVDQU32 Y24, Y25
+
+zchunk:
+	MOVQ R13, AX
+	SUBQ R10, AX                 // entries left in the block
+	JLE  zcrowdone
+	LANESBELOW(AX, K3)
+	VMOVUPD.Z (SI)(R10*8), K3, Z21
+	VCMPPD $4, Z31, Z21, K2      // NEQ_UQ: a[i] != 0 or NaN
+	VMOVUPD Z31, (BX)(R10*8)     // pad with +0 ...
+	VMOVDQU32 Y31, (DX)(R10*4)   // ... at offset 0
+	VPCOMPRESSD.Z Y25, K2, Y20
+	VMOVDQU32 Y20, (DX)(R14*4)
+	VCOMPRESSPD.Z Z21, K2, Z20
+	VMOVUPD Z20, (BX)(R14*8)
+	KMOVW K2, AX
+	POPCNTL AX, AX
+	ADDQ AX, R14
+	VPADDD Y27, Y25, Y25
+	ADDQ $8, R10
+	JMP  zchunk
+
+zcrowdone:
+	CMPQ R14, R12
+	CMOVQLT R14, R12
+	CMPQ R14, R11
+	CMOVQGT R14, R11
+	ADDQ $256, DX
+	ADDQ $512, BX
+	MOVQ k+80(FP), AX
+	LEAQ (SI)(AX*8), SI          // the next row's block
+	MOVQ R9, AX
+	SHLQ $8, AX
+	ADDQ R8, AX
+	CMPQ DX, AX
+	JLT  zcrow
+
+	TESTQ R11, R11
+	JZ   znextblock
+	XORQ R10, R10                // c0: first column of the group
+
+zgroup:
+	MOVQ n+88(FP), AX
+	SUBQ R10, AX                 // columns left
+	JLE  znextblock
+	MOVQ b_base+48(FP), BX
+	LEAQ (BX)(R10*8), BX
+	LEAQ (DI)(R10*8), SI
+	LEAQ 7(AX), R14
+	SHRQ $3, R14                 // vectors left
+	MOVQ $6, DX
+	CMPQ R14, DX
+	CMOVQGT DX, R14              // g: vectors in the group
+	MOVQ R14, DX
+	SHLQ $3, DX
+	SUBQ DX, AX
+	ADDQ $8, AX                  // columns of the group's last vector
+	LANESBELOW(AX, K1)
+	CMPQ R9, $1
+	JNE  zmulti
+	CMPQ R14, $1
+	JEQ  zr1g1
+	CMPQ R14, $2
+	JEQ  zr1g2
+	CMPQ R14, $3
+	JEQ  zr1g3
+	CMPQ R14, $4
+	JEQ  zr1g4
+	CMPQ R14, $5
+	JEQ  zr1g5
+	JMP  zr1g6
+
+zmulti:
+	CMPQ R9, $4
+	JEQ  zr4g1
+	CMPQ R14, $2
+	JEQ  zr2g2
+	JMP  zr2g3
+
+	ZGROUP1(R1G1L, R1G1A, R1G1S, zr1g1, zr1g1loop)
+	ZGROUP1(R1G2L, R1G2A, R1G2S, zr1g2, zr1g2loop)
+	ZGROUP1(R1G3L, R1G3A, R1G3S, zr1g3, zr1g3loop)
+	ZGROUP1(R1G4L, R1G4A, R1G4S, zr1g4, zr1g4loop)
+	ZGROUP1(R1G5L, R1G5A, R1G5S, zr1g5, zr1g5loop)
+	ZGROUP1(R1G6L, R1G6A, R1G6S, zr1g6, zr1g6loop)
+	ZGROUPN(R2G2L, R2G2A, R2G2K, R2G2S, zr2g2, zr2g2loop, zr2g2k, zr2g2st)
+	ZGROUPN(R2G3L, R2G3A, R2G3K, R2G3S, zr2g3, zr2g3loop, zr2g3k, zr2g3st)
+	ZGROUPN(R4G1L, R4G1A, R4G1K, R4G1S, zr4g1, zr4g1loop, zr4g1k, zr4g1st)
+
+znextgroup:
+	ADDQ $48, R10
+	JMP  zgroup
+
+znextblock:
+	ADDQ $64, k0-32(SP)
+	JMP  zblock
+
+znextrows:
+	MOVQ R9, AX
+	IMULQ CX, AX
+	ADDQ AX, DI                  // the next group's dst rows
+	MOVQ R9, AX
+	IMULQ k+80(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, arow-8(SP)
+	SUBQ R9, left-16(SP)
+	JMP  zrowgroup
+
+zdone:
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX512(dst []float64) int
+//
+// sigmoidAVX eight lanes wide, over the whole slice: the same instruction
+// sequence per lane, with the constants broadcast from sigc. The last one
+// to seven elements run as one group through the lane mask K1; the masked
+// lanes load as +0, which is in range, and are never stored. It returns the
+// start of the first group with a lane out of range, or len(dst), and
+// leaves that group to the caller. Requires AVX-512 F and VL and FMA.
+TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	XORQ AX, AX
+	VMOVDQU32 lanes<>(SB), Y23
+	VPBROADCASTD sigc<>+448(SB), Y8 // 1 (int32 lanes)
+	VPBROADCASTD sigc<>+464(SB), Y10 // exponent bias
+	VPBROADCASTD sigc<>+480(SB), Y11 // 0x7FE
+	VBROADCASTSD sigc<>+384(SB), Z9 // 1.0
+
+zsigloop:
+	MOVQ CX, BX
+	SUBQ AX, BX
+	JLE  zsigdone
+	LANESBELOW(BX, K1)
+	VMOVUPD.Z (DI)(AX*8), K1, Z0
+	VPXORQ.BCST sigc<>+0(SB), Z0, Z0 // t = -x
+	VMULPD.BCST sigc<>+32(SB), Z0, Z1
+	VCVTPD2DQ Z1, Y2             // k = int32(round(t*LOG2E))
+	VPADDD  Y10, Y2, Y3
+	VPCMPGTD Y3, Y8, Y4          // 1 > k+bias
+	VPCMPGTD Y11, Y3, Y5         // k+bias > 0x7FE
+	VPOR    Y5, Y4, Y4
+	VPTEST  Y4, Y4
+	JNE     zsigdone
+	VPMOVZXDQ Y3, Z7
+	VPSLLQ  $52, Z7, Z7          // 2^k
+	VCVTDQ2PD Y2, Z2
+	VFNMADD231PD.BCST sigc<>+64(SB), Z2, Z0
+	VFNMADD231PD.BCST sigc<>+96(SB), Z2, Z0
+	VMULPD.BCST sigc<>+128(SB), Z0, Z0
+	VBROADCASTSD sigc<>+160(SB), Z1
+	VFMADD213PD.BCST sigc<>+192(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+224(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+256(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+288(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+320(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+352(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+384(SB), Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1
+	VFMADD213PD.BCST sigc<>+384(SB), Z1, Z0
+	VMULPD  Z7, Z0, Z0
+	VADDPD  Z9, Z0, Z0
+	VDIVPD  Z0, Z9, Z0
+	VMOVUPD Z0, K1, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  zsigloop
+
+zsigdone:
+	CMPQ AX, CX
+	CMOVQGT CX, AX               // the masked last group ends at len(dst)
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

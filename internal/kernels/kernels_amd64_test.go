@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,52 +39,105 @@ func expFMA(x float64) (e float64, ok bool) {
 	return y * math.Float64frombits(uint64(int64(k)+0x3FF)<<52), true
 }
 
-// TestSigmoidKernelIsExpFMABranch calls sigmoidAVX directly, whatever the
-// gate decided, on groups of specials, bit patterns and N(0, 25) draws: it
-// must write a group exactly when every lane is in range, and each written
-// lane must equal 1/(1+expFMA(-x)) bit for bit.
+// TestSigmoidKernelIsExpFMABranch calls sigmoidAVX and sigmoidAVX512
+// directly, whatever the gates decided, on one group of specials, bit
+// patterns and N(0, 25) draws: four lanes for sigmoidAVX, one to eight for
+// sigmoidAVX512's masked group. A body must write the group exactly when
+// every lane is in range, must not touch the elements after it, and each
+// written lane must equal 1/(1+expFMA(-x)) bit for bit.
 func TestSigmoidKernelIsExpFMABranch(t *testing.T) {
 	if !hasAVX2FMA {
 		t.Skip("no AVX2+FMA on this host")
 	}
-	rng := rand.New(rand.NewSource(12))
-	var taken, refused int
-	for round := 0; round < 20000; round++ {
-		var in, out [5]float64
-		inRange := true
-		for i := range 4 {
-			in[i] = sigmoidInput(rng)
-			if round < len(sigmoidSpecials) && i == 3 {
-				in[i] = sigmoidSpecials[round]
+	type body struct {
+		name  string
+		run   func([]float64) int
+		lanes func(*rand.Rand) int
+	}
+	bodies := []body{{"sigmoidAVX", sigmoidAVX, func(*rand.Rand) int { return 4 }}}
+	if hostGates.avx512 {
+		bodies = append(bodies, body{"sigmoidAVX512", sigmoidAVX512, func(rng *rand.Rand) int { return 1 + rng.Intn(8) }})
+	}
+	for _, body := range bodies {
+		rng := rand.New(rand.NewSource(12))
+		var taken, refused int
+		for round := 0; round < 20000; round++ {
+			n := body.lanes(rng)
+			var in, out [9]float64
+			inRange := true
+			for i := range n {
+				in[i] = sigmoidInput(rng)
+				if round < len(sigmoidSpecials) && i == n-1 {
+					in[i] = sigmoidSpecials[round]
+				}
+				if _, ok := expFMA(-in[i]); !ok {
+					inRange = false
+				}
 			}
-			if _, ok := expFMA(-in[i]); !ok {
-				inRange = false
+			for i := n; i < len(in); i++ {
+				in[i] = 1 // never touched: past the group
+			}
+			out = in
+			done := body.run(out[:n:n])
+			if !inRange {
+				refused++
+				if done != 0 || !sameBits(out[:], in[:]) {
+					t.Fatalf("%s(%v): out-of-range group written (done=%d)", body.name, in[:n], done)
+				}
+				continue
+			}
+			taken++
+			if done != n || !sameBits(out[n:], in[n:]) {
+				t.Fatalf("%s(%v): in-range group not written, or tail touched (done=%d)", body.name, in[:n], done)
+			}
+			for i := range n {
+				e, _ := expFMA(-in[i])
+				if want := 1 / (1 + e); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s(%v) = %v, FMA branch gives %v", body.name, in[i], out[i], want)
+				}
 			}
 		}
-		in[4] = 1 // never touched: the kernel leaves tails to the caller
-		out = in
-		done := sigmoidAVX(out[:])
-		if !inRange {
-			refused++
-			if done != 0 || !sameBits(out[:], in[:]) {
-				t.Fatalf("%v: out-of-range group written (done=%d)", in[:4], done)
+		if taken == 0 || refused == 0 {
+			t.Fatalf("%s: groups taken %d, refused %d: both paths must be exercised", body.name, taken, refused)
+		}
+	}
+}
+
+// TestAVX512GateMatchesCPU fails when the host can run the AVX-512 bodies
+// but the gate is off (or the other way round), so that a host with eight
+// float64 lanes cannot silently fall back to four. It reads CPUID leaf 7
+// and XCR0 itself, and on Linux also checks them against the kernel's
+// /proc/cpuinfo flags, which list avx512f and avx512vl only when the kernel
+// has enabled the opmask and ZMM state.
+func TestAVX512GateMatchesCPU(t *testing.T) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	var f, vl, osZMM bool
+	if maxLeaf >= 7 && ecx1&(1<<27) != 0 {
+		_, ebx7, _, _ := cpuid(7, 0)
+		f, vl = ebx7&(1<<16) != 0, ebx7&(1<<31) != 0
+		osZMM = xgetbv0()&0xe6 == 0xe6
+	}
+	want := useAVX && f && vl && osZMM
+	if useAVX512 != want {
+		t.Fatalf("useAVX512 = %v, want %v (AVX %v, AVX512F %v, AVX512VL %v, XCR0 opmask/ZMM %v)", useAVX512, want, useAVX, f, vl, osZMM)
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		var flags []string
+		for _, line := range strings.Split(string(info), "\n") {
+			if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+				flags = strings.Fields(list)
+				break
 			}
-			continue
 		}
-		taken++
-		if done != 4 || out[4] != 1 {
-			t.Fatalf("%v: in-range group not written, or tail touched (done=%d)", in[:4], done)
-		}
-		for i := range 4 {
-			e, _ := expFMA(-in[i])
-			if want := 1 / (1 + e); math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("sigmoidAVX(%v) = %v, FMA branch gives %v", in[i], out[i], want)
+		if flags != nil {
+			has := func(f string) bool { return slices.Contains(flags, f) }
+			if kernel := has("avx") && has("popcnt") && has("avx512f") && has("avx512vl"); kernel != useAVX512 {
+				t.Fatalf("useAVX512 = %v, but /proc/cpuinfo flags say %v", useAVX512, kernel)
 			}
 		}
 	}
-	if taken == 0 || refused == 0 {
-		t.Fatalf("groups taken %d, refused %d: both paths must be exercised", taken, refused)
-	}
+	t.Logf("AVX-512 bodies: %v", useAVX512)
 }
 
 // TestSigmoidGate pins when the vector path is on: exactly when the host
@@ -97,6 +151,9 @@ func TestSigmoidGate(t *testing.T) {
 	}
 	if want := hasAVX2FMA && !fmaOff; useSigmoidAVX != want {
 		t.Fatalf("useSigmoidAVX = %v, want %v (AVX2+FMA %v, GODEBUG %q)", useSigmoidAVX, want, hasAVX2FMA, godebug)
+	}
+	if want := useSigmoidAVX && useAVX512; useSigmoidAVX512 != want {
+		t.Fatalf("useSigmoidAVX512 = %v, want %v (useSigmoidAVX %v, useAVX512 %v)", useSigmoidAVX512, want, useSigmoidAVX, useAVX512)
 	}
 	differ := 0
 	for _, x := range sigmoidProbeInputs {

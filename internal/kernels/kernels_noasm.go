@@ -2,9 +2,9 @@
 
 package kernels
 
-// useAVX and useSigmoidAVX are permanently false off amd64; the pure-Go
-// bodies are the only implementation and the stubs below are unreachable.
-var useAVX, useSigmoidAVX = false, false
+// The gates are permanently false off amd64; the pure-Go bodies are the
+// only implementation and the stubs below are unreachable.
+var useAVX, useAVX512, useSigmoidAVX, useSigmoidAVX512 = false, false, false, false
 
 func axpyAVX(alpha float64, x, y []float64) {
 	panic("kernels: axpyAVX without amd64 support")
@@ -12,6 +12,18 @@ func axpyAVX(alpha float64, x, y []float64) {
 
 func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64) {
 	panic("kernels: gradQuadAVX without amd64 support")
+}
+
+func gradQuadAVX512(g, p, q []float64, wx, wv *[4]float64) {
+	panic("kernels: gradQuadAVX512 without amd64 support")
+}
+
+func matmulAVX512(dst, a, b []float64, m, k, n int, nz *nzLists) {
+	panic("kernels: matmulAVX512 without amd64 support")
+}
+
+func sigmoidAVX512(dst []float64) int {
+	panic("kernels: sigmoidAVX512 without amd64 support")
 }
 
 func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32) {

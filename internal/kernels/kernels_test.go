@@ -50,14 +50,44 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// hostGates are the dispatch gates as the host set them at init.
+var hostGates = struct{ avx, avx512, sigmoid, sigmoid512 bool }{
+	useAVX, useAVX512, useSigmoidAVX, useSigmoidAVX512,
+}
+
+// kernelMode is one dispatch setting: Gen, the pure-Go bodies; AVX, the
+// four-lane bodies (with AVX2 and FMA, the four-lane sigmoid); AVX512, the
+// eight-lane bodies on top of them.
+type kernelMode struct {
+	name        string
+	avx, avx512 bool
+}
+
 // kernelModes lists the dispatch settings the host can run: the generic
-// body, and the AVX body where the CPU has it. Call it before a test
-// changes useAVX.
-func kernelModes() []bool {
-	if useAVX {
-		return []bool{false, true}
+// bodies, the AVX bodies where the CPU has them, and the AVX-512 bodies
+// where it has those too. Tests that switch modes defer restoreGates.
+func kernelModes() []kernelMode {
+	modes := []kernelMode{{name: "Gen"}}
+	if hostGates.avx {
+		modes = append(modes, kernelMode{"AVX", true, false})
 	}
-	return []bool{false}
+	if hostGates.avx512 {
+		modes = append(modes, kernelMode{"AVX512", true, true})
+	}
+	return modes
+}
+
+// use switches every gate to the mode, within what the host allows.
+func (m kernelMode) use() {
+	useAVX = m.avx && hostGates.avx
+	useAVX512 = m.avx512 && hostGates.avx512
+	useSigmoidAVX = m.avx && hostGates.sigmoid
+	useSigmoidAVX512 = m.avx512 && hostGates.sigmoid512
+}
+
+func restoreGates() {
+	useAVX, useAVX512 = hostGates.avx, hostGates.avx512
+	useSigmoidAVX, useSigmoidAVX512 = hostGates.sigmoid, hostGates.sigmoid512
 }
 
 // --- naive references (the contract, written as the obvious loops) ---
@@ -171,17 +201,22 @@ func TestDotMatchesNaive(t *testing.T) {
 }
 
 func TestAxpyMatchesNaive(t *testing.T) {
+	defer restoreGates()
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < propRounds; round++ {
 		n := randDim(rng, 200)
 		a := 4*rng.Float64() - 2
 		x := randSlice(rng, n)
-		y := randSlice(rng, n)
-		yRef := append([]float64(nil), y...)
-		Axpy(a, x, y)
+		y0 := randSlice(rng, n)
+		yRef := append([]float64(nil), y0...)
 		naiveAxpy(a, x, yRef)
-		if !sameBits(y, yRef) {
-			t.Fatalf("n=%d: Axpy diverged from naive", n)
+		for _, mode := range kernelModes() {
+			mode.use()
+			y := append([]float64(nil), y0...)
+			Axpy(a, x, y)
+			if !sameBits(y, yRef) {
+				t.Fatalf("n=%d mode=%s: Axpy diverged from naive", n, mode.name)
+			}
 		}
 	}
 }
@@ -210,11 +245,11 @@ func TestAddScaledMatchesNaive(t *testing.T) {
 
 // TestAccumDiffKSweep pins AccumDiffK bitwise to the one-instance-at-a-time
 // loop at every width 0..67 (each 4-lane tail, one and two 48-column groups
-// of the AVX body) and tile lengths 0..5 and 64, on both dispatch paths.
+// of the AVX body) and tile lengths 0..5 and 64, on every dispatch path.
 // The operands hold exact zeros and equal x and v entries, whose differences
 // are +0, and g starts as a mix of +0 and -0.
 func TestAccumDiffKSweep(t *testing.T) {
-	defer func(old bool) { useAVX = old }(useAVX)
+	defer restoreGates()
 	modes := kernelModes()
 	rng := rand.New(rand.NewSource(4))
 	for cols := 0; cols <= 67; cols++ {
@@ -234,12 +269,12 @@ func TestAccumDiffKSweep(t *testing.T) {
 			}
 			want := append([]float64(nil), g0...)
 			naiveAccumDiffK(want, w, x, v, m)
-			for _, avx := range modes {
-				useAVX = avx
+			for _, mode := range modes {
+				mode.use()
 				got := append([]float64(nil), g0...)
 				AccumDiffK(got, w, x, v, m)
 				if !sameBits(got, want) {
-					t.Fatalf("cols=%d m=%d avx=%v: AccumDiffK diverged from naive", cols, m, avx)
+					t.Fatalf("cols=%d m=%d mode=%s: AccumDiffK diverged from naive", cols, m, mode.name)
 				}
 			}
 		}
@@ -247,10 +282,10 @@ func TestAccumDiffKSweep(t *testing.T) {
 }
 
 // TestScaleRowsSweep pins ScaleRows to one multiply per element at every
-// row width 0..67 and row counts 1..5 and 64, on both dispatch paths, in
+// row width 0..67 and row counts 1..5 and 64, on every dispatch path, in
 // place and not.
 func TestScaleRowsSweep(t *testing.T) {
-	defer func(old bool) { useAVX = old }(useAVX)
+	defer restoreGates()
 	modes := kernelModes()
 	rng := rand.New(rand.NewSource(23))
 	for cols := 0; cols <= 67; cols++ {
@@ -262,14 +297,14 @@ func TestScaleRowsSweep(t *testing.T) {
 					want[n*cols+j] = w[n] * src[n*cols+j]
 				}
 			}
-			for _, avx := range modes {
-				useAVX = avx
+			for _, mode := range modes {
+				mode.use()
 				got := make([]float64, m*cols)
 				ScaleRows(got, w, src, m)
 				inPlace := append([]float64(nil), src...)
 				ScaleRows(inPlace, w, inPlace, m)
 				if !sameBits(got, want) || !sameBits(inPlace, want) {
-					t.Fatalf("cols=%d m=%d avx=%v: ScaleRows diverged from naive", cols, m, avx)
+					t.Fatalf("cols=%d m=%d mode=%s: ScaleRows diverged from naive", cols, m, mode.name)
 				}
 			}
 		}
@@ -277,12 +312,12 @@ func TestScaleRowsSweep(t *testing.T) {
 }
 
 // TestSampleBinarySweep pins SampleBinary to the comparison u < p at every
-// length 0..67 on both dispatch paths, in place (dst aliasing p, as the
+// length 0..67 on every dispatch path, in place (dst aliasing p, as the
 // Gibbs chain calls it) and not. The draws include u == p, neighbours one
 // ulp apart, 0 and 1 on either side, and probabilities whose difference
 // with u is subnormal.
 func TestSampleBinarySweep(t *testing.T) {
-	defer func(old bool) { useAVX = old }(useAVX)
+	defer restoreGates()
 	modes := kernelModes()
 	rng := rand.New(rand.NewSource(22))
 	draw := func() (u, p float64) {
@@ -311,14 +346,14 @@ func TestSampleBinarySweep(t *testing.T) {
 			}
 			want := make([]float64, n)
 			naiveSampleBinary(want, u, p)
-			for _, avx := range modes {
-				useAVX = avx
+			for _, mode := range modes {
+				mode.use()
 				got := make([]float64, n)
 				SampleBinary(got, u, p)
 				inPlace := append([]float64(nil), p...)
 				SampleBinary(inPlace, u, inPlace)
 				if !sameBits(got, want) || !sameBits(inPlace, want) {
-					t.Fatalf("n=%d avx=%v: SampleBinary diverged from u < p", n, avx)
+					t.Fatalf("n=%d mode=%s: SampleBinary diverged from u < p", n, mode.name)
 				}
 			}
 		}
@@ -326,17 +361,22 @@ func TestSampleBinarySweep(t *testing.T) {
 }
 
 func TestMatMulMatchesNaive(t *testing.T) {
+	defer restoreGates()
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < propRounds; round++ {
 		m, k, n := randDim(rng, 12), randDim(rng, 150), randDim(rng, 150)
 		a := randSlice(rng, m*k)
 		b := randSlice(rng, k*n)
-		dst := randSlice(rng, m*n)
-		dstRef := append([]float64(nil), dst...)
-		MatMul(dst, a, b, m, k, n)
+		dst0 := randSlice(rng, m*n)
+		dstRef := append([]float64(nil), dst0...)
 		naiveMatMul(dstRef, a, b, m, k, n)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("m=%d k=%d n=%d: MatMul diverged from naive", m, k, n)
+		for _, mode := range kernelModes() {
+			mode.use()
+			dst := append([]float64(nil), dst0...)
+			MatMul(dst, a, b, m, k, n)
+			if !sameBits(dst, dstRef) {
+				t.Fatalf("m=%d k=%d n=%d mode=%s: MatMul diverged from naive", m, k, n, mode.name)
+			}
 		}
 	}
 }
@@ -385,24 +425,35 @@ func sweepRows(rng *rand.Rand, form, m, k int) []float64 {
 }
 
 // TestMatMulShapeSweep pins MatMul bitwise to naiveMatMul over every width
-// 1..100 (each 4-lane tail; one, two and three 48-column groups of the AVX
-// body) and accumulation lengths around its 4-wide compaction tails and
-// 256-entry block edges, on sampled, one-hot and dense left operands. Every
-// b row whose a entries are all zero holds NaNs, so a zero the kernel fails
-// to skip shows in dst; dst starts as a mix of +0 and -0. Both dispatch
-// paths run.
+// 1..100 (each 4- and 8-lane tail; one, two and three 48-column groups of
+// the AVX and AVX-512 bodies; the four- and two-row groups of the AVX-512
+// body and the single rows after them) and accumulation lengths around the
+// 4- and 8-wide compaction tails and the 64- and 256-entry block edges, on
+// sampled, one-hot and dense left operands. About a quarter of the indices
+// are zero in every row, and their b rows hold NaNs, so a zero the kernel
+// fails to skip shows in dst; dst starts as a mix of +0 and -0. Every
+// dispatch path runs.
 func TestMatMulShapeSweep(t *testing.T) {
-	defer func(old bool) { useAVX = old }(useAVX)
+	defer restoreGates()
 	modes := kernelModes()
-	const m = 3
+	const m = 7
 	rng := rand.New(rand.NewSource(21))
-	for _, k := range []int{1, 3, 4, 5, 255, 256, 257, 600} {
+	for _, k := range []int{1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 129, 255, 256, 257, 600} {
 		for n := 1; n <= 100; n++ {
 			for form := 0; form < 3; form++ {
 				a := sweepRows(rng, form, m, k)
 				b := randSlice(rng, k*n)
 				for i := 0; i < k; i++ {
-					if a[i] == 0 && a[k+i] == 0 && a[2*k+i] == 0 {
+					if rng.Intn(4) == 0 {
+						for r := 0; r < m; r++ {
+							a[r*k+i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+						}
+					}
+					dead := true
+					for r := 0; r < m; r++ {
+						dead = dead && a[r*k+i] == 0
+					}
+					if dead {
 						for c := 0; c < n; c++ {
 							if rng.Intn(2) == 0 {
 								b[i*n+c] = math.NaN()
@@ -418,12 +469,12 @@ func TestMatMulShapeSweep(t *testing.T) {
 				}
 				want := append([]float64(nil), dst0...)
 				naiveMatMul(want, a, b, m, k, n)
-				for _, avx := range modes {
-					useAVX = avx
+				for _, mode := range modes {
+					mode.use()
 					got := append([]float64(nil), dst0...)
 					MatMul(got, a, b, m, k, n)
 					if !sameBits(got, want) {
-						t.Fatalf("k=%d n=%d form=%d avx=%v: MatMul diverged from naive", k, n, form, avx)
+						t.Fatalf("k=%d n=%d form=%d mode=%s: MatMul diverged from naive", k, n, form, mode.name)
 					}
 				}
 			}
@@ -432,18 +483,52 @@ func TestMatMulShapeSweep(t *testing.T) {
 }
 
 func TestAccumRankKMatchesNaive(t *testing.T) {
+	defer restoreGates()
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < propRounds; round++ {
 		m, rows, cols := randDim(rng, 150), randDim(rng, 12), randDim(rng, 60)
 		w := randSlice(rng, m)
 		x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
 		p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
-		g := randSlice(rng, rows*cols)
-		gRef := append([]float64(nil), g...)
-		AccumRankK(g, w, x, v, p, q, m, rows, cols)
+		g0 := randSlice(rng, rows*cols)
+		gRef := append([]float64(nil), g0...)
 		naiveAccumRankK(gRef, w, x, v, p, q, m, rows, cols)
-		if !sameBits(g, gRef) {
-			t.Fatalf("m=%d rows=%d cols=%d: AccumRankK diverged from naive", m, rows, cols)
+		for _, mode := range kernelModes() {
+			mode.use()
+			g := append([]float64(nil), g0...)
+			AccumRankK(g, w, x, v, p, q, m, rows, cols)
+			if !sameBits(g, gRef) {
+				t.Fatalf("m=%d rows=%d cols=%d mode=%s: AccumRankK diverged from naive", m, rows, cols, mode.name)
+			}
+		}
+	}
+}
+
+// TestAccumRankKSweep pins AccumRankK bitwise to the one-instance-at-a-time
+// loop at every width 0..67 (each 4- and 8-lane tail of the quad bodies)
+// and instance counts around the four-instance quads and the 64-instance
+// blocks, on every dispatch path.
+func TestAccumRankKSweep(t *testing.T) {
+	defer restoreGates()
+	modes := kernelModes()
+	rng := rand.New(rand.NewSource(24))
+	const rows = 3
+	for cols := 0; cols <= 67; cols++ {
+		for _, m := range []int{1, 3, 4, 5, 8, 65} {
+			w := randSlice(rng, m)
+			x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
+			p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
+			g0 := randSlice(rng, rows*cols)
+			want := append([]float64(nil), g0...)
+			naiveAccumRankK(want, w, x, v, p, q, m, rows, cols)
+			for _, mode := range modes {
+				mode.use()
+				got := append([]float64(nil), g0...)
+				AccumRankK(got, w, x, v, p, q, m, rows, cols)
+				if !sameBits(got, want) {
+					t.Fatalf("cols=%d m=%d mode=%s: AccumRankK diverged from naive", cols, m, mode.name)
+				}
+			}
 		}
 	}
 }
@@ -489,19 +574,26 @@ func sigmoidInput(rng *rand.Rand) float64 {
 	}
 }
 
-// TestSigmoidMatchesNaive pins Sigmoid to 1/(1+math.Exp(-x)) bit for bit:
-// over the shared random shapes, then at every length 0..37 (every scalar
-// tail length, refused groups at every position) over specials, random bit
-// patterns and N(0, 25) draws, then on each special alone.
+// TestSigmoidMatchesNaive pins Sigmoid to 1/(1+math.Exp(-x)) bit for bit,
+// on every dispatch path: over the shared random shapes, then at every
+// length 0..37 (every scalar and masked tail length, refused groups at
+// every position) over specials, random bit patterns and N(0, 25) draws,
+// then on each special alone.
 func TestSigmoidMatchesNaive(t *testing.T) {
+	defer restoreGates()
+	modes := kernelModes()
 	rng := rand.New(rand.NewSource(9))
-	check := func(dst []float64) {
+	check := func(src []float64) {
 		t.Helper()
-		dstRef := append([]float64(nil), dst...)
-		Sigmoid(dst)
+		dstRef := append([]float64(nil), src...)
 		naiveSigmoid(dstRef)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("n=%d: Sigmoid diverged from naive", len(dst))
+		for _, mode := range modes {
+			mode.use()
+			dst := append([]float64(nil), src...)
+			Sigmoid(dst)
+			if !sameBits(dst, dstRef) {
+				t.Fatalf("n=%d mode=%s: Sigmoid diverged from naive", len(dst), mode.name)
+			}
 		}
 	}
 	for round := 0; round < propRounds; round++ {
@@ -542,70 +634,62 @@ func TestSoftmaxMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSIMDAndGenericPathsAgree reruns the dispatched kernels with the
-// assembly paths disabled and asserts bitwise agreement with the enabled
-// path over random shapes (on platforms without assembly both runs take the
-// generic path and the test is a tautology). The main property tests cover
-// whichever path the host dispatches to; this pins the other one.
+// TestSIMDAndGenericPathsAgree reruns the dispatched kernels on every
+// dispatch path the host has and asserts bitwise agreement with the generic
+// path over random shapes (on platforms without assembly the generic path
+// is the only one and the test is skipped). The main property tests cover
+// the same paths against the naive loops; this pins them to each other.
 func TestSIMDAndGenericPathsAgree(t *testing.T) {
-	if !useAVX {
+	modes := kernelModes()
+	if len(modes) == 1 {
 		t.Skip("no SIMD path on this host; generic path already covered")
 	}
-	sigAVX := useSigmoidAVX
-	defer func() { useAVX, useSigmoidAVX = true, sigAVX }()
+	defer restoreGates()
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < propRounds; round++ {
 		n := randDim(rng, 200)
 		a := 4*rng.Float64() - 2
 		x, y := randSlice(rng, n), randSlice(rng, n)
-		ySIMD := append([]float64(nil), y...)
-		useAVX = true
-		Axpy(a, x, ySIMD)
-		useAVX = false
-		Axpy(a, x, y)
-		if !sameBits(y, ySIMD) {
-			t.Fatalf("n=%d: Axpy SIMD and generic paths disagree", n)
-		}
 
 		mm, mk, mn := randDim(rng, 8), randDim(rng, 100), randDim(rng, 100)
 		ma := randSlice(rng, mm*mk)
 		mb := randSlice(rng, mk*mn)
 		md := randSlice(rng, mm*mn)
-		mdSIMD := append([]float64(nil), md...)
-		useAVX = true
-		MatMul(mdSIMD, ma, mb, mm, mk, mn)
-		useAVX = false
-		MatMul(md, ma, mb, mm, mk, mn)
-		if !sameBits(md, mdSIMD) {
-			t.Fatalf("m=%d k=%d n=%d: MatMul SIMD and generic paths disagree", mm, mk, mn)
-		}
 
 		m, rows, cols := randDim(rng, 40), randDim(rng, 10), randDim(rng, 60)
 		w := randSlice(rng, m)
 		xm, vm := randSlice(rng, m*rows), randSlice(rng, m*rows)
 		p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
 		g := randSlice(rng, rows*cols)
-		gSIMD := append([]float64(nil), g...)
-		useAVX = true
-		AccumRankK(gSIMD, w, xm, vm, p, q, m, rows, cols)
-		useAVX = false
-		AccumRankK(g, w, xm, vm, p, q, m, rows, cols)
-		if !sameBits(g, gSIMD) {
-			t.Fatalf("m=%d rows=%d cols=%d: AccumRankK SIMD and generic paths disagree", m, rows, cols)
-		}
 
 		sn := randDim(rng, 200)
 		sg := make([]float64, sn)
 		for i := range sg {
 			sg[i] = sigmoidInput(rng)
 		}
-		sgSIMD := append([]float64(nil), sg...)
-		useSigmoidAVX = sigAVX
-		Sigmoid(sgSIMD)
-		useSigmoidAVX = false
-		Sigmoid(sg)
-		if !sameBits(sg, sgSIMD) {
-			t.Fatalf("n=%d: Sigmoid SIMD and generic paths disagree", sn)
+
+		var want [4][]float64
+		for i, mode := range modes {
+			mode.use()
+			got := [4][]float64{
+				append([]float64(nil), y...),
+				append([]float64(nil), md...),
+				append([]float64(nil), g...),
+				append([]float64(nil), sg...),
+			}
+			Axpy(a, x, got[0])
+			MatMul(got[1], ma, mb, mm, mk, mn)
+			AccumRankK(got[2], w, xm, vm, p, q, m, rows, cols)
+			Sigmoid(got[3])
+			if i == 0 {
+				want = got
+				continue
+			}
+			for j, kernel := range []string{"Axpy", "MatMul", "AccumRankK", "Sigmoid"} {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("round %d: %s %s and generic paths disagree", round, kernel, mode.name)
+				}
+			}
 		}
 	}
 }

@@ -2,72 +2,77 @@ package kernels
 
 // Micro-benchmarks comparing the dispatched SIMD bodies against the pure-Go
 // bodies, at the row shapes the RBM hot path produces (H = 40 gradient rows,
-// Z = 5 class rows). On non-amd64 hosts both variants take the generic path.
+// Z = 5 class rows). Each kernel runs in every dispatch mode the host has:
+// Gen (pure Go), AVX (four lanes) and AVX512 (eight lanes).
 
 import (
 	"math/rand"
 	"testing"
 )
 
-func benchAxpyMode(b *testing.B, n int, avx bool) {
-	old := useAVX
-	useAVX = avx && old
-	defer func() { useAVX = old }()
-	rng := rand.New(rand.NewSource(1))
-	x, y := randSlice(rng, n), randSlice(rng, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Axpy(1.1, x, y)
+// benchModes runs body as one sub-benchmark per dispatch mode the host has.
+func benchModes(b *testing.B, body func(b *testing.B)) {
+	defer restoreGates()
+	for _, mode := range kernelModes() {
+		b.Run(mode.name, func(b *testing.B) {
+			mode.use()
+			body(b)
+		})
 	}
 }
 
-func BenchmarkAxpy40AVX(b *testing.B)  { benchAxpyMode(b, 40, true) }
-func BenchmarkAxpy40Gen(b *testing.B)  { benchAxpyMode(b, 40, false) }
-func BenchmarkAxpy640AVX(b *testing.B) { benchAxpyMode(b, 640, true) }
-func BenchmarkAxpy640Gen(b *testing.B) { benchAxpyMode(b, 640, false) }
-
-func benchGradMode(b *testing.B, rows, cols int, avx bool) {
-	old := useAVX
-	useAVX = avx && old
-	defer func() { useAVX = old }()
-	rng := rand.New(rand.NewSource(1))
-	const m = 64
-	w := randSlice(rng, m)
-	x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
-	p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
-	g := randSlice(rng, rows*cols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AccumRankK(g, w, x, v, p, q, m, rows, cols)
-	}
+func benchAxpy(b *testing.B, n int) {
+	benchModes(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		x, y := randSlice(rng, n), randSlice(rng, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Axpy(1.1, x, y)
+		}
+	})
 }
 
-func BenchmarkGrad20x40AVX(b *testing.B) { benchGradMode(b, 20, 40, true) }
-func BenchmarkGrad20x40Gen(b *testing.B) { benchGradMode(b, 20, 40, false) }
-func BenchmarkGrad40x5AVX(b *testing.B)  { benchGradMode(b, 40, 5, true) }
-func BenchmarkGrad40x5Gen(b *testing.B)  { benchGradMode(b, 40, 5, false) }
+func BenchmarkAxpy40(b *testing.B)  { benchAxpy(b, 40) }
+func BenchmarkAxpy640(b *testing.B) { benchAxpy(b, 640) }
 
-func benchSigmoidMode(b *testing.B, n int, avx bool) {
-	old := useSigmoidAVX
-	useSigmoidAVX = avx && old
-	defer func() { useSigmoidAVX = old }()
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = 5 * rng.NormFloat64()
-	}
-	dst := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(dst, src)
-		Sigmoid(dst)
-	}
+func benchGrad(b *testing.B, rows, cols int) {
+	benchModes(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		const m = 64
+		w := randSlice(rng, m)
+		x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
+		p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
+		g := randSlice(rng, rows*cols)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			AccumRankK(g, w, x, v, p, q, m, rows, cols)
+		}
+	})
 }
 
-func BenchmarkSigmoid40AVX(b *testing.B)   { benchSigmoidMode(b, 40, true) }
-func BenchmarkSigmoid40Gen(b *testing.B)   { benchSigmoidMode(b, 40, false) }
-func BenchmarkSigmoid2000AVX(b *testing.B) { benchSigmoidMode(b, 2000, true) }
-func BenchmarkSigmoid2000Gen(b *testing.B) { benchSigmoidMode(b, 2000, false) }
+// The detector's two gradient shapes at a 64-instance tile: W's [V×H] and
+// U's transposed [Z×H].
+func BenchmarkGrad20x40(b *testing.B) { benchGrad(b, 20, 40) }
+func BenchmarkGrad5x40(b *testing.B)  { benchGrad(b, 5, 40) }
+
+func benchSigmoid(b *testing.B, n int) {
+	benchModes(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = 5 * rng.NormFloat64()
+		}
+		dst := make([]float64, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(dst, src)
+			Sigmoid(dst)
+		}
+	})
+}
+
+func BenchmarkSigmoid40(b *testing.B)   { benchSigmoid(b, 40) }
+func BenchmarkSigmoid2000(b *testing.B) { benchSigmoid(b, 2000) }
 
 // BenchmarkMatMulRBMPasses times the detector's five MatMul shapes at a
 // 50-instance mini-batch with V=20, H=40, Z=5: the dense x→h pass, the
@@ -101,20 +106,14 @@ func BenchmarkMatMulRBMPasses(b *testing.B) {
 		{"h-z-dense", hProb, u, H, Z},
 	}
 	for _, p := range passes {
-		for _, mode := range []struct {
-			name string
-			avx  bool
-		}{{"AVX", true}, {"Gen", false}} {
-			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
-				old := useAVX
-				useAVX = mode.avx && old
-				defer func() { useAVX = old }()
+		b.Run(p.name, func(b *testing.B) {
+			benchModes(b, func(b *testing.B) {
 				dst := make([]float64, B*p.n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					MatMul(dst, p.a, p.b, B, p.k, p.n)
 				}
 			})
-		}
+		})
 	}
 }

@@ -40,6 +40,13 @@ type adwinRow struct {
 
 const adwinMaxBuckets = 5
 
+// newAdwinBuckets allocates a row's bucket array once, at the capacity a row
+// can reach: maxBuckets, plus the one insert or merge that overflows it
+// before compression.
+func newAdwinBuckets() []adwinBucket {
+	return make([]adwinBucket, 0, adwinMaxBuckets+1)
+}
+
 // NewADWIN builds an adaptive window with confidence parameter delta
 // (smaller = more conservative; the canonical default is 0.002).
 func NewADWIN(delta float64) *ADWIN {
@@ -48,7 +55,7 @@ func NewADWIN(delta float64) *ADWIN {
 	}
 	return &ADWIN{
 		delta: delta,
-		rows:  []adwinRow{{size: 1}},
+		rows:  []adwinRow{{size: 1, buckets: newAdwinBuckets()}},
 		clock: 32,
 	}
 }
@@ -93,14 +100,20 @@ func (a *ADWIN) insert(x float64) {
 		}
 		if i+1 == len(a.rows) {
 			// Reuse the slot (and bucket array) a cut trimmed, if any, so a
-			// window that shrinks and grows back allocates nothing.
+			// window that shrinks and grows back allocates nothing. A slot
+			// no row has used yet gets its bucket array here, once.
 			if len(a.rows) < cap(a.rows) {
 				a.rows = a.rows[:i+2]
-				a.rows[i+1].buckets = a.rows[i+1].buckets[:0]
 			} else {
 				a.rows = append(a.rows, adwinRow{})
 			}
-			a.rows[i+1].size = a.rows[i].size * 2
+			next := &a.rows[i+1]
+			next.size = a.rows[i].size * 2
+			if cap(next.buckets) == 0 {
+				next.buckets = newAdwinBuckets()
+			} else {
+				next.buckets = next.buckets[:0]
+			}
 		}
 		row, next := &a.rows[i], &a.rows[i+1]
 		b0, b1 := row.buckets[0], row.buckets[1]

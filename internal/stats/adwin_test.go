@@ -86,6 +86,36 @@ func TestADWINInvalidDeltaDefaults(t *testing.T) {
 	}
 }
 
+// TestADWINGrowthAllocatesOncePerRow pins the first growth of a fresh
+// window: every row the histogram adds costs exactly one allocation, its
+// bucket array at full capacity, and the only other allocations are the
+// doublings of the row slice itself.
+func TestADWINGrowthAllocatesOncePerRow(t *testing.T) {
+	var a *ADWIN
+	base := testing.AllocsPerRun(1, func() { a = NewADWIN(0.002) })
+	var rows, doublings int
+	grow := func() {
+		a = NewADWIN(0.002)
+		doublings = 0
+		c := cap(a.rows)
+		for i := 0; i < 5000; i++ {
+			a.Add(0.5)
+			if cap(a.rows) != c {
+				doublings++
+				c = cap(a.rows)
+			}
+		}
+		rows = len(a.rows)
+	}
+	allocs := testing.AllocsPerRun(1, grow) - base
+	if rows < 8 {
+		t.Fatalf("the window grew to only %d rows; the pin would be weak", rows)
+	}
+	if want := float64(rows - 1 + doublings); allocs != want {
+		t.Fatalf("growing to %d rows allocated %v times, want %v (one per new row, plus %d row-slice doublings)", rows, allocs, want, doublings)
+	}
+}
+
 // TestADWINAddAllocationFree pins the steady state of Add: once the window
 // has grown to its largest width, compressing rows, cutting the window and
 // growing it back must reuse the rows' bucket arrays. Each measured run is a

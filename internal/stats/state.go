@@ -75,7 +75,7 @@ func (a *ADWIN) DecodeState(r *codec.Reader) error {
 			return r.Err()
 		}
 		wantSize *= 2
-		row := adwinRow{size: size, buckets: make([]adwinBucket, nb)}
+		row := adwinRow{size: size, buckets: newAdwinBuckets()[:nb]}
 		for j := range row.buckets {
 			row.buckets[j] = adwinBucket{sum: r.F64(), varSq: r.F64()}
 		}
