@@ -370,7 +370,7 @@ func (r *RBM) classProbs(h []float64, dst []float64) {
 			dst[k] += hj * ujk
 		}
 	}
-	kernels.Softmax(dst)
+	kernels.Softmax(dst, len(dst))
 }
 
 // sampleBinary draws Bernoulli states from probabilities, consuming one
@@ -596,9 +596,7 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 			kernels.Sigmoid(vRec)
 			kernels.Broadcast(zRec, r.c, tb)
 			kernels.MatMul(zRec, hCur, r.u, tb, H, Z)
-			for n := 0; n < tb; n++ {
-				kernels.Softmax(zRec[n*Z : n*Z+Z])
-			}
+			kernels.Softmax(zRec, Z)
 			kernels.Broadcast(hRec, r.b, tb)
 			kernels.MatMul(hRec, vRec, r.w, tb, V, H)
 			kernels.MatMul(hRec, zRec, r.uT, tb, Z, H)
@@ -641,9 +639,7 @@ func (r *RBM) trainBatch(xs [][]float64, ys []int, score bool) float64 {
 			kernels.Sigmoid(vRec)
 			kernels.Broadcast(zRec, r.c, tb)
 			kernels.MatMul(zRec, hPos, r.u, tb, H, Z)
-			for n := 0; n < tb; n++ {
-				kernels.Softmax(zRec[n*Z : n*Z+Z])
-			}
+			kernels.Softmax(zRec, Z)
 			for n := 0; n < tb; n++ {
 				totalErr += reconErrorRow(xT[n*V:n*V+V], vRec[n*V:n*V+V], z0T[n*Z:n*Z+Z], zRec[n*Z:n*Z+Z], V, Z)
 			}
@@ -711,9 +707,7 @@ func (r *RBM) ScoreBatch(xs [][]float64, ys []int, errs []float64) {
 		zRec := r.zRec[:tb*Z]
 		kernels.Broadcast(zRec, r.c, tb)
 		kernels.MatMul(zRec, hPos, r.u, tb, H, Z)
-		for n := 0; n < tb; n++ {
-			kernels.Softmax(zRec[n*Z : n*Z+Z])
-		}
+		kernels.Softmax(zRec, Z)
 		for n := 0; n < tb; n++ {
 			errs[t0+n] = reconErrorRow(xT[n*V:n*V+V], vRec[n*V:n*V+V], z0T[n*Z:n*Z+Z], zRec[n*Z:n*Z+Z], V, Z)
 		}

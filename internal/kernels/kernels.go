@@ -24,16 +24,23 @@
 // bit-identical.
 //
 // On hosts with AVX-512 (F and VL, with the opmask and ZMM state enabled in
-// XCR0), MatMul, AccumRankK's gradient quad and Sigmoid run eight-lane
-// bodies under the same contract. A row's last partial vector loads and
-// stores through an opmask instead of a lane-mask table: its masked lanes
-// load as +0 and are never stored. MatMul's zero-skip stays exact: each
-// row's nonzero (or NaN) entries are compacted with VCMPPD into an opmask
-// and VPCOMPRESSD/VCOMPRESSPD, so the product of a ±0 entry is never
-// added; when two or four narrow rows are walked together, the steps past
-// a shorter row's list add under an opmask that is off for its padding.
-// The eight-lane sigmoid runs math.Exp's FMA branch like the four-lane one
-// and shares its probe. Only CPUID and XCR0 choose the bodies.
+// XCR0), MatMul, AccumRankK, Sigmoid and Softmax's exponentials run
+// eight-lane bodies under the same contract. A row's last partial vector
+// loads and stores through an opmask instead of a lane-mask table: its
+// masked lanes load as +0 and are never stored. MatMul's zero-skip stays
+// exact: a block whose VCMPPD pass finds no ±0 entry is walked directly,
+// index by index, and in any other block each row's nonzero (or NaN)
+// entries are compacted with VCMPPD into an opmask and
+// VPCOMPRESSD/VCOMPRESSPD, so the product of a ±0 entry is never added;
+// when two or four narrow rows are walked together, the steps past a
+// shorter row's list add under an opmask that is off for its padding.
+// AccumRankK's body holds a g row in registers over all instances, four per
+// pass and the rest one at a time, forming each instance's weights with
+// the scalar expression's multiplies. Softmax computes each row's shift and
+// sum in Go and only the exponentials eight lanes wide, over the whole
+// tile: math.Exp's FMA branch without the sigmoid's negation and
+// reciprocal, under the sigmoid's probe. Only CPUID and XCR0 (and, for the
+// exponentials, the probe) choose the bodies.
 //
 // This contract is what lets core.RBM run its Gibbs layer passes as one
 // blocked product over a whole mini-batch while remaining bit-identical to a
@@ -284,7 +291,8 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 // with the running element held in a register, which only replaces exact
 // store/load round-trips of the one-instance-at-a-time loop. Instances are
 // processed in blocks so each g row is revisited while the block's p/q
-// panel is cache-resident.
+// panel is cache-resident. With AVX-512 one accumRankAVX512 call does the
+// whole update, holding each g row in registers over all m instances.
 func AccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 	if m == 0 || rows == 0 || cols == 0 {
 		return
@@ -295,6 +303,10 @@ func AccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 	_ = v[m*rows-1]
 	_ = p[m*cols-1]
 	_ = q[m*cols-1]
+	if useAVX512 {
+		accumRankAVX512(g[:rows*cols], w[:m], x[:m*rows], v[:m*rows], p[:m*cols], q[:m*cols], m, rows, cols)
+		return
+	}
 	for n0 := 0; n0 < m; n0 += blockK {
 		n1 := n0 + blockK
 		if n1 > m {
@@ -307,10 +319,6 @@ func AccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 				w0, w1, w2, w3 := w[n], w[n+1], w[n+2], w[n+3]
 				wx := [4]float64{w0 * x[(n+0)*rows+i], w1 * x[(n+1)*rows+i], w2 * x[(n+2)*rows+i], w3 * x[(n+3)*rows+i]}
 				wv := [4]float64{w0 * v[(n+0)*rows+i], w1 * v[(n+1)*rows+i], w2 * v[(n+2)*rows+i], w3 * v[(n+3)*rows+i]}
-				if useAVX512 {
-					gradQuadAVX512(grow, p[n*cols:(n+4)*cols], q[n*cols:(n+4)*cols], &wx, &wv)
-					continue
-				}
 				if useAVX {
 					gradQuadAVX(grow, p[n*cols:(n+4)*cols], q[n*cols:(n+4)*cols], &wx, &wv)
 					continue
@@ -353,11 +361,17 @@ func AccumRankK(g, w, x, v, p, q []float64, m, rows, cols int) {
 }
 
 // Broadcast copies row into each of the m consecutive len(row)-wide rows of
-// dst — the bias seeding step before an accumulating product.
+// dst — the bias seeding step before an accumulating product. It copies the
+// row once and then the filled prefix onto the rest, doubling it, so m rows
+// take about log2(m) copies.
 func Broadcast(dst, row []float64, m int) {
-	n := len(row)
-	for r := 0; r < m; r++ {
-		copy(dst[r*n:r*n+n], row)
+	n := len(row) * m
+	if n == 0 {
+		return
+	}
+	dst = dst[:n]
+	for done := copy(dst, row); done < n; {
+		done += copy(dst[done:], dst[:done])
 	}
 }
 
@@ -398,27 +412,61 @@ func sigmoidGeneric(dst []float64) {
 	}
 }
 
-// Softmax applies a max-shifted softmax in place: the maximum is found by a
-// strict left-to-right scan, each element becomes exp(x-max), the sum
-// accumulates left to right, and every element is divided by it — the exact
-// operation sequence of the class-layer softmax it replaces. An empty slice
-// is a no-op.
-func Softmax(dst []float64) {
-	if len(dst) == 0 {
-		return
+// Softmax applies a max-shifted softmax in place to each width-wide row of
+// dst, computing per row exactly the operation sequence of the class-layer
+// softmax it replaces: the maximum by a strict left-to-right scan, each
+// element becomes math.Exp(x-max), the sum accumulates left to right from
+// 0, and every element is divided by it. The shift, the exponentials and
+// the sums run as three passes over the whole tile. On amd64 hosts where
+// the eight-lane sigmoid gate holds, the exponentials run in eight-element
+// groups through expAVX512 (the last one masked), math.Exp's FMA branch
+// lane by lane; a group it refuses (a lane whose exponential is not finite
+// and normal), and every element elsewhere, runs the scalar math.Exp.
+// len(dst) must be a multiple of width; an empty dst is a no-op.
+func Softmax(dst []float64, width int) {
+	for r := 0; r < len(dst); r += width {
+		row := dst[r : r+width]
+		maxS := rowMax(row)
+		for k := range row {
+			row[k] -= maxS
+		}
 	}
+	if useSigmoidAVX512 {
+		for i := 0; i < len(dst); {
+			i += expAVX512(dst[i:])
+			j := min(i+8, len(dst))
+			expGeneric(dst[i:j])
+			i = j
+		}
+	} else {
+		expGeneric(dst)
+	}
+	for r := 0; r < len(dst); r += width {
+		row := dst[r : r+width]
+		sum := 0.0
+		for _, e := range row {
+			sum += e
+		}
+		for k := range row {
+			row[k] /= sum
+		}
+	}
+}
+
+// rowMax returns the maximum of row by a strict left-to-right scan from
+// -Inf, so NaN entries are passed over.
+func rowMax(row []float64) float64 {
 	maxS := math.Inf(-1)
-	for _, s := range dst {
+	for _, s := range row {
 		if s > maxS {
 			maxS = s
 		}
 	}
-	sum := 0.0
-	for k := range dst {
-		dst[k] = math.Exp(dst[k] - maxS)
-		sum += dst[k]
-	}
-	for k := range dst {
-		dst[k] /= sum
+	return maxS
+}
+
+func expGeneric(dst []float64) {
+	for i, x := range dst {
+		dst[i] = math.Exp(x)
 	}
 }

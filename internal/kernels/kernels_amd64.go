@@ -3,9 +3,9 @@ package kernels
 import "math"
 
 // useAVX gates axpyAVX, gradQuadAVX, matmulRowNZAVX, accumDiffAVX,
-// scaleRowsAVX and sampleBinaryAVX, and useAVX512 their eight-lane
-// counterparts gradQuadAVX512 and matmulAVX512, which MatMul and AccumRankK
-// prefer. Their arithmetic is per-lane IEEE mul/add/sub (no FMA) and
+// scaleRowsAVX and sampleBinaryAVX, and useAVX512 the eight-lane bodies
+// accumRankAVX512 and matmulAVX512, which AccumRankK and MatMul prefer.
+// Their arithmetic is per-lane IEEE mul/add/sub (no FMA) and
 // sign-bit selection, so enabling them never changes a result bit; the
 // package tests exercise every setting the host has. matmulRowNZAVX and
 // matmulAVX512 also count their nonzero lanes with POPCNT, so the gates
@@ -17,10 +17,11 @@ var useAVX, hasAVX2FMA, useAVX512 = cpuFeatures()
 // that branch from CPUID and GODEBUG (cpu.fma=off, cpu.avx=off), so CPUID
 // alone cannot tell: the gate also requires the kernel to agree with the
 // reference on inputs whose FMA and non-FMA results differ. The eight-lane
-// sigmoidAVX512 runs the same instruction sequence, so it shares the probe.
+// sigmoidAVX512 and Softmax's expAVX512 run the same instruction sequence,
+// so they share the probe.
 var useSigmoidAVX = hasAVX2FMA && sigmoidProbe()
 
-var useSigmoidAVX512 = useSigmoidAVX && useAVX512 // gates sigmoidAVX512
+var useSigmoidAVX512 = useSigmoidAVX && useAVX512 // gates sigmoidAVX512 and expAVX512
 
 // sigmoidProbeInputs are sigmoid arguments whose reference results differ
 // in the last bit between math.Exp's FMA and non-FMA branches.
@@ -80,7 +81,7 @@ func axpyAVX(alpha float64, x, y []float64)
 func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64)
 
 //go:noescape
-func gradQuadAVX512(g, p, q []float64, wx, wv *[4]float64)
+func accumRankAVX512(g, w, x, v, p, q []float64, m, rows, cols int)
 
 //go:noescape
 func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32)
@@ -93,6 +94,9 @@ func sigmoidAVX(dst []float64) int
 
 //go:noescape
 func sigmoidAVX512(dst []float64) int
+
+//go:noescape
+func expAVX512(dst []float64) int
 
 //go:noescape
 func accumDiffAVX(g, w, x, v []float64)

@@ -1,12 +1,12 @@
 // AVX and AVX-512 bodies for the hottest kernels. Bit-exactness: axpyAVX,
 // gradQuadAVX, matmulRowNZAVX and their eight-lane counterparts use only
-// VMULPD / VADDPD / VSUBPD (and their scalar SD forms in the AVX tails) —
-// each lane performs the exact IEEE-754 operation of the corresponding
-// scalar Go expression, and no FMA contraction is introduced — so they
-// produce bit-identical results to the pure-Go bodies (asserted by the
-// package's property tests, which run every path the host has).
-// sigmoidAVX and sigmoidAVX512 use FMA exactly where math.Exp's own FMA
-// branch does; see sigmoidAVX's comment.
+// VMULPD / VADDPD / VSUBPD (and their scalar SD forms in the AVX tails and
+// for the gradient weights) — each lane performs the exact IEEE-754
+// operation of the corresponding scalar Go expression, and no FMA
+// contraction is introduced — so they produce bit-identical results to the
+// pure-Go bodies (asserted by the package's property tests, which run every
+// path the host has). sigmoidAVX, sigmoidAVX512 and expAVX512 use FMA
+// exactly where math.Exp's own FMA branch does; see sigmoidAVX's comment.
 
 #include "textflag.h"
 
@@ -909,118 +909,193 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $32
 	VPBROADCASTD r, Y22; \
 	VPCMPD $1, Y22, Y23, k
 
-// func gradQuadAVX512(g, p, q []float64, wx, wv *[4]float64)
+// ZVn(op, opm, ...) applies op to the first n-1 of a row's n accumulators
+// and opm to its last one.
+#define ZV1(op, opm, a0) opm(0, a0)
+#define ZV2(op, opm, a0, a1) op(0, a0); opm(64, a1)
+#define ZV3(op, opm, a0, a1, a2) op(0, a0); op(64, a1); opm(128, a2)
+#define ZV4(op, opm, a0, a1, a2, a3) op(0, a0); op(64, a1); op(128, a2); opm(192, a3)
+#define ZV5(op, opm, a0, a1, a2, a3, a4) op(0, a0); op(64, a1); op(128, a2); op(192, a3); opm(256, a4)
+#define ZV6(op, opm, a0, a1, a2, a3, a4, a5) op(0, a0); op(64, a1); op(128, a2); op(192, a3); op(256, a4); opm(320, a5)
+
+// Accumulator operations of accumRankAVX512, at byte offset off from the
+// column group's first column. RLD and RST load and store a full vector of
+// the g row at DI, RLDM and RSTM the group's last vector through the lane
+// mask K1. RKn adds instance n of the current quad, whose p and q rows are
+// at SI and DX plus n rows (n = 3: at R11 and R12) and whose broadcast
+// weights w·x and w·v are in Z(8+n) and Z(12+n): per lane mul, mul, sub,
+// add, with the operands in gradQuadAVX's order. RKnM is RKn for the last
+// vector, whose p and q lanes load through K1.
+#define RLD(off, acc) VMOVUPD off(DI), acc
+#define RST(off, acc) VMOVUPD acc, off(DI)
+#define RLDM(off, acc) VMOVUPD.Z off(DI), K1, acc
+#define RSTM(off, acc) VMOVUPD acc, K1, off(DI)
+#define RK0(off, acc) VMOVUPD off(SI), Z16; VMULPD Z8, Z16, Z16; VMOVUPD off(DX), Z17; VMULPD Z12, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK0M(off, acc) VMOVUPD.Z off(SI), K1, Z16; VMULPD Z8, Z16, Z16; VMOVUPD.Z off(DX), K1, Z17; VMULPD Z12, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK1(off, acc) VMOVUPD off(SI)(R9*1), Z16; VMULPD Z9, Z16, Z16; VMOVUPD off(DX)(R9*1), Z17; VMULPD Z13, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK1M(off, acc) VMOVUPD.Z off(SI)(R9*1), K1, Z16; VMULPD Z9, Z16, Z16; VMOVUPD.Z off(DX)(R9*1), K1, Z17; VMULPD Z13, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK2(off, acc) VMOVUPD off(SI)(R9*2), Z16; VMULPD Z10, Z16, Z16; VMOVUPD off(DX)(R9*2), Z17; VMULPD Z14, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK2M(off, acc) VMOVUPD.Z off(SI)(R9*2), K1, Z16; VMULPD Z10, Z16, Z16; VMOVUPD.Z off(DX)(R9*2), K1, Z17; VMULPD Z14, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK3(off, acc) VMOVUPD off(R11), Z16; VMULPD Z11, Z16, Z16; VMOVUPD off(R12), Z17; VMULPD Z15, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+#define RK3M(off, acc) VMOVUPD.Z off(R11), K1, Z16; VMULPD Z11, Z16, Z16; VMOVUPD.Z off(R12), K1, Z17; VMULPD Z15, Z17, Z17; VSUBPD Z17, Z16, Z16; VADDPD Z16, acc, acc
+
+// RKWEIGHT computes one instance's weights from its w entry at woff(R8) and
+// its x and v entries at xa and va, as the Go expressions w*x and w*v, into
+// Xwx and Xwv: VMULSD with w as the first source, as written. (The compiled
+// Go loops put either operand first; the two orders differ only in which
+// payload the product of two NaNs carries.)
+#define RKWEIGHT(woff, xa, va, wx, wv) VMOVSD woff(R8), wx; VMULSD xa, wx, wx; VMOVSD woff(R8), wv; VMULSD va, wv, wv
+
+// RKGROUP walks all m instances once for one column group of a g row, its
+// accumulators in registers from Z0 (VS = RVn, the group's vectors): four
+// instances per pass in instance order, then the last m mod 4 one at a time
+// through the same step. R8 points at w, R13 and R14 at the instances' x and
+// v entries of the row, SI and DX at their p and q rows, AX counts the
+// instances left; R9 and R10 hold the p/q and x/v row strides in bytes.
+#define RKGROUP(VS, lbl, quad, one, done) \
+lbl: \
+	VS(RLD, RLDM); \
+quad: \
+	CMPQ AX, $4; \
+	JLT  one; \
+	RKWEIGHT(0, (R13), (R14), X8, X12); \
+	RKWEIGHT(8, (R13)(R10*1), (R14)(R10*1), X9, X13); \
+	RKWEIGHT(16, (R13)(R10*2), (R14)(R10*2), X10, X14); \
+	LEAQ (R13)(R10*2), R11; \
+	LEAQ (R14)(R10*2), R12; \
+	RKWEIGHT(24, (R11)(R10*1), (R12)(R10*1), X11, X15); \
+	VBROADCASTSD X8, Z8; \
+	VBROADCASTSD X9, Z9; \
+	VBROADCASTSD X10, Z10; \
+	VBROADCASTSD X11, Z11; \
+	VBROADCASTSD X12, Z12; \
+	VBROADCASTSD X13, Z13; \
+	VBROADCASTSD X14, Z14; \
+	VBROADCASTSD X15, Z15; \
+	LEAQ (SI)(R9*2), R11; \
+	ADDQ R9, R11; \
+	LEAQ (DX)(R9*2), R12; \
+	ADDQ R9, R12; \
+	VS(RK0, RK0M); \
+	VS(RK1, RK1M); \
+	VS(RK2, RK2M); \
+	VS(RK3, RK3M); \
+	LEAQ (R11)(R9*1), SI; \
+	LEAQ (R12)(R9*1), DX; \
+	ADDQ $32, R8; \
+	LEAQ (R13)(R10*4), R13; \
+	LEAQ (R14)(R10*4), R14; \
+	SUBQ $4, AX; \
+	JMP  quad; \
+one: \
+	TESTQ AX, AX; \
+	JZ   done; \
+	RKWEIGHT(0, (R13), (R14), X8, X12); \
+	VBROADCASTSD X8, Z8; \
+	VBROADCASTSD X12, Z12; \
+	VS(RK0, RK0M); \
+	ADDQ R9, SI; \
+	ADDQ R9, DX; \
+	ADDQ $8, R8; \
+	ADDQ R10, R13; \
+	ADDQ R10, R14; \
+	DECQ AX; \
+	JMP  one; \
+done: \
+	VS(RST, RSTM); \
+	JMP  rknextgroup
+
+// RVn(op, opm) applies op to the first n-1 of a group's n accumulators,
+// Z0 .. Z(n-1), and opm to its last one.
+#define RV1(op, opm) ZV1(op, opm, Z0)
+#define RV2(op, opm) ZV2(op, opm, Z0, Z1)
+#define RV3(op, opm) ZV3(op, opm, Z0, Z1, Z2)
+#define RV4(op, opm) ZV4(op, opm, Z0, Z1, Z2, Z3)
+#define RV5(op, opm) ZV5(op, opm, Z0, Z1, Z2, Z3, Z4)
+#define RV6(op, opm) ZV6(op, opm, Z0, Z1, Z2, Z3, Z4, Z5)
+
+// func accumRankAVX512(g, w, x, v, p, q []float64, m, rows, cols int)
 //
-// gradQuadAVX eight lanes wide: the same four instances, the same mul, mul,
-// sub, add per element and instance in instance order. The last one to
-// seven columns run once more through the lane mask K1. Requires AVX-512 F
-// and VL.
-TEXT ·gradQuadAVX512(SB), NOSPLIT, $0-88
-	MOVQ g_base+0(FP), DI
-	MOVQ g_len+8(FP), CX
-	MOVQ p_base+24(FP), SI
-	MOVQ q_base+48(FP), DX
-	MOVQ wx+72(FP), R8
-	MOVQ wv+80(FP), R9
-
-	VBROADCASTSD 0(R8), Z0
-	VBROADCASTSD 8(R8), Z1
-	VBROADCASTSD 16(R8), Z2
-	VBROADCASTSD 24(R8), Z3
-	VBROADCASTSD 0(R9), Z4
-	VBROADCASTSD 8(R9), Z5
-	VBROADCASTSD 16(R9), Z6
-	VBROADCASTSD 24(R9), Z7
-
-	// Row pointers as in gradQuadAVX.
-	MOVQ CX, R10
-	SHLQ $3, R10
-	LEAQ (SI)(R10*1), R8
-	LEAQ (R8)(R10*1), R9
-	LEAQ (R9)(R10*1), R11
-	LEAQ (DX)(R10*1), R12
-	LEAQ (R12)(R10*1), R13
-	LEAQ (R13)(R10*1), R10
-
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-
-zgradloop8:
-	CMPQ AX, BX
-	JGE  zgradtail
-	VMOVUPD (DI)(AX*8), Z8
-
-	VMOVUPD (SI)(AX*8), Z9
-	VMULPD  Z0, Z9, Z9
-	VMOVUPD (DX)(AX*8), Z10
-	VMULPD  Z4, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD (R8)(AX*8), Z9
-	VMULPD  Z1, Z9, Z9
-	VMOVUPD (R12)(AX*8), Z10
-	VMULPD  Z5, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD (R9)(AX*8), Z9
-	VMULPD  Z2, Z9, Z9
-	VMOVUPD (R13)(AX*8), Z10
-	VMULPD  Z6, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD (R11)(AX*8), Z9
-	VMULPD  Z3, Z9, Z9
-	VMOVUPD (R10)(AX*8), Z10
-	VMULPD  Z7, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD Z8, (DI)(AX*8)
-	ADDQ $8, AX
-	JMP  zgradloop8
-
-zgradtail:
-	SUBQ AX, CX                  // columns left: 0..7
-	JZ   zgraddone
+// AccumRankK's whole update eight lanes wide, in one call:
+//
+//	g[i][j] += w[n]*x[n][i] * p[n][j] - w[n]*v[n][i] * q[n][j]   for n = 0..m-1
+//
+// with g [rows×cols], x and v [m×rows], p and q [m×cols]. For each g row it
+// walks the columns in groups of up to 48, holding the group's up to six
+// vectors in ZMM registers over all m instances; a row's last vector loads
+// and stores through the lane mask K1. Each pass takes four instances:
+// their weights w·x and w·v are formed with VMULSD (RKWEIGHT) and
+// broadcast, then every vector adds instance n's term (w·x)·p[j] -
+// (w·v)·q[j] with gradQuadAVX's mul, mul, sub, add, in instance order. The
+// last m mod 4 instances run one at a time through the same step. Per
+// element the instances therefore add in increasing n with the scalar
+// expression's roundings, and the registers only replace exact store/load
+// round-trips. Requires m, rows, cols >= 1 and AVX-512 F and VL.
+TEXT ·accumRankAVX512(SB), NOSPLIT, $0-168
+	MOVQ cols+160(FP), R9
+	SHLQ $3, R9                  // p, q and g row stride in bytes
+	MOVQ rows+152(FP), R10
+	SHLQ $3, R10                 // x and v row stride in bytes
 	VMOVDQU32 lanes<>(SB), Y23
-	LANESBELOW(CX, K1)
-	VMOVUPD.Z (DI)(AX*8), K1, Z8
+	XORQ CX, CX                  // i: the g row
+	XORQ BX, BX                  // byte offset of the column group
 
-	VMOVUPD.Z (SI)(AX*8), K1, Z9
-	VMULPD  Z0, Z9, Z9
-	VMOVUPD.Z (DX)(AX*8), K1, Z10
-	VMULPD  Z4, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
+rkgroup:
+	MOVQ p_base+96(FP), SI
+	ADDQ BX, SI
+	MOVQ q_base+120(FP), DX
+	ADDQ BX, DX
+	MOVQ w_base+24(FP), R8
+	MOVQ x_base+48(FP), R13
+	LEAQ (R13)(CX*8), R13
+	MOVQ v_base+72(FP), R14
+	LEAQ (R14)(CX*8), R14
+	MOVQ CX, AX
+	IMULQ R9, AX
+	ADDQ BX, AX
+	MOVQ g_base+0(FP), DI
+	ADDQ AX, DI
+	MOVQ R9, R11
+	SUBQ BX, R11
+	SHRQ $3, R11                 // columns left
+	LEAQ 7(R11), R12
+	SHRQ $3, R12                 // vectors left
+	MOVQ $6, AX
+	CMPQ R12, AX
+	CMOVQGT AX, R12              // vectors in the group
+	MOVQ R12, AX
+	SHLQ $3, AX
+	SUBQ AX, R11
+	ADDQ $8, R11                 // columns of the group's last vector
+	LANESBELOW(R11, K1)
+	MOVQ m+144(FP), AX
+	CMPQ R12, $1
+	JEQ  rk1
+	CMPQ R12, $2
+	JEQ  rk2
+	CMPQ R12, $3
+	JEQ  rk3
+	CMPQ R12, $4
+	JEQ  rk4
+	CMPQ R12, $5
+	JEQ  rk5
+	JMP  rk6
 
-	VMOVUPD.Z (R8)(AX*8), K1, Z9
-	VMULPD  Z1, Z9, Z9
-	VMOVUPD.Z (R12)(AX*8), K1, Z10
-	VMULPD  Z5, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
+	RKGROUP(RV1, rk1, rk1quad, rk1one, rk1done)
+	RKGROUP(RV2, rk2, rk2quad, rk2one, rk2done)
+	RKGROUP(RV3, rk3, rk3quad, rk3one, rk3done)
+	RKGROUP(RV4, rk4, rk4quad, rk4one, rk4done)
+	RKGROUP(RV5, rk5, rk5quad, rk5one, rk5done)
+	RKGROUP(RV6, rk6, rk6quad, rk6one, rk6done)
 
-	VMOVUPD.Z (R9)(AX*8), K1, Z9
-	VMULPD  Z2, Z9, Z9
-	VMOVUPD.Z (R13)(AX*8), K1, Z10
-	VMULPD  Z6, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD.Z (R11)(AX*8), K1, Z9
-	VMULPD  Z3, Z9, Z9
-	VMOVUPD.Z (R10)(AX*8), K1, Z10
-	VMULPD  Z7, Z10, Z10
-	VSUBPD  Z10, Z9, Z9
-	VADDPD  Z9, Z8, Z8
-
-	VMOVUPD Z8, K1, (DI)(AX*8)
-
-zgraddone:
+rknextgroup:
+	ADDQ $384, BX
+	CMPQ BX, R9
+	JLT  rkgroup
+	XORQ BX, BX
+	INCQ CX
+	CMPQ CX, rows+152(FP)
+	JLT  rkgroup
 	VZEROUPPER
 	RET
 
@@ -1041,15 +1116,6 @@ zgraddone:
 #define ZMAM(off, acc) VMULPD.Z off(BX)(AX*1), Z30, K1, Z29; VADDPD acc, Z29, acc
 #define ZMK(off, acc) VMULPD off(BX)(AX*1), Z30, Z29; VADDPD acc, Z29, K2, acc
 #define ZMKM(off, acc) VMULPD.Z off(BX)(AX*1), Z30, K1, Z29; VADDPD acc, Z29, K2, acc
-
-// ZVn(op, opm, ...) applies op to the first n-1 of a row's n accumulators
-// and opm to its last one.
-#define ZV1(op, opm, a0) opm(0, a0)
-#define ZV2(op, opm, a0, a1) op(0, a0); opm(64, a1)
-#define ZV3(op, opm, a0, a1, a2) op(0, a0); op(64, a1); opm(128, a2)
-#define ZV4(op, opm, a0, a1, a2, a3) op(0, a0); op(64, a1); op(128, a2); opm(192, a3)
-#define ZV5(op, opm, a0, a1, a2, a3, a4) op(0, a0); op(64, a1); op(128, a2); op(192, a3); opm(256, a4)
-#define ZV6(op, opm, a0, a1, a2, a3, a4, a5) op(0, a0); op(64, a1); op(128, a2); op(192, a3); op(256, a4); opm(320, a5)
 
 // ZENTRY reads entry R13 of one row's lists, whose b row byte offsets start
 // at ooff(R8) and a values at voff(R8): AX gets the offset and Z30 the
@@ -1092,6 +1158,21 @@ zgraddone:
 #define R4G1S MOVQ SI, DX; ZV1(ZST, ZSTM, Z0); ADDQ CX, DX; ZV1(ZST, ZSTM, Z1); ADDQ CX, DX; ZV1(ZST, ZSTM, Z2); ADDQ CX, DX; ZV1(ZST, ZSTM, Z3)
 #define R4G1A ZENTRY(0, 1024); ZV1(ZMA, ZMAM, Z0); ZENTRY(256, 1536); ZV1(ZMA, ZMAM, Z1); ZENTRY(512, 2048); ZV1(ZMA, ZMAM, Z2); ZENTRY(768, 2560); ZV1(ZMA, ZMAM, Z3)
 #define R4G1K ZENTRYK(0, 1024); ZV1(ZMK, ZMKM, Z0); ZENTRYK(256, 1536); ZV1(ZMK, ZMKM, Z1); ZENTRYK(512, 2048); ZV1(ZMK, ZMKM, Z2); ZENTRYK(768, 2560); ZV1(ZMK, ZMKM, Z3)
+
+// The dense walk's steps: ZDENTRY broadcasts the a entry R13 (counting up
+// from minus the block length to 0) of the row whose block ends at ar into
+// Z30, and RrGgD is one step of every row of the group, whose blocks end at
+// R8, R11, R12 and R14.
+#define ZDENTRY(ar) VBROADCASTSD (ar)(R13*8), Z30
+#define R1G1D ZDENTRY(R8); ZV1(ZMA, ZMAM, Z0)
+#define R1G2D ZDENTRY(R8); ZV2(ZMA, ZMAM, Z0, Z1)
+#define R1G3D ZDENTRY(R8); ZV3(ZMA, ZMAM, Z0, Z1, Z2)
+#define R1G4D ZDENTRY(R8); ZV4(ZMA, ZMAM, Z0, Z1, Z2, Z3)
+#define R1G5D ZDENTRY(R8); ZV5(ZMA, ZMAM, Z0, Z1, Z2, Z3, Z4)
+#define R1G6D ZDENTRY(R8); ZV6(ZMA, ZMAM, Z0, Z1, Z2, Z3, Z4, Z5)
+#define R2G2D ZDENTRY(R8); ZV2(ZMA, ZMAM, Z0, Z1); ZDENTRY(R11); ZV2(ZMA, ZMAM, Z2, Z3)
+#define R2G3D ZDENTRY(R8); ZV3(ZMA, ZMAM, Z0, Z1, Z2); ZDENTRY(R11); ZV3(ZMA, ZMAM, Z3, Z4, Z5)
+#define R4G1D ZDENTRY(R8); ZV1(ZMA, ZMAM, Z0); ZDENTRY(R11); ZV1(ZMA, ZMAM, Z1); ZDENTRY(R12); ZV1(ZMA, ZMAM, Z2); ZDENTRY(R14); ZV1(ZMA, ZMAM, Z3)
 
 // ZGROUP1 walks a single row's list (length R12) once for one column group.
 #define ZGROUP1(L, A, S, lbl, loop) \
@@ -1137,23 +1218,28 @@ store: \
 // NaN is kept). Rows go in groups of R: four when a row is one vector
 // (n <= 8), two when it is two or three (n <= 24), else one; the last
 // m mod R rows go one at a time. Two or four rows walked together give the
-// short rows independent add chains. For each block of up to 64 (nzBlock512)
-// accumulation indices, in ascending order, each row of the group first
-// compacts its nonzero entries into its lists in nz without a
-// data-dependent branch: VCMPPD (not-equal-or-unordered against zero) makes
-// an opmask of eight entries, VPCOMPRESSD packs their b row byte offsets
-// and VCOMPRESSPD their a values, and POPCNT counts them. The block then
-// walks the lists once per group of up to 48 dst columns (all of a row when
-// R > 1), with the group's accumulators in ZMM registers and the last vector
-// of a row through the lane mask K1. Lists of a multi-row group run in
-// lockstep to the shortest; the longer ones then continue with the add
-// merge-masked by their entry being real, and each list is padded with +0
-// values (chunk by chunk, before the chunk's compressed entries are stored)
-// so that the padded steps read valid offsets. Per element the products
-// still accumulate in ascending index with one VMULPD and one VADDPD, and
-// dst is stored and reloaded only at block edges, which is exact. Requires
-// k*n < 2^28 (int32 byte offsets) and AVX-512 F and VL and POPCNT.
-TEXT ·matmulAVX512(SB), NOSPLIT, $32-104
+// short rows independent add chains. Blocks of up to 64 (nzBlock512)
+// accumulation indices run in ascending order. A first VCMPPD pass over the
+// block checks every row of the group: when no entry is ±0 (the dense
+// sigmoid and softmax tiles), the block is walked directly, every index in
+// order with each row's a entry read in place and the b row offset stepped
+// by n8. Otherwise each row of the group compacts its nonzero entries into
+// its lists in nz without a data-dependent branch: VCMPPD
+// (not-equal-or-unordered against zero) makes an opmask of eight entries,
+// VPCOMPRESSD packs their b row byte offsets and VCOMPRESSPD their a
+// values, and POPCNT counts them. The block then walks the lists once per
+// group of up to 48 dst columns (all of a row when R > 1), with the group's
+// accumulators in ZMM registers and the last vector of a row through the
+// lane mask K1; the direct walk uses the same column groups. Lists of a
+// multi-row group run in lockstep to the shortest; the longer ones then
+// continue with the add merge-masked by their entry being real, and each
+// list is padded with +0 values (chunk by chunk, before the chunk's
+// compressed entries are stored) so that the padded steps read valid
+// offsets. Per element the products still accumulate in ascending index
+// with one VMULPD and one VADDPD, and dst is stored and reloaded only at
+// block edges, which is exact. Requires k*n < 2^28 (int32 byte offsets)
+// and AVX-512 F and VL and POPCNT.
+TEXT ·matmulAVX512(SB), NOSPLIT, $40-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ a_base+24(FP), AX
 	MOVQ AX, arow-8(SP)          // the group's first a row
@@ -1202,6 +1288,39 @@ zblock:
 	VPADDD Y26, Y24, Y24         // b row byte offsets of the block's first eight entries
 	MOVQ arow-8(SP), SI
 	LEAQ (SI)(R10*8), SI         // the block in the group's first row
+	MOVQ nz+96(FP), R8
+
+	// A block with no ±0 entry in any row of the group skips the lists.
+	MOVQ SI, DX
+	MOVQ R9, R14                 // rows left to scan
+
+zdscan:
+	XORQ R10, R10
+
+zdchunk:
+	MOVQ R13, AX
+	SUBQ R10, AX
+	JLE  zdrow
+	LANESBELOW(AX, K3)
+	VMOVUPD.Z (DX)(R10*8), K3, Z21
+	VCMPPD $4, Z31, Z21, K2      // NEQ_UQ: a[i] != 0 or NaN
+	KXORW K2, K3, K4
+	KORTESTW K4, K4
+	JNZ  zsparse                 // some entry is ±0
+	ADDQ $8, R10
+	JMP  zdchunk
+
+zdrow:
+	MOVQ k+80(FP), AX
+	LEAQ (DX)(AX*8), DX
+	DECQ R14
+	JNZ  zdscan
+	MOVQ R13, blen-40(SP)
+	XORQ R10, R10
+	JMP  zgroup
+
+zsparse:
+	MOVQ $0, blen-40(SP)
 	MOVQ R8, DX                  // row 0 offset list
 	LEAQ 1024(R8), BX            // row 0 value list
 	MOVQ $64, R12                // shortest list
@@ -1268,6 +1387,8 @@ zgroup:
 	SUBQ DX, AX
 	ADDQ $8, AX                  // columns of the group's last vector
 	LANESBELOW(AX, K1)
+	CMPQ blen-40(SP), $0
+	JNE  zdense
 	CMPQ R9, $1
 	JNE  zmulti
 	CMPQ R14, $1
@@ -1299,6 +1420,71 @@ zmulti:
 	ZGROUPN(R2G3L, R2G3A, R2G3K, R2G3S, zr2g3, zr2g3loop, zr2g3k, zr2g3st)
 	ZGROUPN(R4G1L, R4G1A, R4G1K, R4G1S, zr4g1, zr4g1loop, zr4g1k, zr4g1st)
 
+// ZDSETUP (defined inside matmulAVX512, as it reads its frame) starts the
+// direct walk of a dense block of length blen: R8, R11, R12 and R14 point
+// at the block's end in the group's rows 0 to 3 (only the first R are
+// read), R13 is -blen and AX the b row byte offset of the block's first
+// index, which each step advances by n8.
+#define ZDSETUP \
+	MOVQ blen-40(SP), R13; \
+	MOVQ k0-32(SP), AX; \
+	MOVQ arow-8(SP), R8; \
+	LEAQ (R8)(AX*8), R8; \
+	LEAQ (R8)(R13*8), R8; \
+	IMULQ CX, AX; \
+	NEGQ R13; \
+	MOVQ k+80(FP), R14; \
+	SHLQ $3, R14; \
+	LEAQ (R8)(R14*1), R11; \
+	LEAQ (R8)(R14*2), R12; \
+	ADDQ R12, R14
+
+// ZGROUPD walks a dense block once for one column group: every index of
+// the block in ascending order, each row's a entry read in place.
+#define ZGROUPD(L, A, S, lbl, loop) \
+lbl: \
+	L; \
+	ZDSETUP; \
+loop: \
+	A; \
+	ADDQ CX, AX; \
+	INCQ R13; \
+	JNZ loop; \
+	S; \
+	JMP znextgroup
+
+zdense:
+	CMPQ R9, $1
+	JNE  zdmulti
+	CMPQ R14, $1
+	JEQ  zd1g1
+	CMPQ R14, $2
+	JEQ  zd1g2
+	CMPQ R14, $3
+	JEQ  zd1g3
+	CMPQ R14, $4
+	JEQ  zd1g4
+	CMPQ R14, $5
+	JEQ  zd1g5
+	JMP  zd1g6
+
+zdmulti:
+	CMPQ R9, $4
+	JEQ  zd4g1
+	CMPQ R14, $2
+	JEQ  zd2g2
+	JMP  zd2g3
+
+	ZGROUPD(R1G1L, R1G1D, R1G1S, zd1g1, zd1g1loop)
+	ZGROUPD(R1G2L, R1G2D, R1G2S, zd1g2, zd1g2loop)
+	ZGROUPD(R1G3L, R1G3D, R1G3S, zd1g3, zd1g3loop)
+	ZGROUPD(R1G4L, R1G4D, R1G4S, zd1g4, zd1g4loop)
+	ZGROUPD(R1G5L, R1G5D, R1G5S, zd1g5, zd1g5loop)
+	ZGROUPD(R1G6L, R1G6D, R1G6S, zd1g6, zd1g6loop)
+	ZGROUPD(R2G2L, R2G2D, R2G2S, zd2g2, zd2g2loop)
+	ZGROUPD(R2G3L, R2G3D, R2G3S, zd2g3, zd2g3loop)
+	ZGROUPD(R4G1L, R4G1D, R4G1S, zd4g1, zd4g1loop)
+
 znextgroup:
 	ADDQ $48, R10
 	JMP  zgroup
@@ -1322,14 +1508,55 @@ zdone:
 	VZEROUPPER
 	RET
 
+// ZEXP8 is the eight-lane form of sigmoidAVX's exponential: it replaces
+// each lane x of Z0 by math.Exp(x) through archExp's FMA branch, from the
+// rounding of x*LOG2E to the exponent k through the final scaling by 2^k,
+// operation for operation. Before any of it, a lane whose biased exponent
+// k+0x3FF lies outside [1, 0x7FE] jumps to refuse. The constants come from
+// sigc, broadcast; Y8, Y10 and Y11 must hold 1, the exponent bias and
+// 0x7FE as int32 lanes. Clobbers Z1-Z5 and Z7.
+#define ZEXP8(refuse) \
+	VMULPD.BCST sigc<>+32(SB), Z0, Z1; \
+	VCVTPD2DQ Z1, Y2; \
+	VPADDD  Y10, Y2, Y3; \
+	VPCMPGTD Y3, Y8, Y4; \
+	VPCMPGTD Y11, Y3, Y5; \
+	VPOR    Y5, Y4, Y4; \
+	VPTEST  Y4, Y4; \
+	JNE     refuse; \
+	VPMOVZXDQ Y3, Z7; \
+	VPSLLQ  $52, Z7, Z7; \
+	VCVTDQ2PD Y2, Z2; \
+	VFNMADD231PD.BCST sigc<>+64(SB), Z2, Z0; \
+	VFNMADD231PD.BCST sigc<>+96(SB), Z2, Z0; \
+	VMULPD.BCST sigc<>+128(SB), Z0, Z0; \
+	VBROADCASTSD sigc<>+160(SB), Z1; \
+	VFMADD213PD.BCST sigc<>+192(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+224(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+256(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+288(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+320(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+352(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+384(SB), Z0, Z1; \
+	VMULPD  Z1, Z0, Z0; \
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1; \
+	VMULPD  Z1, Z0, Z0; \
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1; \
+	VMULPD  Z1, Z0, Z0; \
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1; \
+	VMULPD  Z1, Z0, Z0; \
+	VADDPD.BCST sigc<>+416(SB), Z0, Z1; \
+	VFMADD213PD.BCST sigc<>+384(SB), Z1, Z0; \
+	VMULPD  Z7, Z0, Z0
+
 // func sigmoidAVX512(dst []float64) int
 //
-// sigmoidAVX eight lanes wide, over the whole slice: the same instruction
-// sequence per lane, with the constants broadcast from sigc. The last one
-// to seven elements run as one group through the lane mask K1; the masked
-// lanes load as +0, which is in range, and are never stored. It returns the
-// start of the first group with a lane out of range, or len(dst), and
-// leaves that group to the caller. Requires AVX-512 F and VL and FMA.
+// sigmoidAVX eight lanes wide, over the whole slice: the negation, ZEXP8
+// and 1/(1+e) per lane. The last one to seven elements run as one group
+// through the lane mask K1; the masked lanes load as +0, which is in range,
+// and are never stored. It returns the start of the first group with a
+// lane out of range, or len(dst), and leaves that group to the caller.
+// Requires AVX-512 F and VL and FMA.
 TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-32
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -1347,38 +1574,7 @@ zsigloop:
 	LANESBELOW(BX, K1)
 	VMOVUPD.Z (DI)(AX*8), K1, Z0
 	VPXORQ.BCST sigc<>+0(SB), Z0, Z0 // t = -x
-	VMULPD.BCST sigc<>+32(SB), Z0, Z1
-	VCVTPD2DQ Z1, Y2             // k = int32(round(t*LOG2E))
-	VPADDD  Y10, Y2, Y3
-	VPCMPGTD Y3, Y8, Y4          // 1 > k+bias
-	VPCMPGTD Y11, Y3, Y5         // k+bias > 0x7FE
-	VPOR    Y5, Y4, Y4
-	VPTEST  Y4, Y4
-	JNE     zsigdone
-	VPMOVZXDQ Y3, Z7
-	VPSLLQ  $52, Z7, Z7          // 2^k
-	VCVTDQ2PD Y2, Z2
-	VFNMADD231PD.BCST sigc<>+64(SB), Z2, Z0
-	VFNMADD231PD.BCST sigc<>+96(SB), Z2, Z0
-	VMULPD.BCST sigc<>+128(SB), Z0, Z0
-	VBROADCASTSD sigc<>+160(SB), Z1
-	VFMADD213PD.BCST sigc<>+192(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+224(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+256(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+288(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+320(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+352(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+384(SB), Z0, Z1
-	VMULPD  Z1, Z0, Z0
-	VADDPD.BCST sigc<>+416(SB), Z0, Z1
-	VMULPD  Z1, Z0, Z0
-	VADDPD.BCST sigc<>+416(SB), Z0, Z1
-	VMULPD  Z1, Z0, Z0
-	VADDPD.BCST sigc<>+416(SB), Z0, Z1
-	VMULPD  Z1, Z0, Z0
-	VADDPD.BCST sigc<>+416(SB), Z0, Z1
-	VFMADD213PD.BCST sigc<>+384(SB), Z1, Z0
-	VMULPD  Z7, Z0, Z0
+	ZEXP8(zsigdone)
 	VADDPD  Z9, Z0, Z0
 	VDIVPD  Z0, Z9, Z0
 	VMOVUPD Z0, K1, (DI)(AX*8)
@@ -1386,6 +1582,42 @@ zsigloop:
 	JMP  zsigloop
 
 zsigdone:
+	CMPQ AX, CX
+	CMOVQGT CX, AX               // the masked last group ends at len(dst)
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expAVX512(dst []float64) int
+//
+// dst[i] = exp(dst[i]) eight elements at a time through ZEXP8, each lane
+// math.Exp's FMA branch operation for operation up to and including its
+// final scaling by 2^k. As in sigmoidAVX512, a group with a lane whose
+// biased exponent lies outside [1, 0x7FE] (NaN, ±Inf, overflow, denormal
+// and underflow results) is left to the caller: the function returns its
+// start, or len(dst). The last one to seven elements run as one group
+// through the lane mask K1. Requires AVX-512 F and VL and FMA.
+TEXT ·expAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	XORQ AX, AX
+	VMOVDQU32 lanes<>(SB), Y23
+	VPBROADCASTD sigc<>+448(SB), Y8 // 1 (int32 lanes)
+	VPBROADCASTD sigc<>+464(SB), Y10 // exponent bias
+	VPBROADCASTD sigc<>+480(SB), Y11 // 0x7FE
+
+zexploop:
+	MOVQ CX, BX
+	SUBQ AX, BX
+	JLE  zexpdone
+	LANESBELOW(BX, K1)
+	VMOVUPD.Z (DI)(AX*8), K1, Z0
+	ZEXP8(zexpdone)
+	VMOVUPD Z0, K1, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  zexploop
+
+zexpdone:
 	CMPQ AX, CX
 	CMOVQGT CX, AX               // the masked last group ends at len(dst)
 	MOVQ AX, ret+24(FP)

@@ -39,12 +39,13 @@ func expFMA(x float64) (e float64, ok bool) {
 	return y * math.Float64frombits(uint64(int64(k)+0x3FF)<<52), true
 }
 
-// TestSigmoidKernelIsExpFMABranch calls sigmoidAVX and sigmoidAVX512
-// directly, whatever the gates decided, on one group of specials, bit
-// patterns and N(0, 25) draws: four lanes for sigmoidAVX, one to eight for
-// sigmoidAVX512's masked group. A body must write the group exactly when
-// every lane is in range, must not touch the elements after it, and each
-// written lane must equal 1/(1+expFMA(-x)) bit for bit.
+// TestSigmoidKernelIsExpFMABranch calls sigmoidAVX, sigmoidAVX512 and
+// Softmax's expAVX512 directly, whatever the gates decided, on one group of
+// specials, bit patterns and N(0, 25) draws: four lanes for sigmoidAVX, one
+// to eight for the AVX-512 bodies' masked group. A body must write the
+// group exactly when every lane's exponential is in range, must not touch
+// the elements after it, and each written lane must equal 1/(1+expFMA(-x))
+// (the sigmoids) or expFMA(x) (the exponentials) bit for bit.
 func TestSigmoidKernelIsExpFMABranch(t *testing.T) {
 	if !hasAVX2FMA {
 		t.Skip("no AVX2+FMA on this host")
@@ -53,10 +54,17 @@ func TestSigmoidKernelIsExpFMABranch(t *testing.T) {
 		name  string
 		run   func([]float64) int
 		lanes func(*rand.Rand) int
+		ref   func(x float64) (float64, bool)
 	}
-	bodies := []body{{"sigmoidAVX", sigmoidAVX, func(*rand.Rand) int { return 4 }}}
+	sigmoid := func(x float64) (float64, bool) {
+		e, ok := expFMA(-x)
+		return 1 / (1 + e), ok
+	}
+	bodies := []body{{"sigmoidAVX", sigmoidAVX, func(*rand.Rand) int { return 4 }, sigmoid}}
+	oneToEight := func(rng *rand.Rand) int { return 1 + rng.Intn(8) }
 	if hostGates.avx512 {
-		bodies = append(bodies, body{"sigmoidAVX512", sigmoidAVX512, func(rng *rand.Rand) int { return 1 + rng.Intn(8) }})
+		bodies = append(bodies, body{"sigmoidAVX512", sigmoidAVX512, oneToEight, sigmoid},
+			body{"expAVX512", expAVX512, oneToEight, expFMA})
 	}
 	for _, body := range bodies {
 		rng := rand.New(rand.NewSource(12))
@@ -70,7 +78,7 @@ func TestSigmoidKernelIsExpFMABranch(t *testing.T) {
 				if round < len(sigmoidSpecials) && i == n-1 {
 					in[i] = sigmoidSpecials[round]
 				}
-				if _, ok := expFMA(-in[i]); !ok {
+				if _, ok := body.ref(in[i]); !ok {
 					inRange = false
 				}
 			}
@@ -91,8 +99,7 @@ func TestSigmoidKernelIsExpFMABranch(t *testing.T) {
 				t.Fatalf("%s(%v): in-range group not written, or tail touched (done=%d)", body.name, in[:n], done)
 			}
 			for i := range n {
-				e, _ := expFMA(-in[i])
-				if want := 1 / (1 + e); math.Float64bits(out[i]) != math.Float64bits(want) {
+				if want, _ := body.ref(in[i]); math.Float64bits(out[i]) != math.Float64bits(want) {
 					t.Fatalf("%s(%v) = %v, FMA branch gives %v", body.name, in[i], out[i], want)
 				}
 			}
@@ -167,5 +174,43 @@ func TestSigmoidGate(t *testing.T) {
 	}
 	if (differ == 0) != !fmaOff {
 		t.Fatalf("%d of %d probe inputs differ from math.Exp's FMA branch with GODEBUG %q", differ, len(sigmoidProbeInputs), godebug)
+	}
+}
+
+// TestSoftmaxGate shows that Softmax's vector exponential is off whenever
+// the sigmoid probe fails. It shares the eight-lane sigmoid's gate, which
+// TestSigmoidGate pins to AVX2 and FMA on the host and math.Exp taking its
+// FMA branch; under GODEBUG cpu.fma=off every argument of softmaxProbeArgs
+// has a math.Exp result that expAVX512 cannot produce, so a softmax over
+// them that still ran it would differ from the scalar reference in the last
+// bit.
+func TestSoftmaxGate(t *testing.T) {
+	fmaOff := false
+	for _, off := range []string{"cpu.fma=off", "cpu.avx=off", "cpu.all=off"} {
+		fmaOff = fmaOff || strings.Contains(os.Getenv("GODEBUG"), off)
+	}
+	differ := 0
+	for _, x := range softmaxProbeArgs {
+		if e, ok := expFMA(x); !ok || e != math.Exp(x) {
+			differ++
+		}
+	}
+	if fmaBranch := hasAVX2FMA && !fmaOff; (differ == 0) != fmaBranch {
+		t.Fatalf("%d of %d softmax probe arguments differ from math.Exp's FMA branch, which it takes: %v", differ, len(softmaxProbeArgs), fmaBranch)
+	}
+	// One tile of rows {0, x}: each row's maximum is 0, so its exponent
+	// arguments are 0 and a probe argument, and the tile's sixteen fill two
+	// eight-lane groups.
+	tile := make([]float64, 2*len(softmaxProbeArgs))
+	for i, x := range softmaxProbeArgs {
+		tile[2*i+1] = x
+	}
+	want := append([]float64(nil), tile...)
+	for r := 0; r < len(want); r += 2 {
+		naiveSoftmax(want[r : r+2])
+	}
+	Softmax(tile, 2)
+	if !sameBits(tile, want) {
+		t.Fatalf("Softmax diverged from math.Exp's branch with the vector gate %v (cpu.fma off %v)", useSigmoidAVX512, fmaOff)
 	}
 }

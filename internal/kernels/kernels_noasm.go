@@ -14,8 +14,8 @@ func gradQuadAVX(g, p, q []float64, wx, wv *[4]float64) {
 	panic("kernels: gradQuadAVX without amd64 support")
 }
 
-func gradQuadAVX512(g, p, q []float64, wx, wv *[4]float64) {
-	panic("kernels: gradQuadAVX512 without amd64 support")
+func accumRankAVX512(g, w, x, v, p, q []float64, m, rows, cols int) {
+	panic("kernels: accumRankAVX512 without amd64 support")
 }
 
 func matmulAVX512(dst, a, b []float64, m, k, n int, nz *nzLists) {
@@ -24,6 +24,10 @@ func matmulAVX512(dst, a, b []float64, m, k, n int, nz *nzLists) {
 
 func sigmoidAVX512(dst []float64) int {
 	panic("kernels: sigmoidAVX512 without amd64 support")
+}
+
+func expAVX512(dst []float64) int {
+	panic("kernels: expAVX512 without amd64 support")
 }
 
 func matmulRowNZAVX(dst, a, b []float64, nz *[nzBlock]int32) {

@@ -164,6 +164,8 @@ func naiveSigmoid(dst []float64) {
 	}
 }
 
+// naiveSoftmax is the class-layer softmax of one row, the reference every
+// width-wide row of Softmax's tile must match.
 func naiveSoftmax(dst []float64) {
 	if len(dst) == 0 {
 		return
@@ -424,6 +426,29 @@ func sweepRows(rng *rand.Rand, form, m, k int) []float64 {
 	return a
 }
 
+// denseRows draws the m×k left operand of TestMatMulShapeSweep's dense
+// blocks: every entry nonzero (form 3), then exactly one ±0 (form 4) or one
+// NaN (form 5) at a random place. It returns the index of that entry's
+// column, or -1.
+func denseRows(rng *rand.Rand, form, m, k int) ([]float64, int) {
+	a := make([]float64, m*k)
+	for i := range a {
+		a[i] = 0.5 + rng.Float64()
+		if rng.Intn(2) == 0 {
+			a[i] = -a[i]
+		}
+	}
+	if form == 3 {
+		return a, -1
+	}
+	at := rng.Intn(m * k)
+	a[at] = math.NaN()
+	if form == 4 {
+		a[at] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+	}
+	return a, at % k
+}
+
 // TestMatMulShapeSweep pins MatMul bitwise to naiveMatMul over every width
 // 1..100 (each 4- and 8-lane tail; one, two and three 48-column groups of
 // the AVX and AVX-512 bodies; the four- and two-row groups of the AVX-512
@@ -431,34 +456,50 @@ func sweepRows(rng *rand.Rand, form, m, k int) []float64 {
 // 4- and 8-wide compaction tails and the 64- and 256-entry block edges, on
 // sampled, one-hot and dense left operands. About a quarter of the indices
 // are zero in every row, and their b rows hold NaNs, so a zero the kernel
-// fails to skip shows in dst; dst starts as a mix of +0 and -0. Every
-// dispatch path runs.
+// fails to skip shows in dst; dst starts as a mix of +0 and -0. At k = 63,
+// 64 and 65 it also runs blocks with no zero at all (the AVX-512 body's
+// direct walk), with exactly one ±0 (whose b row holds NaNs), and with one
+// NaN. Every dispatch path runs.
 func TestMatMulShapeSweep(t *testing.T) {
 	defer restoreGates()
 	modes := kernelModes()
 	const m = 7
 	rng := rand.New(rand.NewSource(21))
 	for _, k := range []int{1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 129, 255, 256, 257, 600} {
+		forms := 3
+		if k >= 63 && k <= 65 {
+			forms = 6
+		}
 		for n := 1; n <= 100; n++ {
-			for form := 0; form < 3; form++ {
-				a := sweepRows(rng, form, m, k)
-				b := randSlice(rng, k*n)
-				for i := 0; i < k; i++ {
-					if rng.Intn(4) == 0 {
-						for r := 0; r < m; r++ {
-							a[r*k+i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
-						}
-					}
-					dead := true
-					for r := 0; r < m; r++ {
-						dead = dead && a[r*k+i] == 0
-					}
-					if dead {
-						for c := 0; c < n; c++ {
-							if rng.Intn(2) == 0 {
-								b[i*n+c] = math.NaN()
+			for form := 0; form < forms; form++ {
+				var a, b []float64
+				if form < 3 {
+					a = sweepRows(rng, form, m, k)
+					b = randSlice(rng, k*n)
+					for i := 0; i < k; i++ {
+						if rng.Intn(4) == 0 {
+							for r := 0; r < m; r++ {
+								a[r*k+i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
 							}
 						}
+						dead := true
+						for r := 0; r < m; r++ {
+							dead = dead && a[r*k+i] == 0
+						}
+						if dead {
+							for c := 0; c < n; c++ {
+								if rng.Intn(2) == 0 {
+									b[i*n+c] = math.NaN()
+								}
+							}
+						}
+					}
+				} else {
+					var at int
+					a, at = denseRows(rng, form, m, k)
+					b = randSlice(rng, k*n)
+					if form == 4 {
+						b[at*n+rng.Intn(n)] = math.NaN()
 					}
 				}
 				dst0 := make([]float64, m*n)
@@ -505,28 +546,31 @@ func TestAccumRankKMatchesNaive(t *testing.T) {
 }
 
 // TestAccumRankKSweep pins AccumRankK bitwise to the one-instance-at-a-time
-// loop at every width 0..67 (each 4- and 8-lane tail of the quad bodies)
-// and instance counts around the four-instance quads and the 64-instance
-// blocks, on every dispatch path.
+// loop at every width 0..67 (each 4- and 8-lane tail, one and two 48-column
+// groups of the AVX-512 body), instance counts around the four-instance
+// passes and their one-instance tail (the detector's 50 leaves two), and
+// the 64-instance blocks of the other bodies, with one, five and twenty
+// rows, on every dispatch path.
 func TestAccumRankKSweep(t *testing.T) {
 	defer restoreGates()
 	modes := kernelModes()
 	rng := rand.New(rand.NewSource(24))
-	const rows = 3
-	for cols := 0; cols <= 67; cols++ {
-		for _, m := range []int{1, 3, 4, 5, 8, 65} {
-			w := randSlice(rng, m)
-			x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
-			p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
-			g0 := randSlice(rng, rows*cols)
-			want := append([]float64(nil), g0...)
-			naiveAccumRankK(want, w, x, v, p, q, m, rows, cols)
-			for _, mode := range modes {
-				mode.use()
-				got := append([]float64(nil), g0...)
-				AccumRankK(got, w, x, v, p, q, m, rows, cols)
-				if !sameBits(got, want) {
-					t.Fatalf("cols=%d m=%d mode=%s: AccumRankK diverged from naive", cols, m, mode.name)
+	for _, rows := range []int{1, 5, 20} {
+		for cols := 0; cols <= 67; cols++ {
+			for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 50, 65} {
+				w := randSlice(rng, m)
+				x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
+				p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
+				g0 := randSlice(rng, rows*cols)
+				want := append([]float64(nil), g0...)
+				naiveAccumRankK(want, w, x, v, p, q, m, rows, cols)
+				for _, mode := range modes {
+					mode.use()
+					got := append([]float64(nil), g0...)
+					AccumRankK(got, w, x, v, p, q, m, rows, cols)
+					if !sameBits(got, want) {
+						t.Fatalf("rows=%d cols=%d m=%d mode=%s: AccumRankK diverged from naive", rows, cols, m, mode.name)
+					}
 				}
 			}
 		}
@@ -614,22 +658,99 @@ func TestSigmoidMatchesNaive(t *testing.T) {
 }
 
 func TestSoftmaxMatchesNaive(t *testing.T) {
+	defer restoreGates()
 	rng := rand.New(rand.NewSource(10))
 	for round := 0; round < propRounds; round++ {
 		n := randDim(rng, 50)
-		dst := randSlice(rng, n)
-		dstRef := append([]float64(nil), dst...)
-		Softmax(dst)
-		naiveSoftmax(dstRef)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("n=%d: Softmax diverged from naive", n)
+		src := randSlice(rng, n)
+		want := append([]float64(nil), src...)
+		naiveSoftmax(want)
+		for _, mode := range kernelModes() {
+			mode.use()
+			dst := append([]float64(nil), src...)
+			Softmax(dst, n)
+			if !sameBits(dst, want) {
+				t.Fatalf("n=%d mode=%s: Softmax diverged from naive", n, mode.name)
+			}
+			sum := 0.0
+			for _, p := range dst {
+				sum += p
+			}
+			if n > 0 && math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("n=%d: softmax sums to %v", n, sum)
+			}
 		}
-		sum := 0.0
-		for _, p := range dst {
-			sum += p
+	}
+}
+
+// softmaxRow fills one Softmax row in one of five forms: N(0, 9) draws; a
+// spread over [-800, 0], so that some x-max fall below -708 and their
+// exponentials are subnormal or zero; specials (±Inf or NaN, ±0, 5e-324)
+// among draws; ties at the row's maximum; and the FMA-sensitive exponent
+// arguments of softmaxProbeArgs below a maximum of 0. No row holds both a
+// NaN and an infinity, for the reason given at sweepRows: Inf-Inf makes a
+// second NaN payload, and which of two NaNs a row sum carries depends on
+// the compiler's operand order.
+func softmaxRow(rng *rand.Rand, row []float64) {
+	form := rng.Intn(5)
+	specials := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
+	if rng.Intn(2) == 0 {
+		specials[0], specials[1] = math.NaN(), math.NaN()
+	}
+	for i := range row {
+		switch form {
+		case 0:
+			row[i] = 3 * rng.NormFloat64()
+		case 1:
+			row[i] = -800 * rng.Float64()
+		case 2:
+			if rng.Intn(3) == 0 {
+				row[i] = specials[rng.Intn(len(specials))]
+			} else {
+				row[i] = 3 * rng.NormFloat64()
+			}
+		case 3:
+			row[i] = float64(rng.Intn(3)) - 2
+		default:
+			row[i] = softmaxProbeArgs[rng.Intn(len(softmaxProbeArgs))]
 		}
-		if n > 0 && math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("n=%d: softmax sums to %v", n, sum)
+	}
+	if form == 4 {
+		row[rng.Intn(len(row))] = []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
+	}
+}
+
+// softmaxProbeArgs are exponent arguments below 0 whose math.Exp results
+// differ in the last bit between its FMA and non-FMA branches: one full
+// eight-lane group.
+var softmaxProbeArgs = [8]float64{-2.375, -3.75, -5.375, -5.75, -6.625, -6.75, -8.625, -11.25}
+
+// TestSoftmaxSweep pins Softmax bitwise to naiveSoftmax applied row by row,
+// at every width 1..9 and row count 0..67 (so every masked last group of
+// the eight-lane exponential and refused groups at every position), over
+// softmaxRow's forms, on every dispatch path.
+func TestSoftmaxSweep(t *testing.T) {
+	defer restoreGates()
+	modes := kernelModes()
+	rng := rand.New(rand.NewSource(25))
+	for width := 1; width <= 9; width++ {
+		for rows := 0; rows <= 67; rows++ {
+			src := make([]float64, rows*width)
+			for r := 0; r < rows; r++ {
+				softmaxRow(rng, src[r*width:r*width+width])
+			}
+			want := append([]float64(nil), src...)
+			for r := 0; r < rows; r++ {
+				naiveSoftmax(want[r*width : r*width+width])
+			}
+			for _, mode := range modes {
+				mode.use()
+				got := append([]float64(nil), src...)
+				Softmax(got, width)
+				if !sameBits(got, want) {
+					t.Fatalf("width=%d rows=%d mode=%s: Softmax diverged from naive", width, rows, mode.name)
+				}
+			}
 		}
 	}
 }
@@ -715,7 +836,7 @@ func TestEmptyAndUnitShapesExplicit(t *testing.T) {
 	AccumDiffK(nil, nil, nil, nil, 0)
 	ScaleRows(nil, nil, nil, 0)
 	SampleBinary(nil, nil, nil)
-	Softmax(nil)
+	Softmax(nil, 0)
 	Sigmoid(nil)
 	Broadcast(nil, nil, 0)
 
@@ -725,7 +846,7 @@ func TestEmptyAndUnitShapesExplicit(t *testing.T) {
 		t.Fatalf("MatMul 1x1x1 = %v", d[0])
 	}
 	s := []float64{4}
-	Softmax(s)
+	Softmax(s, 1)
 	if s[0] != 1 {
 		t.Fatalf("Softmax length-1 = %v", s[0])
 	}

@@ -35,10 +35,9 @@ func benchAxpy(b *testing.B, n int) {
 func BenchmarkAxpy40(b *testing.B)  { benchAxpy(b, 40) }
 func BenchmarkAxpy640(b *testing.B) { benchAxpy(b, 640) }
 
-func benchGrad(b *testing.B, rows, cols int) {
+func benchGrad(b *testing.B, m, rows, cols int) {
 	benchModes(b, func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
-		const m = 64
 		w := randSlice(rng, m)
 		x, v := randSlice(rng, m*rows), randSlice(rng, m*rows)
 		p, q := randSlice(rng, m*cols), randSlice(rng, m*cols)
@@ -50,10 +49,13 @@ func benchGrad(b *testing.B, rows, cols int) {
 	})
 }
 
-// The detector's two gradient shapes at a 64-instance tile: W's [V×H] and
-// U's transposed [Z×H].
-func BenchmarkGrad20x40(b *testing.B) { benchGrad(b, 20, 40) }
-func BenchmarkGrad5x40(b *testing.B)  { benchGrad(b, 5, 40) }
+// The detector's two gradient shapes, W's [V×H] and U's transposed [Z×H],
+// at its 50-instance mini-batch (two instances past the last four-instance
+// pass) and at a 64-instance tile (none).
+func BenchmarkGrad20x40(b *testing.B)    { benchGrad(b, 64, 20, 40) }
+func BenchmarkGrad5x40(b *testing.B)     { benchGrad(b, 64, 5, 40) }
+func BenchmarkGrad20x40m50(b *testing.B) { benchGrad(b, 50, 20, 40) }
+func BenchmarkGrad5x40m50(b *testing.B)  { benchGrad(b, 50, 5, 40) }
 
 func benchSigmoid(b *testing.B, n int) {
 	benchModes(b, func(b *testing.B) {
@@ -73,6 +75,37 @@ func benchSigmoid(b *testing.B, n int) {
 
 func BenchmarkSigmoid40(b *testing.B)   { benchSigmoid(b, 40) }
 func BenchmarkSigmoid2000(b *testing.B) { benchSigmoid(b, 2000) }
+
+// BenchmarkSoftmax50x5 times the class layer's softmax over the detector's
+// 50-instance tile of Z=5 rows, as the Gibbs chain and scoring call it.
+func BenchmarkSoftmax50x5(b *testing.B) {
+	benchModes(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		src := make([]float64, 50*5)
+		for i := range src {
+			src[i] = 3 * rng.NormFloat64()
+		}
+		dst := make([]float64, len(src))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(dst, src)
+			Softmax(dst, 5)
+		}
+	})
+}
+
+// BenchmarkBroadcast50x40 times the bias seeding of the detector's
+// 50-instance hidden tile, H=40.
+func BenchmarkBroadcast50x40(b *testing.B) {
+	benchModes(b, func(b *testing.B) {
+		row := randSlice(rand.New(rand.NewSource(1)), 40)
+		dst := make([]float64, 50*40)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Broadcast(dst, row, 50)
+		}
+	})
+}
 
 // BenchmarkMatMulRBMPasses times the detector's five MatMul shapes at a
 // 50-instance mini-batch with V=20, H=40, Z=5: the dense x→h pass, the

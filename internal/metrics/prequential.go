@@ -28,7 +28,6 @@ type Prequential struct {
 	sumAcc    float64
 	sumKappa  float64
 	seriesAUC []float64
-	seriesGM  []float64
 }
 
 // NewPrequential builds an evaluator with the given class count and window
@@ -70,7 +69,6 @@ func (p *Prequential) flush() {
 	p.sumAcc += cm.Accuracy()
 	p.sumKappa += cm.Kappa()
 	p.seriesAUC = append(p.seriesAUC, auc)
-	p.seriesGM = append(p.seriesGM, gm)
 	p.buf = p.buf[:0]
 }
 
@@ -117,9 +115,6 @@ func (p *Prequential) Kappa() float64 {
 
 // SeriesAUC returns the per-window pmAUC series (fractions in [0,1]).
 func (p *Prequential) SeriesAUC() []float64 { return p.seriesAUC }
-
-// SeriesGM returns the per-window pmGM series (fractions in [0,1]).
-func (p *Prequential) SeriesGM() []float64 { return p.seriesGM }
 
 // windowAUC computes the Hand & Till M-measure over one window: the mean of
 // pairwise AUCs A(i,j) over all unordered class pairs present in the window,

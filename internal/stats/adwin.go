@@ -71,10 +71,6 @@ func (a *ADWIN) Mean() float64 {
 	return a.total / float64(a.width)
 }
 
-// Detected reports whether the most recent Add shrank the window, i.e.
-// whether a change was detected at that step.
-func (a *ADWIN) Detected() bool { return a.detected }
-
 // Add inserts x and returns true when the insertion caused the window to
 // shrink (change detected).
 func (a *ADWIN) Add(x float64) bool {
