@@ -541,6 +541,19 @@ func (s *FrameScanner) LimitPayload(n int) {
 // Next: zero means the next Next blocks on r.
 func (s *FrameScanner) Buffered() int { return s.r.Buffered() }
 
+// FrameBuffered reports whether the next frame is already whole in the
+// scanner's buffer, so Next returns it without reading r. A header that
+// fails validation reports true as well when the buffer holds it: Next then
+// fails without reading r.
+func (s *FrameScanner) FrameBuffered() bool {
+	n := s.r.Buffered()
+	if n < headerSize {
+		return false
+	}
+	head, _ := s.r.Peek(headerSize)
+	return headerSize+int(binary.LittleEndian.Uint32(head[6:10]))+trailerSize <= n
+}
+
 // Next reads and validates the next frame. A clean end of stream at a frame
 // boundary returns io.EOF untouched (the signal a server loop exits on);
 // every other failure — truncation mid-frame included — wraps ErrInvalid.

@@ -423,6 +423,43 @@ func TestFrameScannerBuffered(t *testing.T) {
 	}
 }
 
+// TestFrameScannerFrameBuffered: FrameBuffered is true exactly when the
+// next frame is whole in the buffer, whether the rest of the stream is
+// buffered behind it or still on the reader.
+func TestFrameScannerFrameBuffered(t *testing.T) {
+	first := AppendFrame(nil, KindWireOK, []byte("one"))
+	second := AppendFrame(nil, KindWireBusy, bytes.Repeat([]byte("x"), 100))
+	stream := append(append([]byte(nil), first...), second...)
+	// The first Read hands out the first frame plus the second's header and
+	// part of its payload.
+	sc := NewFrameScanner(&chunkReader{data: stream, n: len(first) + headerSize + 10})
+	if sc.FrameBuffered() {
+		t.Fatal("FrameBuffered before any read = true")
+	}
+	if _, _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.FrameBuffered() {
+		t.Fatalf("FrameBuffered with %d of %d bytes of the next frame = true", sc.Buffered(), len(second))
+	}
+	if _, _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	sc = NewFrameScanner(bytes.NewReader(stream))
+	if _, _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if !sc.FrameBuffered() {
+		t.Fatalf("FrameBuffered with the whole next frame buffered (%d bytes) = false", sc.Buffered())
+	}
+	if _, _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.FrameBuffered() {
+		t.Fatal("FrameBuffered after the last frame = true")
+	}
+}
+
 // TestReaderResetAndRemaining exercises the reusable-Reader path the
 // connection loops depend on.
 func TestReaderResetAndRemaining(t *testing.T) {

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -27,52 +26,5 @@ func TestConfigZeroShardsAutotunes(t *testing.T) {
 	defer m.Close()
 	if got := m.Snapshot().Shards; got != 4 {
 		t.Fatalf("Shards = %d with Config.Shards=0 and GOMAXPROCS=4, want 4", got)
-	}
-}
-
-// TestTuneAdviceBranches forces each saturation regime by seeding ring
-// high-water marks directly and pinning GOMAXPROCS.
-func TestTuneAdviceBranches(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	cases := []struct {
-		name        string
-		shards      int
-		procs       int
-		highFrac    float64 // high-water / capacity to plant on shard 0
-		recommended int
-		reasonHas   string
-	}{
-		{"oversharded", 8, 2, 0.0, 2, "more shards than schedulable cores"},
-		{"saturated-with-headroom", 2, 8, 0.9, 4, "add shards"},
-		{"saturated-at-core-limit", 4, 4, 1.0, 4, "scale out"},
-		{"balanced", 2, 4, 0.1, 2, "balanced"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runtime.GOMAXPROCS(tc.procs)
-			cfg := testConfig(tc.shards)
-			cfg.QueueSize = 64
-			m, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			r := m.shards[0].in
-			r.highWater.Store(uint64(tc.highFrac * float64(r.cap())))
-			a := m.TuneAdvice()
-			if a.Shards != tc.shards || a.GOMAXPROCS != tc.procs {
-				t.Fatalf("advice observed shards=%d procs=%d, want %d/%d", a.Shards, a.GOMAXPROCS, tc.shards, tc.procs)
-			}
-			if a.Recommended != tc.recommended {
-				t.Fatalf("Recommended = %d, want %d (%s)", a.Recommended, tc.recommended, a)
-			}
-			if !strings.Contains(a.Reason, tc.reasonHas) {
-				t.Fatalf("Reason %q does not mention %q", a.Reason, tc.reasonHas)
-			}
-			if s := a.String(); !strings.Contains(s, "recommended=") {
-				t.Fatalf("String() = %q, want the recommended= field", s)
-			}
-		})
 	}
 }

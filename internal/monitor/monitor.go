@@ -566,11 +566,11 @@ type Snapshot struct {
 	// QueueCap is each shard's ring capacity in envelopes (QueueSize rounded
 	// up to a power of two); QueueHighWater is the largest per-shard envelope
 	// occupancy any shard worker has observed since the last FlushCheckpoints
-	// barrier — together they are the saturation signal Monitor.TuneAdvice
-	// reads. The windowed reading (each flush barrier resets the mark to the
-	// occupancy it observes) keeps rebalance and tuning decisions off stale
-	// peaks: a queue that saturated once at startup reads shallow again after
-	// the next flush, rather than forever.
+	// barrier — together they are the shard saturation signal. The windowed
+	// reading (each flush barrier resets the mark to the occupancy it
+	// observes) keeps rebalance and tuning decisions off stale peaks: a queue
+	// that saturated once at startup reads shallow again after the next
+	// flush, rather than forever.
 	QueueCap       int
 	QueueHighWater uint64
 	// Checkpoints counts snapshots written to the checkpoint Store;
@@ -798,6 +798,15 @@ type shard struct {
 	ckptFrame   []byte
 	snapshotted map[string]struct{}
 
+	// Drain clock (process, flush): zero is the telemetry clock's origin as
+	// seen by the wall clock read once per drain, so zero advanced by a
+	// telemetry reading is that reading's wall time; clock is the telemetry
+	// reading where the next flush starts: the drain's, then each flush's
+	// end, re-read after the grouping pass, before a flush inside it
+	// (flushQueued) and after a stream's creation.
+	zero  time.Time
+	clock int64
+
 	streamCount   atomic.Int64
 	ingested      atomic.Uint64
 	drifts        atomic.Uint64
@@ -981,10 +990,14 @@ func (s *shard) spinForWork(spins *int) bool {
 // accumulate in arrival order and an Evict flushes the stream's queued
 // observations before removing it.
 func (s *shard) process(pending []envelope) (closing bool) {
+	// One clock read per drain, wall and monotonic together, so every
+	// Event.At derived from it is ordered like its flush's start.
+	// Queue-wait samples end here (it is dominated by ring residency, not
+	// the sub-microsecond drain spread).
+	wall := time.Now()
+	now := telemetry.At(wall)
+	s.zero, s.clock = wall.Add(-time.Duration(now)), now
 	if t := s.m.tele; t != nil {
-		// One clock read per micro-batch: queue-wait is dominated by ring
-		// residency, not the sub-microsecond drain spread.
-		now := telemetry.Now()
 		for i := range pending {
 			if at := pending[i].at; at > 0 {
 				t.queueWait.Observe(now - at)
@@ -1006,12 +1019,7 @@ func (s *shard) process(pending []envelope) (closing bool) {
 			// strengthens the "everything before" guarantee.
 			flushDones = append(flushDones, env.done)
 		case opEvict:
-			// Flush the stream's queued observations first (an empty group —
-			// already flushed earlier in this micro-batch — must not be
-			// flushed again: flush would materialize a fresh stream).
-			if g, ok := s.groups[env.id]; ok && len(g.obs) > 0 {
-				s.flush(env.id, g)
-			}
+			s.flushQueued(env.id)
 			if st, ok := s.streams[env.id]; ok {
 				// Spill instead of drop: with checkpointing enabled the
 				// trained detector survives in the Store and a later ingest
@@ -1026,11 +1034,9 @@ func (s *shard) process(pending []envelope) (closing bool) {
 				s.streamErrors.Add(1)
 			}
 		case opExport:
-			// Like Evict: apply the stream's queued observations first, so
-			// the exported state reflects everything sent before the export.
-			if g, ok := s.groups[env.id]; ok && len(g.obs) > 0 {
-				s.flush(env.id, g)
-			}
+			// Like Evict: the exported state reflects everything sent before
+			// the export.
+			s.flushQueued(env.id)
 			s.exportStream(env.id, env.xfer)
 		case opImport:
 			s.importStream(env.id, env.xfer)
@@ -1049,6 +1055,7 @@ func (s *shard) process(pending []envelope) (closing bool) {
 			g.bats = append(g.bats, env.bat)
 		}
 	}
+	s.clock = telemetry.Now() // the grouping pass is not a flush
 	for _, id := range s.order {
 		g := s.groups[id]
 		if len(g.obs) > 0 {
@@ -1086,6 +1093,18 @@ func (s *shard) process(pending []envelope) (closing bool) {
 	return closing
 }
 
+// flushQueued applies a stream's observations queued earlier in this
+// micro-batch, ahead of an evict or export of the stream. An empty group —
+// already flushed earlier in this micro-batch — is not flushed again: flush
+// would materialize a fresh stream. The flush starts at a fresh clock
+// reading, since the grouping pass is still under way.
+func (s *shard) flushQueued(id string) {
+	if g, ok := s.groups[id]; ok && len(g.obs) > 0 {
+		s.clock = telemetry.Now()
+		s.flush(id, g)
+	}
+}
+
 func (s *shard) getGroup() *obsGroup {
 	if n := len(s.groupFree); n > 0 {
 		g := s.groupFree[n-1]
@@ -1112,6 +1131,9 @@ func (s *shard) release(g *obsGroup) {
 
 // flush runs one stream's accumulated observations through its detector,
 // creating the detector on first sight, and records states and drift events.
+// It starts at s.clock and reads the clock once, at its end, which is where
+// the next flush starts; its Event.At and lastSeen are that start on the
+// drain's wall clock.
 func (s *shard) flush(id string, g *obsGroup) {
 	n := len(g.obs)
 	st, ok := s.streams[id]
@@ -1133,13 +1155,11 @@ func (s *shard) flush(id string, g *obsGroup) {
 		st.seq = s.rehydrate(id, det)
 		s.streams[id] = st
 		s.streamCount.Add(1)
+		s.clock = telemetry.Now() // creation and rehydration are not detector_update
 	}
-	now := time.Now()
+	start := s.clock
+	now := s.zero.Add(time.Duration(start))
 	st.lastSeen = now
-	var detStart int64
-	if s.m.tele != nil {
-		detStart = telemetry.Now()
-	}
 	if cap(s.states) < n {
 		s.states = make([]detectors.State, n)
 	}
@@ -1154,8 +1174,9 @@ func (s *shard) flush(id string, g *obsGroup) {
 		st.seq++
 		s.tally(id, st, states[i], now)
 	}
+	s.clock = telemetry.Now()
 	if t := s.m.tele; t != nil {
-		t.detector.Observe(telemetry.Now() - detStart)
+		t.detector.Observe(s.clock - start)
 	}
 	s.ingested.Add(uint64(n))
 	s.queued.Add(int64(-n))

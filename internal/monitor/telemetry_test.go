@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"rbmim/internal/core"
 	"rbmim/internal/detectors"
@@ -88,5 +89,67 @@ func TestTelemetryBitIdentity(t *testing.T) {
 	}
 	if len(offSn.Latency) != 0 {
 		t.Fatalf("telemetry-off snapshot has latency stages %v, want none", offSn.Latency)
+	}
+}
+
+// TestDetectorUpdateSamplePerFlush pins the drain clock: detector_update
+// keeps one sample per flush (each flush starts where the previous one
+// ended), queue_wait one per ingest envelope, and every stream's Event.At —
+// the drain's one wall reading advanced by the flush's own clock reading —
+// is non-decreasing and inside the run's wall-clock span.
+func TestDetectorUpdateSamplePerFlush(t *testing.T) {
+	m, err := New(Config{
+		NewDetector: func(string) (detectors.Detector, error) { return alwaysDrift{}, nil },
+		Shards:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const rounds, perEnvelope = 40, 3
+	streams := []string{"a", "b", "c"}
+	sub := subscribe(t, m, rounds*len(streams)*perEnvelope+1)
+	obs := make([]detectors.Observation, perEnvelope)
+	for i := range obs {
+		obs[i] = detectors.Observation{X: make([]float64, 8), TrueClass: i % 3, Predicted: i % 3}
+	}
+	begin := time.Now()
+	// One envelope per stream per round, then a barrier: each envelope is
+	// exactly one flush, however the shards' drains split the round.
+	for r := 0; r < rounds; r++ {
+		for _, id := range streams {
+			if err := m.IngestBatch(id, obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.FlushCheckpoints(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := time.Now()
+	stages := make(map[string]uint64)
+	for _, st := range m.Snapshot().Latency {
+		stages[st.Stage] = st.Count
+	}
+	flushes := uint64(rounds * len(streams))
+	if got := stages["detector_update"]; got != flushes {
+		t.Fatalf("detector_update count = %d, want one per flush (%d)", got, flushes)
+	}
+	if got := stages["queue_wait"]; got != flushes {
+		t.Fatalf("queue_wait count = %d, want one per envelope (%d)", got, flushes)
+	}
+	events := drainEvents(t, sub)
+	if want := rounds * len(streams) * perEnvelope; len(events) != want {
+		t.Fatalf("%d events, want %d", len(events), want)
+	}
+	last := make(map[string]time.Time)
+	for _, ev := range events {
+		if ev.At.Before(begin) || ev.At.After(end) {
+			t.Fatalf("event %s/%d At %v outside the run [%v, %v]", ev.StreamID, ev.Seq, ev.At, begin, end)
+		}
+		if prev, ok := last[ev.StreamID]; ok && ev.At.Before(prev) {
+			t.Fatalf("stream %s: event %d At %v precedes the previous event's %v", ev.StreamID, ev.Seq, ev.At, prev)
+		}
+		last[ev.StreamID] = ev.At
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,12 +101,13 @@ type call struct {
 	stage  int8 // index into conn.rtt (see stageOf); -1 for unmapped kinds
 	sentNS int64
 
-	// writing is set by the writer while the frame is part of a write in
-	// progress. The server can reply — and the slot be released and
-	// reacquired — before that write call has returned, so beginCall waits
-	// for the flag to clear before rebuilding the frame: the writer is done
-	// with the bytes, and the flag is the happens-before edge that says so.
-	writing atomic.Bool
+	// refs counts the parties still holding the slot: the reply (set by
+	// beginCall) and, while the frame is part of a write call, the writer.
+	// The server can reply before that write call has returned, so the slot
+	// goes back to free only when both have let go (see release); the
+	// counter and the free channel are the happens-before edge between the
+	// writer's last use of the bytes and the next occupant's rebuild.
+	refs atomic.Int32
 
 	// ack, when non-nil, marks an ack-only request (the Async ingest paths,
 	// Evict, FlushCheckpoints): the reader resolves the ack itself and
@@ -462,9 +462,7 @@ func (c *conn) acquire() (uint32, error) {
 // the buffer to append operands to.
 func (c *conn) beginCall(slot uint32, kind uint8) *codec.Buffer {
 	cl := &c.calls[slot]
-	for cl.writing.Load() {
-		runtime.Gosched() // the previous occupant's write call is returning
-	}
+	cl.refs.Store(1) // the reply's reference; the writer takes its own
 	cl.frame.Reset()
 	cl.fate.Store(fatePending)
 	cl.stage = int8(stageOf(kind, 0))
@@ -522,11 +520,17 @@ func (c *conn) awaitTimeout(slot uint32, timeout time.Duration) (*call, error) {
 	}
 }
 
-// release returns a consumed slot to the free list, bumping its generation
-// so a stale reply addressed to the previous occupant can never match.
+// release drops one reference to a slot: the reply's (the ack path, the
+// payload consumer, the abandoned-deadline path) or the writer's (after its
+// write call returns). The last drop returns the slot to the free list,
+// bumping its generation so a stale reply addressed to the previous
+// occupant can never match.
 func (c *conn) release(slot uint32) {
-	c.calls[slot].gen++
-	c.free <- slot
+	cl := &c.calls[slot]
+	if cl.refs.Add(-1) == 0 {
+		cl.gen++
+		c.free <- slot
+	}
 }
 
 // writeLoop drains the send queue and writes frames to the socket, batching
@@ -548,9 +552,10 @@ func (ep *epoch) writeLoop() {
 	slots := make([]uint32, 0, c.window)
 	var wv net.Buffers
 	add := func(slot uint32) {
-		ep.inflight <- slot
 		cl := &c.calls[slot]
-		cl.writing.Store(true)
+		// The writer's reference, taken before the slot can receive a reply.
+		cl.refs.Add(1)
+		ep.inflight <- slot
 		bufs = append(bufs, cl.frame.Bytes())
 		slots = append(slots, slot)
 	}
@@ -586,8 +591,10 @@ func (ep *epoch) writeLoop() {
 	}
 }
 
-// writeVec writes bufs, the frames of slots, and then releases the slots'
-// writing flags — on failure too, since the bytes are no longer read.
+// writeVec writes bufs, the frames of slots, and then drops the writer's
+// reference to each slot — on failure too, since the bytes are no longer
+// read. A failed write leaves the reply's reference: the slot is still in
+// inflight, and collect hands it to the next epoch's writer.
 func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers, slots []uint32) bool {
 	var err error
 	if len(bufs) == 1 {
@@ -597,7 +604,7 @@ func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers, slots []uint32) boo
 		_, err = wv.WriteTo(ep.nc)
 	}
 	for _, slot := range slots {
-		ep.c.calls[slot].writing.Store(false)
+		ep.c.release(slot)
 	}
 	if err != nil {
 		ep.fail(classed(ClassTransport, fmt.Errorf("server: write: %w", err)))

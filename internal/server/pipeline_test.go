@@ -745,3 +745,269 @@ func TestClientReplyReadsBuffered(t *testing.T) {
 		t.Fatalf("client read %.3f times per reply, want at most 1", perReply)
 	}
 }
+
+// gatedConn delivers each Write's bytes to the peer and then, for the first
+// holds Writes, keeps the call from returning until the test opens the gate
+// or the conn closes: a writev whose bytes reached the server, and were
+// answered, before the syscall returned. It records whether the bytes a
+// held Write was handed changed before it returned.
+type gatedConn struct {
+	net.Conn
+	holds   atomic.Int32
+	entered chan struct{} // one send per held Write, after delivery
+	gate    chan struct{} // one receive releases one held Write
+	closed  chan struct{}
+	once    sync.Once
+	changed atomic.Bool
+}
+
+func newGatedConn(nc net.Conn, holds int32) *gatedConn {
+	g := &gatedConn{
+		Conn:    nc,
+		entered: make(chan struct{}, 16),
+		gate:    make(chan struct{}),
+		closed:  make(chan struct{}),
+	}
+	g.holds.Store(holds)
+	return g
+}
+
+func (g *gatedConn) Write(p []byte) (int, error) {
+	if g.holds.Add(-1) < 0 {
+		return g.Conn.Write(p)
+	}
+	seen := append([]byte(nil), p...)
+	n, err := g.Conn.Write(p)
+	if err != nil {
+		return n, err
+	}
+	g.entered <- struct{}{}
+	select {
+	case <-g.gate:
+	case <-g.closed:
+		err = net.ErrClosed
+	}
+	if string(seen) != string(p) {
+		g.changed.Store(true)
+	}
+	return n, err
+}
+
+func (g *gatedConn) Close() error {
+	g.once.Do(func() { close(g.closed) })
+	return g.Conn.Close()
+}
+
+// ackServer answers every request frame on nc with an OK at once and sends
+// each request id to ids (when non-nil), until nc fails.
+func ackServer(nc net.Conn, ids chan<- uint64) {
+	sc := codec.NewFrameScanner(nc)
+	b := codec.NewBuffer(nil)
+	for {
+		_, body, err := sc.Next()
+		if err != nil {
+			return
+		}
+		id := codec.NewReader(body).U64()
+		if ids != nil {
+			ids <- id
+		}
+		b.Reset()
+		b.U64(id)
+		if _, err := nc.Write(codec.AppendFrame(nil, codec.KindWireOK, b.Bytes())); err != nil {
+			return
+		}
+	}
+}
+
+// waitFree polls until the conn's free list holds want slots.
+func waitFree(t *testing.T, cn *conn, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(cn.free) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("free list holds %d slots, want %d", len(cn.free), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelinedSlotWaitsForWrite pins the recycled-slot rule: a slot goes
+// back to the free list only when both its write call and its reply have
+// let go of it. The server answers each frame while the client's Write on
+// it is still held; at window 1 the next IngestAsync must not acquire the
+// slot (and rebuild its frame) until that Write returns, and the request
+// id's generation rises once per completed call. With Reconnect on and the
+// epoch killed mid-write, every slot returns to free exactly once.
+func TestPipelinedSlotWaitsForWrite(t *testing.T) {
+	obs := testObs(4, 1)[0]
+	const rounds = 3
+	cliEnd, srvEnd := net.Pipe()
+	g := newGatedConn(cliEnd, rounds)
+	c := pipeDial(g, 1)
+	defer c.Close()
+	cn := soleMember(c).conns[0]
+	ids := make(chan uint64, rounds+1)
+	go ackServer(srvEnd, ids)
+
+	type result struct {
+		p   Pending
+		err error
+	}
+	recv := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: timed out", what)
+		}
+	}
+	checkID := func(call int) {
+		t.Helper()
+		select {
+		case id := <-ids:
+			if gen, slot := id>>32, uint32(id); gen != uint64(call) || slot != 0 {
+				t.Fatalf("call %d carried id gen %d slot %d, want gen %d slot 0", call, gen, slot, call)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("call %d never reached the server", call)
+		}
+	}
+	p, err := c.IngestAsync("s", obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= rounds; round++ {
+		recv("held write", g.entered)
+		if err := p.Wait(); err != nil {
+			t.Fatalf("round %d: Wait = %v", round, err)
+		}
+		checkID(round)
+		// The reply has let go of the slot; the write call has not.
+		time.Sleep(5 * time.Millisecond)
+		if n := len(cn.free); n != 0 {
+			t.Fatalf("round %d: slot on the free list while its write is held (%d free)", round, n)
+		}
+		next := make(chan result, 1)
+		go func() {
+			p, err := c.IngestAsync("s", obs)
+			next <- result{p, err}
+		}()
+		select {
+		case <-next:
+			t.Fatalf("round %d: IngestAsync acquired the slot while its previous write was held", round)
+		case <-time.After(20 * time.Millisecond):
+		}
+		g.gate <- struct{}{}
+		var r result
+		select {
+		case r = <-next:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: IngestAsync never acquired the slot after the write returned", round)
+		}
+		if r.err != nil {
+			t.Fatalf("round %d: IngestAsync = %v", round, r.err)
+		}
+		if g.changed.Load() {
+			t.Fatalf("round %d: the frame bytes changed while Write still held them", round)
+		}
+		p = r.p
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	checkID(rounds + 1)
+	waitFree(t, cn, 1)
+
+	for _, window := range []int{1, 4} {
+		t.Run(fmt.Sprintf("reconnect-window-%d", window), func(t *testing.T) {
+			testSlotsFreeOnceAfterMidWriteKill(t, window)
+		})
+	}
+}
+
+// testSlotsFreeOnceAfterMidWriteKill kills the first epoch while its first
+// Write is held, after the server answered that frame: the answered slot is
+// freed by the failed write, the rest are resent on the next epoch, and each
+// of the window's slots ends on the free list exactly once.
+func testSlotsFreeOnceAfterMidWriteKill(t *testing.T, window int) {
+	obs := testObs(4, 1)[0]
+	first, firstSrv := net.Pipe()
+	g := newGatedConn(first, 1)
+	var dials atomic.Int32
+	pol := RetryPolicy{Reconnect: true, MaxDialAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
+	c, err := dialClient(ClientConfig{Addrs: []string{"pipe"}, Window: window, Retry: pol},
+		func(string) (net.Conn, error) {
+			if dials.Add(1) == 1 {
+				return g, nil
+			}
+			cli, srv := net.Pipe()
+			go ackServer(srv, nil)
+			return cli, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cn := soleMember(c).conns[0]
+	// The first epoch's server answers one frame, waits for the client to
+	// resolve it, then dies while the client's write of it is still held.
+	answered := make(chan struct{})
+	go func() {
+		sc := codec.NewFrameScanner(firstSrv)
+		_, body, err := sc.Next()
+		if err != nil {
+			return
+		}
+		b := codec.NewBuffer(nil)
+		b.U64(codec.NewReader(body).U64())
+		firstSrv.Write(codec.AppendFrame(nil, codec.KindWireOK, b.Bytes()))
+		<-answered
+		firstSrv.Close()
+	}()
+	pend := make([]Pending, window)
+	for i := range pend {
+		if pend[i], err = c.IngestAsync("s", obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first write was never held")
+	}
+	if err := pend[0].Wait(); err != nil {
+		t.Fatalf("Wait on the answered call = %v", err)
+	}
+	close(answered)
+	for i, p := range pend[1:] {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("Wait on resent call %d = %v", i+1, err)
+		}
+	}
+	// At window 1 nothing is resent, so the redial may still be under way.
+	for deadline := time.Now().Add(10 * time.Second); cn.reconnects.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the client never reconnected")
+		}
+	}
+	waitFree(t, cn, window)
+	seen := make(map[uint32]bool)
+	for i := 0; i < window; i++ {
+		s := <-cn.free
+		if seen[s] || int(s) >= window {
+			t.Fatalf("free list holds slot %d twice or out of range", s)
+		}
+		seen[s] = true
+	}
+	time.Sleep(5 * time.Millisecond)
+	if n := len(cn.free); n != 0 {
+		t.Fatalf("%d slots returned to the free list a second time", n)
+	}
+	for s := range seen {
+		cn.free <- s
+	}
+	if err := c.Ingest("s", obs); err != nil {
+		t.Fatalf("Ingest after the reconnect = %v", err)
+	}
+}

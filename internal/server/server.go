@@ -403,28 +403,36 @@ func (s *Server) handle(nc net.Conn) {
 		out:   codec.NewBuffer(nil),
 		names: make(map[string]string),
 	}
+	// end is the clock reading that closed the previous request's service
+	// time (0 before the first request, or with telemetry off).
+	var end int64
 	for {
 		if h.outN > 0 && sc.Buffered() == 0 {
 			if !h.flushReplies() {
 				break
 			}
 		}
+		// Service time is decode through reply buffering (the coalesced
+		// socket write is shared across requests and charged to none). A
+		// request whose whole frame is already buffered starts where the
+		// previous one ended: nothing waits on the socket in between, so a
+		// pipelined burst costs one clock read per request.
+		chained := end > 0 && sc.FrameBuffered()
 		kind, payload, err := sc.Next()
 		if err != nil {
 			// Clean close, peer death, framing corruption, or our own
 			// shutdown deadline — all end the connection.
 			break
 		}
-		// Service time is decode through reply buffering (the coalesced
-		// socket write is shared across requests and charged to none).
-		var t0 int64
-		if s.tele != nil {
-			t0 = telemetry.Now()
+		start := end
+		if s.tele != nil && !chained {
+			start = telemetry.Now()
 		}
 		ok := h.serve(kind, payload)
 		if s.tele != nil {
+			end = telemetry.Now()
 			if i := stageOf(kind, h.obsN); i >= 0 {
-				s.tele.serve[i].Observe(telemetry.Now() - t0)
+				s.tele.serve[i].Observe(end - start)
 			}
 		}
 		if !ok {

@@ -3,11 +3,13 @@ package server
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"rbmim/internal/codec"
 	"rbmim/internal/core"
 	"rbmim/internal/detectors"
 	"rbmim/internal/monitor"
@@ -257,5 +259,92 @@ func TestServerTelemetryOff(t *testing.T) {
 	}
 	if sn.Ingested != 16 {
 		t.Fatalf("ingested = %d, want 16 (telemetry off must not change serving)", sn.Ingested)
+	}
+}
+
+// TestServeSamplePerRequest pins the request loop's clock: back-to-back
+// pipelined frames each produce one serve_ingest sample, and so does a frame
+// whose second half arrives 5 ms after its first — its sample starts when
+// the frame is whole, so it never covers the socket wait.
+func TestServeSamplePerRequest(t *testing.T) {
+	srv, _, _ := newTestServer(t, monitor.Config{
+		Shards:      1,
+		QueueSize:   4096,
+		NewDetector: func(string) (detectors.Detector, error) { return nullDetector{}, nil },
+	}, Config{})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sc := codec.NewFrameScanner(nc)
+	obs := testObs(4, 1)[0]
+	seq := uint64(0)
+	frame := func() []byte {
+		seq++
+		b := codec.NewBuffer(nil)
+		mark := b.BeginFrame(codec.KindWireIngestBatch)
+		b.U64(seq) // request id
+		b.U64(7)   // session
+		b.U64(seq)
+		b.Str("s")
+		b.U32(1)
+		encodeObs(b, obs)
+		b.EndFrame(mark)
+		return b.Bytes()
+	}
+	write := func(p []byte) {
+		t.Helper()
+		if _, err := nc.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acks := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			kind, _, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind != codec.KindWireOK {
+				t.Fatalf("reply kind %d, want OK", kind)
+			}
+		}
+	}
+	serveIngest := func() telemetry.Stage {
+		return srv.tele.serve[stageOf(codec.KindWireIngestBatch, 1)].Load("serve_ingest")
+	}
+
+	const burst = 16
+	var p []byte
+	for i := 0; i < burst; i++ {
+		p = append(p, frame()...)
+	}
+	write(p)
+	acks(burst)
+	if got := serveIngest().Count; got != burst {
+		t.Fatalf("serve_ingest count after %d back-to-back frames = %d, want %d", burst, got, burst)
+	}
+
+	// One write carries a whole frame and the first half of the next; the
+	// rest follows 5 ms later.
+	before := serveIngest()
+	whole, split := frame(), frame()
+	write(append(whole, split[:len(split)/2]...))
+	time.Sleep(5 * time.Millisecond)
+	write(split[len(split)/2:])
+	acks(2)
+	after := serveIngest()
+	if got := after.Count - before.Count; got != 2 {
+		t.Fatalf("serve_ingest count grew by %d for two frames, want 2", got)
+	}
+	for i := range after.Buckets {
+		if after.Buckets[i] == before.Buckets[i] {
+			continue
+		}
+		// A sample in a bucket bounded below 5 ms is under 5 ms.
+		if bound, finite := telemetry.BucketBound(i); !finite || bound >= int64(5*time.Millisecond) {
+			t.Fatalf("a serve_ingest sample landed in the bucket bounded by %v: it covers the 5 ms socket wait", time.Duration(bound))
+		}
 	}
 }

@@ -52,6 +52,10 @@ var epoch = time.Now()
 // Histogram.Observe. It never allocates.
 func Now() int64 { return int64(time.Since(epoch)) }
 
+// At returns t as a reading of Now's clock. For a t from time.Now, which
+// carries a monotonic reading, the two are the same instant.
+func At(t time.Time) int64 { return int64(t.Sub(epoch)) }
+
 // Level selects how much of the serving stack is instrumented. The zero
 // value is Full: telemetry is on by default, and the perf A/B gate measures
 // the serving path with it on.
