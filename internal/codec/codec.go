@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the current checkpoint format version. Decoders reject frames
@@ -172,20 +173,27 @@ func (w *Buffer) Str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// F64s appends a length-prefixed float64 slice.
+// F64s appends a length-prefixed float64 slice in one pass: the buffer
+// grows once and one loop appends every element's bits. The bytes are
+// those of one F64 call per element.
 func (w *Buffer) F64s(v []float64) {
 	w.U32(uint32(len(v)))
+	b := slices.Grow(w.b, 8*len(v))
 	for _, x := range v {
-		w.F64(x)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
+	w.b = b
 }
 
-// Ints appends a length-prefixed int slice (each element an int64).
+// Ints appends a length-prefixed int slice (each element an int64), in one
+// pass like F64s.
 func (w *Buffer) Ints(v []int) {
 	w.U32(uint32(len(v)))
+	b := slices.Grow(w.b, 8*len(v))
 	for _, x := range v {
-		w.I64(int64(x))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
 	}
+	w.b = b
 }
 
 // BeginFrame appends a frame header (magic, version, kind) with a zero
@@ -211,20 +219,6 @@ func (w *Buffer) EndFrame(mark int) {
 	start := mark - (headerSize - 4)
 	sum := crc32.ChecksumIEEE(w.b[start:])
 	w.U32(sum)
-}
-
-// Mark reserves a u32 slot at the current position (for a to-be-known
-// length) and returns its offset for PatchLen.
-func (w *Buffer) Mark() int {
-	off := len(w.b)
-	w.U32(0)
-	return off
-}
-
-// PatchLen writes the number of bytes appended since Mark into the reserved
-// slot, turning everything after the mark into a length-prefixed region.
-func (w *Buffer) PatchLen(mark int) {
-	binary.LittleEndian.PutUint32(w.b[mark:mark+4], uint32(len(w.b)-mark-4))
 }
 
 // Reader is the bounds-checked decode-side cursor over one payload. Any
@@ -366,32 +360,46 @@ func (r *Reader) count(elemSize int) int {
 	return int(n)
 }
 
-// F64s reads a length-prefixed float64 slice into a fresh allocation.
-func (r *Reader) F64s() []float64 {
+// block reads a u32 count of 8-byte elements, checked once against the
+// remaining input, and returns the whole block (nil after an error).
+func (r *Reader) block() []byte {
 	n := r.count(8)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
+	return r.take(8 * n)
+}
+
+// appendF64s decodes a block of float64 bit patterns onto dst in one pass,
+// growing dst at most once.
+func appendF64s(dst []float64, b []byte) []float64 {
+	dst = slices.Grow(dst, len(b)/8)
+	for ; len(b) >= 8; b = b[8:] {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b)))
 	}
-	return out
+	return dst
+}
+
+// F64s reads a length-prefixed float64 slice into a fresh allocation.
+func (r *Reader) F64s() []float64 {
+	b := r.block()
+	if r.err != nil {
+		return nil
+	}
+	return appendF64s(make([]float64, 0, len(b)/8), b)
 }
 
 // F64sInto reads a length-prefixed float64 slice by appending onto dst,
 // reusing its capacity — the decode-side sibling of Buffer.F64s for callers
-// that recycle buffers (the server's pooled observation slabs). On error the
-// input dst is returned unchanged.
+// that recycle buffers (the server's pooled observation slabs). It grows
+// dst at most once, so when dst has room the elements already in it do not
+// move. On error the input dst is returned unchanged.
 func (r *Reader) F64sInto(dst []float64) []float64 {
-	n := r.count(8)
+	b := r.block()
 	if r.err != nil {
 		return dst
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.F64())
-	}
-	return dst
+	return appendF64s(dst, b)
 }
 
 // F64sLen reads a length-prefixed float64 slice, requiring exactly want
@@ -407,15 +415,21 @@ func (r *Reader) F64sLen(want int) []float64 {
 	return out
 }
 
-// Ints reads a length-prefixed int slice into a fresh allocation.
+// Ints reads a length-prefixed int slice into a fresh allocation. Each
+// element must fit the platform int.
 func (r *Reader) Ints() []int {
-	n := r.count(8)
+	b := r.block()
 	if r.err != nil {
 		return nil
 	}
-	out := make([]int, n)
+	out := make([]int, len(b)/8)
 	for i := range out {
-		out[i] = r.Int()
+		v := int64(binary.LittleEndian.Uint64(b[8*i:]))
+		if int64(int(v)) != v {
+			r.Fail("int64 %d overflows int", v)
+			return nil
+		}
+		out[i] = int(v)
 	}
 	return out
 }

@@ -2,9 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -62,6 +64,98 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
+
+	// Slices are coded in one pass; the bytes must be those of the
+	// element-wise coding (a u32 count, then each element's little-endian
+	// bits), for every length that exercises a loop tail and for the
+	// 256×20 wire-batch frame.
+	rng := rand.New(rand.NewSource(7))
+	lengths := make([]int, 0, 69)
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 256*20)
+	for _, n := range lengths {
+		fs, is := sliceFixture(rng, n)
+		w.Reset()
+		w.U8(0xA5) // the block starts off any 8-byte alignment
+		w.F64s(fs)
+		w.Ints(is)
+		want := []byte{0xA5}
+		want = binary.LittleEndian.AppendUint32(want, uint32(n))
+		for _, x := range fs {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
+		}
+		want = binary.LittleEndian.AppendUint32(want, uint32(n))
+		for _, x := range is {
+			want = binary.LittleEndian.AppendUint64(want, uint64(int64(x)))
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("n=%d: one-pass encoding differs from the element-wise one", n)
+		}
+
+		r := NewReader(w.Bytes())
+		r.U8()
+		mark := r.off
+		gotF := r.F64s()
+		r.off = mark
+		gotLen := r.F64sLen(n)
+		r.off = mark
+		prefix := []float64{-1, -2}
+		gotInto := r.F64sInto(prefix)
+		gotI := r.Ints()
+		if err := r.Done(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(gotF) != n || len(gotLen) != n || len(gotInto) != n+2 || len(gotI) != n {
+			t.Fatalf("n=%d: decoded lengths %d, %d, %d, %d", n, len(gotF), len(gotLen), len(gotInto), len(gotI))
+		}
+		if gotInto[0] != -1 || gotInto[1] != -2 {
+			t.Fatalf("n=%d: F64sInto changed the existing elements: %v", n, gotInto[:2])
+		}
+		for i := range fs {
+			want := math.Float64bits(fs[i])
+			if math.Float64bits(gotF[i]) != want || math.Float64bits(gotLen[i]) != want || math.Float64bits(gotInto[i+2]) != want {
+				t.Fatalf("n=%d element %d: bits %x, %x, %x, want %x", n, i,
+					math.Float64bits(gotF[i]), math.Float64bits(gotLen[i]), math.Float64bits(gotInto[i+2]), want)
+			}
+			if gotI[i] != is[i] {
+				t.Fatalf("n=%d int %d: %d, want %d", n, i, gotI[i], is[i])
+			}
+		}
+	}
+}
+
+// oddFloats are the values whose bits a float coder must carry exactly.
+var oddFloats = []float64{
+	math.NaN(),
+	math.Float64frombits(0x7ff0000000000001), // signalling NaN
+	math.Float64frombits(0xfff8000000000abc), // negative NaN with a payload
+	math.Copysign(0, -1),
+	math.Inf(1),
+	math.Inf(-1),
+	math.SmallestNonzeroFloat64,              // smallest subnormal
+	math.Float64frombits(0x800fffffffffffff), // largest negative subnormal
+	math.MaxFloat64,
+	-math.MaxFloat64,
+}
+
+// sliceFixture returns n floats and n ints that mix oddFloats and the int
+// extremes with random values; the last element of each is never zero.
+func sliceFixture(rng *rand.Rand, n int) ([]float64, []int) {
+	fs, is := make([]float64, n), make([]int, n)
+	for i := range fs {
+		fs[i] = rng.NormFloat64() * 1e3
+		is[i] = int(int32(rng.Uint32()))
+		if i%3 == 1 {
+			fs[i] = oddFloats[(i/3)%len(oddFloats)]
+			is[i] = []int{math.MinInt, math.MaxInt, -1}[(i/3)%3]
+		}
+	}
+	if n > 0 {
+		fs[n-1], is[n-1] = math.MaxFloat64, math.MinInt
+	}
+	return fs, is
 }
 
 func TestReaderTruncationIsSticky(t *testing.T) {
@@ -100,26 +194,6 @@ func TestReaderDoneRejectsTrailingBytes(t *testing.T) {
 	r.U8()
 	if err := r.Done(); err == nil || !errors.Is(err, ErrInvalid) {
 		t.Fatalf("trailing bytes accepted: %v", err)
-	}
-}
-
-func TestMarkPatchLen(t *testing.T) {
-	w := NewBuffer(nil)
-	w.U8(9)
-	mark := w.Mark()
-	w.F64(1.0)
-	w.F64(2.0)
-	w.PatchLen(mark)
-	r := NewReader(w.Bytes())
-	if got := r.U8(); got != 9 {
-		t.Fatalf("prefix = %d", got)
-	}
-	blob := r.Blob()
-	if len(blob) != 16 {
-		t.Fatalf("blob length = %d", len(blob))
-	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
 	}
 }
 
@@ -522,5 +596,121 @@ func TestF64sInto(t *testing.T) {
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Appending into a presized slab leaves the views of earlier decodes in
+	// place: the backing array never moves.
+	slab := make([]float64, 0, 3*len(vals))
+	w.Reset()
+	w.F64s(vals)
+	w.F64s(vals)
+	r.Reset(w.Bytes())
+	slab = r.F64sInto(slab)
+	first := slab[:len(vals):len(vals)]
+	slab = r.F64sInto(slab)
+	if &slab[0] != &first[0] || cap(slab) != 3*len(vals) {
+		t.Fatal("F64sInto moved a presized slab")
+	}
+	for i := range vals {
+		if math.Float64bits(first[i]) != math.Float64bits(vals[i]) || math.Float64bits(slab[len(vals)+i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("element %d after the second append: %v, %v", i, first[i], slab[len(vals)+i])
+		}
+	}
+
+	// A truncated block or an oversized count sets the sticky error and
+	// leaves dst unchanged; F64s, F64sLen and Ints return nil.
+	w.Reset()
+	w.F64s([]float64{1, 2, 3})
+	whole := w.Bytes()
+	oversized := binary.LittleEndian.AppendUint32(nil, 1<<31)
+	oversized = append(oversized, whole[4:]...)
+	for name, in := range map[string][]byte{
+		"truncated block": whole[:len(whole)-1],
+		"truncated count": whole[:3],
+		"oversized count": oversized,
+	} {
+		dst := []float64{7, 8}
+		dst = dst[:1]
+		var r Reader
+		r.Reset(in)
+		if got := r.F64sInto(dst); len(got) != 1 || cap(got) != 2 || &got[0] != &dst[0] || dst[:2][1] != 8 || r.Err() == nil {
+			t.Fatalf("%s: F64sInto returned %v (err %v), want dst unchanged", name, got, r.Err())
+		}
+		if !errors.Is(r.Err(), ErrInvalid) || r.Remaining() != 0 {
+			t.Fatalf("%s: error %v, %d bytes remaining", name, r.Err(), r.Remaining())
+		}
+		if got := r.F64sInto(dst); len(got) != 1 || &got[0] != &dst[0] {
+			t.Fatalf("%s: F64sInto after the error returned %v", name, got)
+		}
+		r.Reset(in)
+		if got := r.F64s(); got != nil || r.Err() == nil {
+			t.Fatalf("%s: F64s returned %v (err %v)", name, got, r.Err())
+		}
+		r.Reset(in)
+		if got := r.F64sLen(3); got != nil || r.Err() == nil {
+			t.Fatalf("%s: F64sLen returned %v (err %v)", name, got, r.Err())
+		}
+		r.Reset(in)
+		if got := r.Ints(); got != nil || r.Err() == nil {
+			t.Fatalf("%s: Ints returned %v (err %v)", name, got, r.Err())
+		}
+	}
+	// An int64 beyond the platform int (only possible with a 32-bit int).
+	if math.MaxInt == math.MaxInt32 {
+		w.Reset()
+		w.U32(2)
+		w.I64(1)
+		w.I64(1 << 40)
+		r.Reset(w.Bytes())
+		if got := r.Ints(); got != nil || !errors.Is(r.Err(), ErrInvalid) {
+			t.Fatalf("Ints with an int64 beyond int returned %v (err %v)", got, r.Err())
+		}
+	}
+
+	// The wire-batch shape, 256 observations of 20 features, encodes into a
+	// reused Buffer and decodes into a presized slab without allocating.
+	obs := make([][]float64, 256)
+	for i := range obs {
+		obs[i] = make([]float64, 20)
+		for j := range obs[i] {
+			obs[i][j] = float64(i*20 + j)
+		}
+	}
+	w.Reset()
+	encode := func() {
+		w.Reset()
+		for _, x := range obs {
+			w.F64s(x)
+			w.Int(1)
+			w.Int(2)
+			w.Bool(false)
+		}
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Fatalf("encoding 256 observations into a reused Buffer: %.1f allocs", allocs)
+	}
+	slab = make([]float64, 0, w.Len()/8)
+	decode := func() {
+		r.Reset(w.Bytes())
+		slab = slab[:0]
+		for range obs {
+			slab = r.F64sInto(slab)
+			r.Int()
+			r.Int()
+			r.Bool()
+		}
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	for i, x := range slab {
+		if x != float64(i) {
+			t.Fatalf("decoded float %d = %v", i, x)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("decoding 256 observations into a presized slab: %.1f allocs", allocs)
 	}
 }

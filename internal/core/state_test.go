@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 
 	"rbmim/internal/codec"
@@ -114,6 +115,31 @@ func TestDetectorKillResumeBitIdentical(t *testing.T) {
 		if !bytes.Equal(detectorStateBytes(t, control), detectorStateBytes(t, resumed)) {
 			t.Fatalf("CD-%d: serialized states differ after resume", steps)
 		}
+	}
+}
+
+// TestDetectorLoadsElementwiseCheckpoint: testdata/detector_v1.ckpt was
+// written before the codec coded float slices in one pass, by a detector of
+// stateTestConfig(1) after 577 observations of stateObsDraw(5). It must
+// load with the weights it was saved with and re-save to the same bytes, so
+// checkpoints on disk survive the change.
+func TestDetectorLoadsElementwiseCheckpoint(t *testing.T) {
+	old, err := os.ReadFile("testdata/detector_v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := NewDetector(stateTestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.LoadStateBytes(old); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := det.rbm.WeightChecksum(), uint64(0x90ee1dfbf31736cd); got != want {
+		t.Fatalf("loaded weight checksum %#x, want %#x", got, want)
+	}
+	if !bytes.Equal(detectorStateBytes(t, det), old) {
+		t.Fatal("re-saved checkpoint differs from the one loaded")
 	}
 }
 

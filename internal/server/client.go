@@ -295,7 +295,8 @@ func (c *Client) Reconnects() uint64 {
 // Subscribe opens a dedicated connection that streams every drift event the
 // server's monitor publishes. buffer sizes the server-side per-subscriber
 // queue and the local event channel (<= 0 selects
-// monitor.DefaultSubscriptionBuffer for both). When this subscriber falls
+// monitor.DefaultSubscriptionBuffer for both); the server refuses a buffer
+// above 64 times that default. When this subscriber falls
 // behind — slow reader, slow link — events overflowing the server-side
 // queue are dropped for this subscriber only and counted in
 // Snapshot.SubscriberDropped (and, when the server's monitor enables

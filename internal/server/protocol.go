@@ -30,7 +30,9 @@
 // resident, which is how a duplicate handoff after a lost ack surfaces (the
 // cluster layer treats that refusal as success; see cluster.go). A
 // connection that sends Subscribe receives an
-// OK and then becomes a one-way event stream: the server pushes Event
+// OK and then becomes a one-way event stream (a Subscribe asking for a
+// queue of more than 64 times monitor.DefaultSubscriptionBuffer events
+// draws an Error instead): the server pushes Event
 // frames (request id 0) and treats any further request on that connection
 // as a protocol error. Backpressure is explicit at every hop: IngestBatch
 // blocks its own connection (never the accept loop), overload shedding

@@ -382,6 +382,11 @@ const maxInternedNames = 4096
 // both reply latency under a saturating pipeline and the buffer's size.
 const replyFlushBytes = 16 << 10
 
+// maxSubscribeBuffer caps the per-subscriber event queue a Subscribe
+// request may ask for. The monitor allocates the whole queue up front, so
+// an uncapped u32 from the wire could ask for hundreds of gigabytes.
+const maxSubscribeBuffer = 64 * monitor.DefaultSubscriptionBuffer
+
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(nc)
@@ -491,11 +496,11 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 		return h.reply(id, codec.KindWireOK)
 
 	case codec.KindWireSubscribe:
-		buffer := int(h.rd.U32())
-		if h.rd.Done() != nil {
+		buffer := h.rd.U32()
+		if h.rd.Done() != nil || buffer > maxSubscribeBuffer {
 			return h.replyErr(id, "bad subscribe payload")
 		}
-		sub, err := m.Subscribe(buffer)
+		sub, err := m.Subscribe(int(buffer))
 		if err != nil {
 			return h.replyErr(id, err.Error())
 		}
@@ -705,10 +710,13 @@ func (h *connHandler) decodeBatch() (string, []detectors.Observation, bool) {
 	if !ok {
 		return "", nil, false
 	}
-	n := int(h.rd.U32())
-	if h.rd.Err() != nil || n*minObsBytes > h.rd.Remaining() {
+	// The bound is computed in int64, as codec's counts are, so a count
+	// near 2^32 cannot wrap a 32-bit int past it.
+	count := int64(h.rd.U32())
+	if h.rd.Err() != nil || count*minObsBytes > int64(h.rd.Remaining()) {
 		return "", nil, false
 	}
+	n := int(count)
 	slab := h.growSlab(h.rd.Remaining())
 	if cap(h.slabObs) < n {
 		h.slabObs = make([]detectors.Observation, n)

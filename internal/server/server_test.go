@@ -385,6 +385,79 @@ func TestServerBadRequest(t *testing.T) {
 	}
 }
 
+// TestServerRejectsHostileCounts: a count from the wire that would drive an
+// allocation draws an Error reply, on 32-bit builds too, and the server
+// keeps serving. An IngestBatch count of 2^31 is negative as a 32-bit int; a
+// Subscribe queue of 2^28 or 2^32-1 events would be a multi-gigabyte
+// channel.
+func TestServerRejectsHostileCounts(t *testing.T) {
+	srv, _, c := newTestServer(t, monitor.Config{
+		Detector: core.Config{Features: 8, Classes: 3, Seed: 7},
+		Shards:   1,
+	}, Config{})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sc := codec.NewFrameScanner(nc)
+	obs := testObs(8, 1)
+	b := codec.NewBuffer(nil)
+	send := func(kind uint8, id uint64, wantKind uint8) {
+		t.Helper()
+		if _, err := nc.Write(codec.AppendFrame(nil, kind, b.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		got, body, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := codec.NewReader(body)
+		if gotID := rd.U64(); got != wantKind || gotID != id {
+			t.Fatalf("request %d: reply kind %d for id %d, want kind %d", id, got, gotID, wantKind)
+		}
+	}
+	// batch builds an IngestBatch payload (session 0: no dedup) that
+	// declares count observations and carries one.
+	batch := func(id uint64, count uint32) {
+		b.Reset()
+		b.U64(id)
+		b.U64(0)
+		b.U64(0)
+		b.Str("s")
+		b.U32(count)
+		encodeObs(b, obs[0])
+	}
+	for _, count := range []uint32{0x80000000, 0xFFFFFFFF} {
+		batch(uint64(count), count)
+		send(codec.KindWireIngestBatch, uint64(count), codec.KindWireError)
+	}
+	for _, buffer := range []uint32{maxSubscribeBuffer + 1, 1 << 28, 0xFFFFFFFF} {
+		b.Reset()
+		b.U64(uint64(buffer))
+		b.U32(buffer)
+		send(codec.KindWireSubscribe, uint64(buffer), codec.KindWireError)
+	}
+	if sub, err := c.Subscribe(1 << 28); err == nil || !strings.Contains(err.Error(), "bad subscribe payload") {
+		if sub != nil {
+			sub.Close()
+		}
+		t.Fatalf("Client.Subscribe(1<<28): %v, want the server's refusal", err)
+	}
+	// The same connection, and the client's, still ingest.
+	batch(1, 1)
+	send(codec.KindWireIngestBatch, 1, codec.KindWireOK)
+	if err := c.Ingest("t", obs[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The cap itself is accepted.
+	sub, err := c.Subscribe(maxSubscribeBuffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
+}
+
 // TestServerMaxFrame: a frame declaring a payload over the configured bound
 // is rejected without allocation and the connection is closed.
 func TestServerMaxFrame(t *testing.T) {
